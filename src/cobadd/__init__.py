@@ -20,11 +20,11 @@ from .problem import (DualPoint, DualSetSpec, NodeSpec, ProblemInstance,
                       build_dual_sets, constraint_values, dual_function_value,
                       dual_function_values, dual_set_threshold, evaluate_primal,
                       instance_from_json, instance_hash, instance_to_json,
-                      local_dual_oracle, make_sample_lmi_instance,
-                      make_sample_num_instance, node_subgradient, oracle_sweep,
-                      slater_certificate, subgradient_bounds)
-from .solver import CobaddConfig, NodeState, cobadd_init, cobadd_solve, cobadd_step
-from .spectral import SymEig, project_G, project_mu, project_psd, sym_eig
+                      make_sample_lmi_instance, make_sample_num_instance,
+                      oracle_sweep, slater_certificate, subgradient_bounds)
+from .solver import (CobaddConfig, CobaddState, NodeState, cobadd_init,
+                     cobadd_solve, cobadd_step)
+from .spectral import project_G, project_mu, project_psd
 from .trace import TRACE_COLUMNS, RunTrace, read_csv
 
 __version__ = "0.1.0"

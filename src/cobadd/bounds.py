@@ -80,27 +80,22 @@ class TheoreticalBounds:
 
 
 def compute_c0(instance: ProblemInstance, W: ConsensusMatrix, phi: int,
-               initial_duals: "list[DualPoint] | None", alpha: float) -> float:
+               alpha: float) -> float:
     """Exact initial payload disagreement under phi consensus steps.
 
     Evaluates, for every node i, the deviation-from-mean of the first
     mixed payload (scalar part plus Frobenius norm of the matrix part)
-    using the deviation matrix W^phi - 11^T/n, and returns the maximum.
-    Identical initial duals with identical subgradients give exactly 0.
+    from the zero initial duals, using the deviation matrix
+    W^phi - 11^T/n, and returns the maximum.  Identical nodes give
+    exactly 0.
     """
-    n = instance.n
-    if initial_duals is None:
-        initial_duals = [DualPoint(0.0, np.zeros((instance.d, instance.d)))] * n
-    mus = np.array([z.mu for z in initial_duals])
-    Gs = np.stack([z.G for z in initial_duals]) if instance.d else None
-    _, x0 = oracle_sweep(instance, list(initial_duals))
+    n, d = instance.n, instance.d
+    _, x0 = oracle_sweep(instance, DualPoint(0.0, np.zeros((d, d))))
     h, Qm = constraint_values(instance, x0)
-    payload_mu = mus + alpha * h
     D = np.linalg.matrix_power(W.W, phi) - np.full((n, n), 1.0 / n)
-    dev_mu = np.abs(D @ payload_mu)
-    if instance.d:
-        payload_G = Gs + alpha * Qm
-        dev_G = np.linalg.norm(np.einsum("ij,jkl->ikl", D, payload_G), axis=(1, 2))
+    dev_mu = np.abs(D @ (alpha * h))
+    if d:
+        dev_G = np.linalg.norm(np.einsum("ij,jkl->ikl", D, alpha * Qm), axis=(1, 2))
     else:
         dev_G = np.zeros(n)
     return float(np.max(dev_mu + dev_G))

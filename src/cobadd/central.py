@@ -3,7 +3,7 @@
 One shared dual pair is updated by projected subgradient ascent with a
 constant stepsize; the primal estimate is the running ergodic mean of
 the local Lagrangian minimizers.  The very first oracle pass, taken at
-the user-supplied initial duals, only feeds the first dual update: the
+the zero initial duals, only feeds the first dual update: the
 ergodic mean starts with the sample taken at the first *updated* duals.
 Projections go onto the nonnegative orthant / PSD cone (unbounded mode,
 ``sets=None``) or onto the compact sets [0, Lambda] and
@@ -30,13 +30,15 @@ class CentralState:
 
     ``dual`` is the pair the *next* iteration will sample at;
     ``ergodic_x = tilde_sum / k`` once k >= 1 (NaN before the first
-    recorded iteration).
+    recorded iteration); ``q`` is the dual value at the pair the last
+    pass sampled.
     """
 
     dual: DualPoint
     ergodic_x: np.ndarray
     k: int
     tilde_sum: np.ndarray
+    q: float = math.nan
 
 
 def _updated_dual(instance: ProblemInstance, dual: DualPoint, x_tilde: np.ndarray,
@@ -56,31 +58,29 @@ def _updated_dual(instance: ProblemInstance, dual: DualPoint, x_tilde: np.ndarra
 
 
 def central_init(instance: ProblemInstance, alpha: float,
-                 sets: DualSetSpec | None = None,
-                 initial: DualPoint | None = None) -> CentralState:
-    """Bootstrap: sample at the initial duals and take the first update."""
+                 sets: DualSetSpec | None = None) -> CentralState:
+    """Bootstrap: sample at the zero initial duals and take the first update."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    z0 = initial if initial is not None else DualPoint(0.0, np.zeros((instance.d,) * 2))
-    _, x0 = oracle_sweep(instance, z0)
+    z0 = DualPoint(0.0, np.zeros((instance.d,) * 2))
+    q, x0 = oracle_sweep(instance, z0)
     dual = _updated_dual(instance, z0, x0, alpha, sets)
     n = instance.n
-    return CentralState(dual, np.full(n, math.nan), 0, np.zeros(n))
+    return CentralState(dual, np.full(n, math.nan), 0, np.zeros(n), float(q.sum()))
 
 
 def central_step(instance: ProblemInstance, state: CentralState, alpha: float,
                  sets: DualSetSpec | None = None) -> CentralState:
     """One recorded iteration: sample, extend the ergodic mean, update."""
-    _, x_tilde = oracle_sweep(instance, state.dual)
+    q, x_tilde = oracle_sweep(instance, state.dual)
     k = state.k + 1
     tilde_sum = state.tilde_sum + x_tilde
     dual = _updated_dual(instance, state.dual, x_tilde, alpha, sets)
-    return CentralState(dual, tilde_sum / k, k, tilde_sum)
+    return CentralState(dual, tilde_sum / k, k, tilde_sum, float(q.sum()))
 
 
 def central_solve(instance: ProblemInstance, alpha: float, K: int,
                   sets: DualSetSpec | None = None,
-                  initial: DualPoint | None = None,
                   record_duals: bool = False) -> RunTrace:
     """Run K recorded iterations and assemble the trace.
 
@@ -92,16 +92,13 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
     if K < 1:
         raise ValueError("K must be at least 1")
     n = instance.n
-    z0 = initial if initial is not None else DualPoint(0.0, np.zeros((instance.d,) * 2))
-    lam_max = abs(z0.mu)
-    gam_max = float(np.linalg.norm(z0.G)) if instance.d else 0.0
-    state = central_init(instance, alpha, sets, z0)
+    lam_max = gam_max = 0.0  # the zero initial pair
+    state = central_init(instance, alpha, sets)
 
     cols = {name: np.zeros(K) for name in
             ("f_ergodic", "viol_ineq", "viol_lmi", "q_best_node", "q_mean")}
     mu_hist = np.zeros(K) if record_duals else None
     G_hist = np.zeros((K, instance.d, instance.d)) if record_duals else None
-    tilde_sum = np.zeros(n)
     for k in range(1, K + 1):
         dual = state.dual
         lam_max = max(lam_max, abs(dual.mu))
@@ -111,18 +108,13 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
             mu_hist[k - 1] = dual.mu
             if instance.d:
                 G_hist[k - 1] = dual.G
-        q, x_tilde = oracle_sweep(instance, dual)
-        tilde_sum += x_tilde
-        x_erg = tilde_sum / k
-        f, vi, vl = evaluate_primal(instance, x_erg)
-        qv = float(q.sum())
+        state = central_step(instance, state, alpha, sets)
+        f, vi, vl = evaluate_primal(instance, state.ergodic_x)
         cols["f_ergodic"][k - 1] = f
         cols["viol_ineq"][k - 1] = vi
         cols["viol_lmi"][k - 1] = vl
-        cols["q_best_node"][k - 1] = qv
-        cols["q_mean"][k - 1] = qv
-        state = CentralState(
-            _updated_dual(instance, dual, x_tilde, alpha, sets), x_erg, k, tilde_sum.copy())
+        cols["q_best_node"][k - 1] = state.q
+        cols["q_mean"][k - 1] = state.q
     lam_max = max(lam_max, abs(state.dual.mu))
     if instance.d:
         gam_max = max(gam_max, float(np.linalg.norm(state.dual.G)))

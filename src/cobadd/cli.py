@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -22,12 +23,12 @@ import numpy as np
 
 from .central import central_solve
 from .errors import ConfigurationError
-from .network import (MessageLedger, check_consensus_conditions,
-                      consensus_round, metropolis_weights,
-                      random_connected_graph)
+from .network import (ConsensusMatrix, Graph, MessageLedger,
+                      check_consensus_conditions, consensus_round,
+                      metropolis_weights, random_connected_graph)
 from .oracles import (dual_bisection, dykstra_project, grid_search_lmi,
                       load_cached_result, store_cached_result, OracleResult)
-from .problem import (DualPoint, ProblemInstance, build_dual_sets,
+from .problem import (DualPoint, DualSetSpec, ProblemInstance, build_dual_sets,
                       dual_set_threshold, instance_from_json,
                       make_sample_lmi_instance, make_sample_num_instance,
                       slater_certificate)
@@ -89,8 +90,8 @@ def load_config(path: str) -> ExperimentConfig:
         if solver not in ("cobadd", "centralized"):
             raise ConfigurationError(f"{where}.solver must be 'cobadd' or 'centralized'")
         alpha = float(need(rd, "alpha", (int, float), where))
-        if alpha <= 0:
-            raise ConfigurationError(f"{where}.alpha must be positive")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ConfigurationError(f"{where}.alpha must be finite and positive")
         K = int(need(rd, "K", (int,), where))
         if K < 1:
             raise ConfigurationError(f"{where}.K must be >= 1")
@@ -124,13 +125,6 @@ def build_instance(spec: dict, seed_override: int | None = None) -> ProblemInsta
     raise ConfigurationError(f"unknown builtin instance {builtin!r}")
 
 
-def default_slater_xbar(instance: ProblemInstance) -> np.ndarray:
-    builtin = instance.meta.get("builtin")
-    if builtin in ("num", "lmi"):
-        return np.zeros(instance.n)
-    raise ConfigurationError("slater_xbar is required for non-builtin instances")
-
-
 def ground_truth(instance: ProblemInstance, cache_path: str | None = None) -> OracleResult:
     """f* for an instance from the applicable independent oracle."""
     if cache_path:
@@ -148,6 +142,48 @@ def ground_truth(instance: ProblemInstance, cache_path: str | None = None) -> Or
     return result
 
 
+@dataclass
+class Setup:
+    """Everything a config's runs share: instance, network, dual sets, f*."""
+
+    instance: ProblemInstance
+    graph: Graph
+    graph_seed: int
+    W: ConsensusMatrix
+    threshold: float
+    sets: DualSetSpec
+    oracle: OracleResult
+
+
+def build_setup(cfg: ExperimentConfig, seed_override: int | None = None,
+                cache_path: str | None = None) -> Setup:
+    """Instance, graph, weights, Slater point, dual sets and f* of a config.
+
+    ``seed_override`` replaces both the instance seed and the graph seed.
+    """
+    instance = build_instance(cfg.instance, seed_override)
+    n = int(cfg.graph["n"])
+    if n != instance.n:
+        raise ConfigurationError(
+            f"graph has {n} nodes but the instance has {instance.n}")
+    graph_seed = seed_override if seed_override is not None else int(cfg.graph["seed"])
+    graph = random_connected_graph(n, float(cfg.graph["avg_degree"]), graph_seed)
+    W = metropolis_weights(graph)
+    if cfg.slater_xbar is not None:
+        xbar = np.array(cfg.slater_xbar, dtype=float)
+    elif instance.meta.get("builtin") in ("num", "lmi"):
+        xbar = np.zeros(instance.n)
+    else:
+        raise ConfigurationError("slater_xbar is required for non-builtin instances")
+    slater = slater_certificate(instance, xbar)
+    probe = DualPoint(cfg.probe_mu, np.zeros((instance.d,) * 2))
+    threshold = dual_set_threshold(instance, slater, probe)
+    r = cfg.r if cfg.r is not None else (threshold if threshold > 0 else 1.0)
+    sets = build_dual_sets(instance, slater, probe, r)
+    return Setup(instance, graph, graph_seed, W, threshold, sets,
+                 ground_truth(instance, cache_path))
+
+
 def run_name(spec: RunSpec) -> str:
     if spec.name:
         return spec.name
@@ -161,6 +197,10 @@ def _first_crossing(rel_err: np.ndarray, level: float = 0.01) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+# what a bad config or instance raises while the runs are being set up
+SETUP_ERRORS = (ConfigurationError, RuntimeError, OSError)
+
+
 def cmd_run(config_path: str, seed_override: int | None = None,
             out_override: str | None = None) -> int:
     """Execute all configured runs; write per-run CSVs and summary.json."""
@@ -172,24 +212,12 @@ def cmd_run(config_path: str, seed_override: int | None = None,
     out_dir = out_override or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     try:
-        instance = build_instance(cfg.instance, seed_override)
-        graph_seed = seed_override if seed_override is not None else int(cfg.graph["seed"])
-        graph = random_connected_graph(int(cfg.graph["n"]),
-                                       float(cfg.graph["avg_degree"]), graph_seed)
-        W = metropolis_weights(graph)
-        xbar = (np.array(cfg.slater_xbar, dtype=float) if cfg.slater_xbar is not None
-                else default_slater_xbar(instance))
-        slater = slater_certificate(instance, xbar)
-        probe = DualPoint(cfg.probe_mu, np.zeros((instance.d,) * 2))
-        threshold = dual_set_threshold(instance, slater, probe)
-        r = cfg.r if cfg.r is not None else (threshold if threshold > 0 else 1.0)
-        sets = build_dual_sets(instance, slater, probe, r)
-        oracle = ground_truth(instance, os.path.join(out_dir, "oracle_cache.json"))
-    except (ConfigurationError, RuntimeError, OSError) as exc:
+        setup = build_setup(cfg, seed_override, os.path.join(out_dir, "oracle_cache.json"))
+    except SETUP_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    f_star = oracle.f_star
+    instance, sets = setup.instance, setup.sets
+    f_star = setup.oracle.f_star
     summary_runs = []
     for spec in cfg.runs:
         name = run_name(spec)
@@ -198,8 +226,8 @@ def cmd_run(config_path: str, seed_override: int | None = None,
                                   sets=sets if spec.bounded else None)
         else:
             rc = CobaddConfig(alpha=spec.alpha, phi=spec.phi, K=spec.K,
-                              sets=sets, seed=graph_seed)
-            trace = cobadd_solve(instance, W, rc)
+                              sets=sets, seed=setup.graph_seed)
+            trace = cobadd_solve(instance, setup.W, rc)
         csv_path = os.path.join(out_dir, name + ".csv")
         trace.write_csv(csv_path)
         err = np.abs(f_star - trace.f_ergodic)
@@ -221,12 +249,12 @@ def cmd_run(config_path: str, seed_override: int | None = None,
     summary = {
         "config": os.path.basename(config_path),
         "instance": dict(instance.meta),
-        "graph": {"n": graph.n, "edges": graph.edge_count,
-                  "avg_degree": graph.average_degree, "nu": W.nu,
-                  "seed": graph_seed},
-        "dual_sets": {"radius": sets.Lambda, "r": sets.r, "threshold": threshold},
+        "graph": {"n": setup.graph.n, "edges": setup.graph.edge_count,
+                  "avg_degree": setup.graph.average_degree, "nu": setup.W.nu,
+                  "seed": setup.graph_seed},
+        "dual_sets": {"radius": sets.Lambda, "r": sets.r, "threshold": setup.threshold},
         "f_star": f_star,
-        "f_star_oracle": oracle.certificate.get("method", "unknown"),
+        "f_star_oracle": setup.oracle.certificate.get("method", "unknown"),
         "runs": summary_runs,
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -278,20 +306,18 @@ def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
             failures += 0 if ok else 1
         print(f"{status:18s} {name}" + (f"  [{detail}]" if detail else ""))
 
+    try:
+        setup = build_setup(cfg, seed_override)
+    except SETUP_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    instance, W, sets = setup.instance, setup.W, setup.sets
+    f_star = setup.oracle.f_star
     rng = np.random.default_rng(0)
 
     # consensus-matrix conditions on the config graph and seeds 1..5
-    try:
-        instance = build_instance(cfg.instance, seed_override)
-        graph = random_connected_graph(int(cfg.graph["n"]),
-                                       float(cfg.graph["avg_degree"]),
-                                       int(cfg.graph["seed"]))
-        W = metropolis_weights(graph)
-        report("consensus conditions (config graph)",
-               not check_consensus_conditions(W.W, graph), f"nu={W.nu:.4f}")
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report("consensus conditions (config graph)",
+           not check_consensus_conditions(W.W, setup.graph), f"nu={W.nu:.4f}")
     for seed in range(1, 6):
         g = random_connected_graph(30, 4.0, seed)
         Wg = metropolis_weights(g)
@@ -308,27 +334,22 @@ def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
         report(f"consensus contraction (seed {seed})", bool(mean_ok and contract_ok),
                f"messages={ledger.total_messages}")
 
-    # projection against the alternating-projection oracle
-    worst = 0.0
-    for trial in range(40):
+    # projection against the alternating-projection oracle, one stack per d
+    draws = []
+    for _ in range(40):
         d = int(rng.integers(2, 5))
         A = rng.normal(size=(d, d))
-        A = (A + A.T) / 2.0
-        Gam = float(rng.uniform(0.2, 3.0))
-        worst = max(worst, float(np.linalg.norm(
-            project_G(A, Gam) - dykstra_project(A, Gam, 2000))))
+        draws.append(((A + A.T) / 2.0, float(rng.uniform(0.2, 3.0))))
+    worst = 0.0
+    for d in sorted({len(A) for A, _ in draws}):
+        mats = np.stack([A for A, _ in draws if len(A) == d])
+        gams = np.array([Gam for A, Gam in draws if len(A) == d])
+        refs = dykstra_project(mats, gams, 2000)
+        for A, Gam, ref in zip(mats, gams, refs):
+            worst = max(worst, float(np.linalg.norm(project_G(A, Gam) - ref)))
     report("projection equals Dykstra oracle", worst < 1e-7, f"max dev {worst:.2e}")
 
     # weak duality and theorem inequalities on shortened config runs
-    xbar = (np.array(cfg.slater_xbar, dtype=float) if cfg.slater_xbar is not None
-            else default_slater_xbar(instance))
-    slater = slater_certificate(instance, xbar)
-    probe = DualPoint(cfg.probe_mu, np.zeros((instance.d,) * 2))
-    threshold = dual_set_threshold(instance, slater, probe)
-    r = cfg.r if cfg.r is not None else (threshold if threshold > 0 else 1.0)
-    sets = build_dual_sets(instance, slater, probe, r)
-    oracle = ground_truth(instance)
-    f_star = oracle.f_star
     for spec in cfg.runs:
         name = run_name(spec)
         K = min(spec.K, 300)

@@ -202,41 +202,43 @@ def grid_search_lmi(instance: ProblemInstance, step: float,
         "feasible_points": int(feasible.sum())})
 
 
-def dykstra_project(V: np.ndarray, Gamma: float, iters: int = 10_000) -> np.ndarray:
+def dykstra_project(V: np.ndarray, Gamma, iters: int = 10_000) -> np.ndarray:
     """Dykstra alternating projections onto PSD-cone intersect F-ball.
 
-    Converges to the exact Euclidean projection onto the intersection;
-    used as the independent reference for the closed-form projection.
+    ``V`` is one symmetric matrix or a stack of shape (..., d, d), and
+    ``Gamma`` a radius or one radius per matrix.  Converges to the exact
+    Euclidean projection onto the intersection; used as the independent
+    reference for the closed-form projection.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    if Gamma <= 0:
+    Gamma = np.asarray(Gamma, dtype=float)
+    if not np.all(Gamma > 0):
         raise ValueError("Gamma must be positive")
     V = np.asarray(V, dtype=float)
     if V.size == 0:
         return V
+    radius = np.broadcast_to(Gamma, V.shape[:-2])[..., None, None]
     x = V.copy()
     p = np.zeros_like(V)
     q = np.zeros_like(V)
     for _ in range(iters):
         y = _psd_clip(x + p)
         p = x + p - y
-        x = _ball_clip(y + q, Gamma)
+        x = _ball_clip(y + q, radius)
         q = y + q - x
     return x
 
 
 def _psd_clip(A: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh((A + A.T) / 2.0)
-    out = (V * np.maximum(w, 0.0)) @ V.T
-    return (out + out.T) / 2.0
+    w, V = np.linalg.eigh((A + np.swapaxes(A, -1, -2)) / 2.0)
+    out = (V * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
-def _ball_clip(A: np.ndarray, Gamma: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(A))
-    if nrm > Gamma:
-        return A * (Gamma / nrm)
-    return A
+def _ball_clip(A: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
+    nrm = np.linalg.norm(A, axis=(-2, -1), keepdims=True)
+    return A * (Gamma / np.maximum(nrm, Gamma))
 
 
 # ---------------------------------------------------------------------------

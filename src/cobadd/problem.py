@@ -57,10 +57,6 @@ class ScalarFunction:
     affine      a * x + b
     custom      fn(x), declared convex by the caller
     ==========  =======================================
-
-    ``derivative`` is an optional closed-form derivative for custom
-    functions; the solvers do not require it, but callers may use it to
-    certify their own bound computations.
     """
 
     kind: str
@@ -68,7 +64,6 @@ class ScalarFunction:
     b: float = 0.0
     c: float = 0.0
     fn: Callable[[float], float] | None = None
-    derivative: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.kind not in ("linear", "neg_log", "affine", "custom"):
@@ -92,9 +87,8 @@ class ScalarFunction:
         return ScalarFunction("affine", a=float(a), b=float(b))
 
     @staticmethod
-    def custom(fn: Callable[[float], float],
-               derivative: Callable[[float], float] | None = None) -> "ScalarFunction":
-        return ScalarFunction("custom", fn=fn, derivative=derivative)
+    def custom(fn: Callable[[float], float]) -> "ScalarFunction":
+        return ScalarFunction("custom", fn=fn)
 
     @property
     def closed_form(self) -> bool:
@@ -368,6 +362,8 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
         Box minimizers and attained local dual values
         q_i = min_x L_i(x, mu_i, G_i).
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     mus = np.asarray(mus, dtype=float)
     lin, const = _lmi_terms(instance, Gs)
     cf = instance._closed
@@ -389,16 +385,6 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
 
 def _minimize_single(node: NodeSpec, mu: float, lmi_lin: float, lmi_const: float,
                      tol: float):
-    if node.f.closed_form and node.g.closed_form:
-        cf, af, bf = node.f.coefficients()
-        cg, ag, bg = node.g.coefficients()
-        x, q = _closed_form_minimize(
-            np.array(cf + mu * cg), np.array(af + mu * ag + lmi_lin),
-            np.array(bf + mu * bg + lmi_const), node.lo, node.hi)
-        if not (np.isfinite(x) and np.isfinite(q)):
-            raise MalformedInstanceError("non-finite Lagrangian evaluation inside a box")
-        return float(x), float(q)
-
     def objective(x):
         v = float(node.f(x)) + mu * float(node.g(x)) + lmi_lin * x + lmi_const
         if not math.isfinite(v):
@@ -415,8 +401,6 @@ def _minimize_single(node: NodeSpec, mu: float, lmi_lin: float, lmi_const: float
 
 def _golden_section(fun, lo: float, hi: float, tol: float, max_iter: int = 200):
     """Golden-section search for the minimizer of a unimodal function."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a, b = lo, hi
     if b - a <= tol:
         return a if fun(a) <= fun(b) else b
@@ -436,28 +420,6 @@ def _golden_section(fun, lo: float, hi: float, tol: float, max_iter: int = 200):
             fd = fun(d)
     x = 0.5 * (a + b)
     return min((a, b, c, d, x), key=fun)
-
-
-def local_dual_oracle(node: NodeSpec, dual: DualPoint, n: int,
-                      tol: float = 1e-10,
-                      A0: np.ndarray | None = None) -> tuple[float, float]:
-    """Minimize one node's Lagrangian L_i(x, mu, G) over its box.
-
-    L_i(x, mu, G) = f_i(x) + mu g_i(x) - tr[(A0/n + A_i x) G].
-
-    Returns ``(qi, xi_tilde)``: the attained minimum and the minimizer.
-    Linear, negative-log and affine kinds are solved in closed form;
-    custom kinds by golden-section search with the given interval
-    tolerance.  Flat objectives resolve to the lower box endpoint.
-    ``A0`` defaults to zero; it only shifts qi by the constant
-    -tr[A0 G]/n and never moves the minimizer.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lmi_lin = -float(np.sum(node.A * dual.G)) if node.A.size else 0.0
-    lmi_const = -float(np.sum(A0 * dual.G)) / n if A0 is not None and dual.G.size else 0.0
-    x, q = _minimize_single(node, dual.mu, lmi_lin, lmi_const, tol)
-    return q, x
 
 
 def oracle_sweep(instance: ProblemInstance, duals: "list[DualPoint] | DualPoint",
@@ -521,21 +483,24 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     return out
 
 
-def node_subgradient(node: NodeSpec, xi_tilde: float, n: int,
-                     A0: np.ndarray | None = None):
-    """Subgradient components contributed by one node at its minimizer.
+def _node_values(instance: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node cost and constraint values ``(f_i(x_i), g_i(x_i))``.
 
-    Returns ``(h, Qmat)`` with h = g_i(xi_tilde) and
-    Qmat = -A0/n - A_i * xi_tilde (a zero-size matrix when d = 0).
+    Closed-form instances evaluate -c log(1 + x) + a x + b from the
+    coefficient arrays, with the log term dropped where c = 0; other
+    instances call each node's functions.
     """
-    lo, hi = node.box
-    if not (lo - 1e-12 <= xi_tilde <= hi + 1e-12):
-        raise ValueError(f"xi_tilde={xi_tilde} outside the box [{lo}, {hi}]")
-    h = float(node.g(xi_tilde))
-    if A0 is None:
-        A0 = np.zeros_like(node.A)
-    Qmat = -A0 / n - node.A * xi_tilde
-    return h, Qmat
+    x = np.asarray(x, dtype=float)
+    cf = instance._closed
+    if cf is None:
+        f = np.array([float(nd.f(v)) for nd, v in zip(instance.nodes, x)])
+        g = np.array([float(nd.g(v)) for nd, v in zip(instance.nodes, x)])
+        return f, g
+    with np.errstate(invalid="ignore", divide="ignore"):
+        log1p = np.log1p(x)
+    f = -cf.c_f * np.where(cf.c_f != 0.0, log1p, 0.0) + cf.a_f * x + cf.b_f
+    g = -cf.c_g * np.where(cf.c_g != 0.0, log1p, 0.0) + cf.a_g * x + cf.b_g
+    return f, g
 
 
 def constraint_values(instance: ProblemInstance, x_tilde: np.ndarray):
@@ -545,18 +510,9 @@ def constraint_values(instance: ProblemInstance, x_tilde: np.ndarray):
     Qmats[i] = -A0/n - A_i x_i with shape (n, d, d).
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
-    cf = instance._closed
-    if cf is not None:
-        h = -cf.c_g * _safe_log1p(x_tilde, cf.c_g) + cf.a_g * x_tilde + cf.b_g
-    else:
-        h = np.array([float(nd.g(x)) for nd, x in zip(instance.nodes, x_tilde)])
+    _, h = _node_values(instance, x_tilde)
     Qmats = -instance.A0 / instance.n - instance.A_stack * x_tilde[:, None, None]
     return h, Qmats
-
-
-def _safe_log1p(x, coef):
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(coef != 0.0, np.log1p(np.where(coef != 0.0, x, 0.0)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +553,10 @@ def slater_certificate(instance: ProblemInstance, xbar) -> SlaterCertificate:
         raise ConfigurationError(f"xbar must have length {instance.n}")
     if np.any(xbar < lo - 1e-12) or np.any(xbar > hi + 1e-12):
         raise ConfigurationError("Slater vector leaves the boxes")
-    sum_g = float(sum(nd.g(x) for nd, x in zip(instance.nodes, xbar)))
+    f_vals, g_vals = _node_values(instance, xbar)
+    # summed in node order: the dual-set radius, and with it every trace
+    # column, depends on the last bits of gamma and fxbar
+    sum_g = float(sum(g_vals))
     if not sum_g < 0.0:
         raise ConfigurationError(
             f"Slater vector is not strictly feasible: sum g = {sum_g} >= 0")
@@ -609,8 +568,7 @@ def slater_certificate(instance: ProblemInstance, xbar) -> SlaterCertificate:
         gamma = min(-sum_g, lam_min)
     else:
         gamma = -sum_g
-    fxbar = float(sum(nd.f(x) for nd, x in zip(instance.nodes, xbar)))
-    return SlaterCertificate(xbar, gamma, fxbar)
+    return SlaterCertificate(xbar, gamma, float(sum(f_vals)))
 
 
 def build_dual_sets(instance: ProblemInstance, slater: SlaterCertificate,
@@ -622,8 +580,7 @@ def build_dual_sets(instance: ProblemInstance, slater: SlaterCertificate,
     below that threshold raises a ConfigurationError naming the minimum
     admissible value.
     """
-    q_probe = dual_function_value(instance, probe)
-    threshold = (slater.fxbar - q_probe) / slater.gamma
+    threshold = dual_set_threshold(instance, slater, probe)
     if r < threshold - 1e-12:
         raise ConfigurationError(
             f"r={r} below the minimum admissible value {threshold}")
@@ -649,15 +606,14 @@ def evaluate_primal(instance: ProblemInstance, x) -> tuple[float, float, float]:
     lo, hi = instance.boxes
     if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
         raise ValueError("point leaves the boxes")
-    f = float(sum(nd.f(v) for nd, v in zip(instance.nodes, x)))
-    sum_g = float(sum(nd.g(v) for nd, v in zip(instance.nodes, x)))
-    viol_ineq = max(0.0, sum_g)
+    f_vals, g_vals = _node_values(instance, x)
+    viol_ineq = max(0.0, float(g_vals.sum()))
     if instance.d:
         lam_min = float(np.linalg.eigvalsh(instance.lmi_matrix(x))[0])
         viol_lmi = max(0.0, -lam_min)
     else:
         viol_lmi = 0.0
-    return f, viol_ineq, viol_lmi
+    return float(f_vals.sum()), viol_ineq, viol_lmi
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ class CobaddConfig:
     beta0: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and positive")
         if self.phi < 1:
             raise ValueError("phi must be at least 1")
         if self.K < 1:
@@ -63,83 +63,83 @@ class NodeState:
     k: int
 
 
-def _unpack(instance: ProblemInstance, states: list[NodeState]):
-    mus = np.array([s.dual.mu for s in states])
-    Gs = np.stack([s.dual.G for s in states]) if instance.d else None
-    tilde_sum = np.array([s.tilde_sum for s in states])
-    return mus, Gs, tilde_sum, states[0].k
+@dataclass
+class CobaddState:
+    """Every node's duals and ergodic sum after k recorded iterations.
+
+    ``mus`` has shape (n,), ``Gs`` shape (n, d, d) (None when d = 0);
+    ``x_tilde`` holds the minimizers of the last oracle pass.  Indexing
+    or iterating yields per-node :class:`NodeState` views, built on read.
+    """
+
+    mus: np.ndarray
+    Gs: np.ndarray | None
+    x_tilde: np.ndarray
+    tilde_sum: np.ndarray
+    k: int
+
+    @property
+    def ergodic_x(self) -> np.ndarray:
+        """tilde_sum / k (NaN before the first recorded iteration)."""
+        if self.k < 1:
+            return np.full(len(self.mus), math.nan)
+        return self.tilde_sum / self.k
+
+    def __len__(self) -> int:
+        return len(self.mus)
+
+    def __getitem__(self, i: int) -> NodeState:
+        G = self.Gs[i] if self.Gs is not None else np.zeros((0, 0))
+        erg = self.tilde_sum[i] / self.k if self.k >= 1 else math.nan
+        return NodeState(DualPoint(self.mus[i], G), float(self.x_tilde[i]), erg,
+                         float(self.tilde_sum[i]), self.k)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
-def _pack(instance: ProblemInstance, mus, Gs, x_tilde, tilde_sum, k) -> list[NodeState]:
-    out = []
-    for i in range(instance.n):
-        G = Gs[i] if Gs is not None else np.zeros((0, 0))
-        erg = tilde_sum[i] / k if k >= 1 else math.nan
-        out.append(NodeState(DualPoint(mus[i], G), float(x_tilde[i]), erg,
-                             float(tilde_sum[i]), k))
-    return out
-
-
-def _mix_and_project(instance: ProblemInstance, W: ConsensusMatrix,
-                     payload_mu: np.ndarray, payload_G: np.ndarray | None,
-                     phi: int, sets: DualSetSpec,
-                     ledger: MessageLedger | None):
-    n, d = instance.n, instance.d
-    if d:
-        stacked = np.concatenate([payload_mu[:, None], payload_G.reshape(n, d * d)], axis=1)
-    else:
-        stacked = payload_mu[:, None]
-    mixed = consensus_round(W, stacked, phi, ledger)
-    new_mus = np.clip(mixed[:, 0], 0.0, sets.Lambda)
-    new_Gs = None
-    if d:
-        new_Gs = project_psd_ball_stack(mixed[:, 1:].reshape(n, d, d), sets.Gamma)
-    return new_mus, new_Gs
-
-
-def _advance(instance, W, config, mus, Gs, ledger):
+def _advance(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig,
+             mus: np.ndarray, Gs: np.ndarray | None,
+             ledger: MessageLedger | None):
     """Oracle pass at the current duals followed by the projected
     consensus update; returns the minimizers and the new duals."""
-    x_tilde, q_local = minimize_node_lagrangians(instance, mus, Gs)
+    n, d = instance.n, instance.d
+    x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
     h, Qm = constraint_values(instance, x_tilde)
-    payload_mu = mus + config.alpha * h
-    payload_G = Gs + config.alpha * Qm if instance.d else None
-    new_mus, new_Gs = _mix_and_project(
-        instance, W, payload_mu, payload_G, config.phi, config.sets, ledger)
-    return x_tilde, q_local, new_mus, new_Gs
+    payload = (mus + config.alpha * h)[:, None]
+    if d:
+        payload_G = Gs + config.alpha * Qm
+        payload = np.concatenate([payload, payload_G.reshape(n, d * d)], axis=1)
+    mixed = consensus_round(W, payload, config.phi, ledger)
+    new_mus = np.clip(mixed[:, 0], 0.0, config.sets.Lambda)
+    new_Gs = None
+    if d:
+        new_Gs = project_psd_ball_stack(mixed[:, 1:].reshape(n, d, d), config.sets.Gamma)
+    return x_tilde, new_mus, new_Gs
 
 
 def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig,
-                initial_duals: list[DualPoint] | None = None,
-                ledger: MessageLedger | None = None) -> list[NodeState]:
-    """Bootstrap: sample at the initial duals, run the first consensus
-    update, and return the per-node states holding the updated duals."""
-    n = instance.n
-    if initial_duals is None:
-        mus = np.zeros(n)
-        Gs = np.zeros((n, instance.d, instance.d)) if instance.d else None
-    else:
-        if len(initial_duals) != n:
-            raise ValueError(f"expected {n} initial duals")
-        mus = np.array([z.mu for z in initial_duals])
-        Gs = np.stack([z.G for z in initial_duals]) if instance.d else None
-    x_tilde, _, new_mus, new_Gs = _advance(instance, W, config, mus, Gs, ledger)
-    return _pack(instance, new_mus, new_Gs, x_tilde, np.zeros(n), 0)
+                ledger: MessageLedger | None = None) -> CobaddState:
+    """Bootstrap: sample at the zero initial duals, run the first
+    consensus update, and return the state holding the updated duals
+    with an empty ergodic sum."""
+    n, d = instance.n, instance.d
+    Gs = np.zeros((n, d, d)) if d else None
+    x_tilde, mus, Gs = _advance(instance, W, config, np.zeros(n), Gs, ledger)
+    return CobaddState(mus, Gs, x_tilde, np.zeros(n), 0)
 
 
-def cobadd_step(instance: ProblemInstance, states: list[NodeState],
+def cobadd_step(instance: ProblemInstance, state: CobaddState,
                 W: ConsensusMatrix, config: CobaddConfig,
-                ledger: MessageLedger | None = None) -> list[NodeState]:
-    """One recorded iteration from explicit per-node states."""
-    mus, Gs, tilde_sum, k = _unpack(instance, states)
-    x_tilde, _, new_mus, new_Gs = _advance(instance, W, config, mus, Gs, ledger)
-    return _pack(instance, new_mus, new_Gs, x_tilde, tilde_sum + x_tilde, k + 1)
+                ledger: MessageLedger | None = None) -> CobaddState:
+    """One recorded iteration: sample at the state's duals, extend the
+    ergodic sum, and mix and project the duals."""
+    x_tilde, mus, Gs = _advance(instance, W, config, state.mus, state.Gs, ledger)
+    return CobaddState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
 
 
 def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
-                 config: CobaddConfig,
-                 initial_duals: list[DualPoint] | None = None,
-                 record_duals: bool = False) -> RunTrace:
+                 config: CobaddConfig, record_duals: bool = False) -> RunTrace:
     """Full CoBa-DD run over a simulated synchronous network.
 
     ``network`` is either a Graph (Metropolis-Hastings weights are built
@@ -153,24 +153,12 @@ def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
     K, alpha = config.K, config.alpha
     ledger = MessageLedger()
 
-    if initial_duals is None:
-        mus = np.zeros(n)
-        Gs = np.zeros((n, d, d)) if d else None
-        init_list = None
-    else:
-        mus = np.array([z.mu for z in initial_duals])
-        Gs = np.stack([z.G for z in initial_duals]) if d else None
-        init_list = list(initial_duals)
-
-    c0 = compute_c0(instance, W, config.phi, init_list, alpha)
+    c0 = compute_c0(instance, W, config.phi, alpha)
     if config.beta0 is not None:
         beta0 = config.beta0
     else:
         beta0 = default_beta0(c0, alpha, subgradient_bounds(instance).M)
     bounds = theoretical_bounds(instance, config.sets, W.nu, config, beta0)
-
-    # bootstrap: consensus round 1 produces the duals used at row 1
-    _, _, mus, Gs = _advance(instance, W, config, mus, Gs, ledger)
 
     cols = {name: np.zeros(K) for name in
             ("f_ergodic", "viol_ineq", "viol_lmi", "q_best_node", "q_mean",
@@ -179,18 +167,15 @@ def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
     G_dis = np.zeros(K)
     mu_hist = np.zeros((K, n)) if record_duals else None
     G_hist = np.zeros((K, n, d, d)) if (record_duals and d) else None
-    tilde_sum = np.zeros(n)
 
+    # the bootstrap's consensus round produces the duals used at row 1
+    state = cobadd_init(instance, W, config, ledger)
     for k in range(1, K + 1):
         # per-node dual values and disagreement at the duals used this round
+        mus, Gs = state.mus, state.Gs
         q_nodes = dual_function_values(instance, mus, Gs)
-        mu_bar = mus.mean()
-        dev_mu = np.abs(mus - mu_bar)
-        if d:
-            G_bar = Gs.mean(axis=0)
-            dev_G = np.linalg.norm(Gs - G_bar, axis=(1, 2))
-        else:
-            dev_G = np.zeros(n)
+        dev_mu = np.abs(mus - mus.mean())
+        dev_G = np.linalg.norm(Gs - Gs.mean(axis=0), axis=(1, 2)) if d else np.zeros(n)
         mu_dis[k - 1] = float(dev_mu.max())
         G_dis[k - 1] = float(dev_G.max())
         cols["disagreement"][k - 1] = float((dev_mu + dev_G).max())
@@ -201,9 +186,8 @@ def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
             if d:
                 G_hist[k - 1] = Gs
 
-        x_tilde, _, mus, Gs = _advance(instance, W, config, mus, Gs, ledger)
-        tilde_sum += x_tilde
-        f, vi, vl = evaluate_primal(instance, tilde_sum / k)
+        state = cobadd_step(instance, state, W, config, ledger)
+        f, vi, vl = evaluate_primal(instance, state.ergodic_x)
         cols["f_ergodic"][k - 1] = f
         cols["viol_ineq"][k - 1] = vi
         cols["viol_lmi"][k - 1] = vl
@@ -232,7 +216,7 @@ def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
         G_disagreement=G_dis,
         mu_history=mu_hist,
         G_history=G_hist,
-        final_mus=mus.copy(),
-        final_Gs=Gs.copy() if d else None,
+        final_mus=state.mus.copy(),
+        final_Gs=state.Gs.copy() if d else None,
         extras={"ledger_total": ledger.total_messages},
     )

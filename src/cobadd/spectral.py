@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition and projections onto the dual sets.
+"""Projections onto the dual sets.
 
 The scalar dual lives in [0, Lambda]; the matrix dual in the
 intersection of the PSD cone with an origin-centered Frobenius ball of
@@ -10,36 +10,7 @@ that order independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SymEig:
-    """Spectral decomposition A = V diag(w) V^T, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.T
-
-
-def sym_eig(A: np.ndarray) -> SymEig:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Rejects inputs with asymmetry above 1e-12 (max absolute entry
-    difference).  Deterministic for identical input on one machine.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.size and np.max(np.abs(A - A.T)) > 1e-12:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    w, V = np.linalg.eigh(A)
-    return SymEig(w, V)
 
 
 def project_mu(v: float, Lambda: float) -> float:

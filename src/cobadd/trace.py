@@ -76,11 +76,6 @@ class RunTrace:
     def iterations(self) -> int:
         return len(self.k)
 
-    def column(self, name: str) -> np.ndarray:
-        if name not in TRACE_COLUMNS:
-            raise KeyError(name)
-        return getattr(self, name)
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv_text())

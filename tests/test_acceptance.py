@@ -144,7 +144,7 @@ def test_criterion_4_dual_agreement():
                               cb.dual_set_threshold(instance, slater, cb.DualPoint(0.0)))
     alpha = 1.0
     M = cb.subgradient_bounds(instance).M
-    c0_any = cb.compute_c0(instance, W, 1, None, alpha)
+    c0_any = cb.compute_c0(instance, W, 1, alpha)
     beta0 = cb.default_beta0(c0_any, alpha, M)
     phibar = cb.min_consensus_steps(beta0, alpha, M, 20, 0, W.nu).exact
     phi = math.ceil(phibar) + 2
@@ -153,7 +153,7 @@ def test_criterion_4_dual_agreement():
     b = tr.bounds
     assert b.agreement_applicable and b.delta == 2
     # the envelope anchor must dominate the realized initial disagreement
-    assert cb.compute_c0(instance, W, phi, None, alpha) <= beta0
+    assert cb.compute_c0(instance, W, phi, alpha) <= beta0
     env = b.disagreement_envelope(tr.k)
     theorem_ok = bool(np.all(tr.mu_disagreement <= env + SLACK)
                       and np.all(tr.G_disagreement <= env + SLACK))
@@ -180,14 +180,20 @@ def test_criterion_5_exact_averaging_equivalence(num_instance, num_sets):
 
 def test_criterion_6_projection_against_dykstra():
     rng = np.random.default_rng(20)
-    worst = 0.0
+    draws = []
     for _ in range(200):
         d = int(rng.integers(2, 5))
         A = rng.normal(size=(d, d)) * rng.uniform(0.5, 3.0)
         A = (A + A.T) / 2.0
         Gam = float(rng.uniform(0.2, 4.0))
-        ref = dykstra_project(A, Gam, 10_000)
-        worst = max(worst, float(np.linalg.norm(cb.project_G(A, Gam) - ref)))
+        draws.append((d, A, Gam))
+    worst = 0.0
+    for d in (2, 3, 4):
+        mats = np.stack([A for dd, A, _ in draws if dd == d])
+        gams = np.array([Gam for dd, _, Gam in draws if dd == d])
+        refs = dykstra_project(mats, gams, 10_000)
+        for A, Gam, ref in zip(mats, gams, refs):
+            worst = max(worst, float(np.linalg.norm(cb.project_G(A, Gam) - ref)))
     _report(6, worst <= 1e-7,
             f"200 random matrices d in 2..4: max Frobenius gap {worst:.2e} <= 1e-7")
 

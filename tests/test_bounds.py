@@ -23,21 +23,21 @@ def test_c0_zero_for_identical_nodes_and_duals():
     inst = cb.ProblemInstance((node,) * 4, np.zeros((0, 0)), 0)
     g = cb.random_connected_graph(4, 3.0, 1)
     W = cb.metropolis_weights(g)
-    c0 = cb.compute_c0(inst, W, phi=1, initial_duals=None, alpha=1.0)
+    c0 = cb.compute_c0(inst, W, phi=1, alpha=1.0)
     assert c0 < 1e-12
 
 
 def test_c0_vanishes_for_large_phi(num_instance, fig_graph):
     W = cb.metropolis_weights(fig_graph)
-    c_small = cb.compute_c0(num_instance, W, 1, None, 1.0)
-    c_large = cb.compute_c0(num_instance, W, 200, None, 1.0)
+    c_small = cb.compute_c0(num_instance, W, 1, 1.0)
+    c_large = cb.compute_c0(num_instance, W, 200, 1.0)
     assert c_large < 1e-4
     assert c_large < c_small
 
 
 def test_c0_regression_pin(num_instance, fig_graph):
     W = cb.metropolis_weights(fig_graph)
-    c0 = cb.compute_c0(num_instance, W, 1, None, 1.0)
+    c0 = cb.compute_c0(num_instance, W, 1, 1.0)
     assert c0 == pytest.approx(C0_PIN, abs=1e-9)
 
 

@@ -54,12 +54,21 @@ def test_ergodic_mean_two_steps():
 
 
 def test_solve_single_iteration_is_first_sample(num_instance):
-    trace = cb.central_solve(num_instance, alpha=1.0, K=1)
-    assert trace.iterations == 1
+    K = 50
+    trace = cb.central_solve(num_instance, alpha=1.0, K=K)
+    assert trace.iterations == K
     state = cb.central_init(num_instance, alpha=1.0)
     _, x1 = cb.oracle_sweep(num_instance, state.dual)
     f1, _, _ = cb.evaluate_primal(num_instance, x1)
     assert trace.f_ergodic[0] == pytest.approx(f1, abs=1e-12)
+    # every row is one central_step from the previous state
+    for k in range(K):
+        q = cb.dual_function_value(num_instance, state.dual)
+        state = cb.central_step(num_instance, state, alpha=1.0)
+        row = (trace.f_ergodic[k], trace.viol_ineq[k], trace.viol_lmi[k])
+        assert cb.evaluate_primal(num_instance, state.ergodic_x) == row
+        assert trace.q_best_node[k] == trace.q_mean[k] == state.q == q
+    assert trace.final_mus[0] == state.dual.mu
 
 
 def test_solve_baseline_sandwich_num(num_instance, num_f_star):

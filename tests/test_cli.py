@@ -58,6 +58,36 @@ def test_cmd_run_invalid_config_exit_code(tmp_path):
     assert cmd_run(str(path)) == 2
 
 
+def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
+    runs = [{"solver": "cobadd", "alpha": float("nan"), "phi": 1, "K": 5}]
+    path, _ = small_config(tmp_path, runs=runs)
+    assert cmd_run(path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runs[0].alpha" in err
+
+
+@pytest.mark.parametrize("command", [cmd_run, cmd_verify])
+def test_graph_size_mismatch_is_a_config_error(tmp_path, capsys, command):
+    path, cfg = small_config(tmp_path, K=5)
+    cfg["graph"]["n"] = 30
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert command(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "30 nodes" in err
+
+
+def test_cmd_verify_rejects_infeasible_slater_point(tmp_path, capsys):
+    path, cfg = small_config(tmp_path, K=5)
+    cfg["slater_xbar"] = [1.0] * 24
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert cmd_run(path) == 1
+    assert cmd_verify(path) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: Slater vector is not strictly feasible") == 2
+
+
 def test_cmd_run_writes_traces_and_summary(tmp_path):
     path, cfg = small_config(tmp_path)
     assert main(["run", path]) == 0
@@ -110,6 +140,20 @@ def test_seed_override_changes_instance(tmp_path):
         summary = json.load(fh)
     assert summary["instance"]["seed"] == 9
     assert summary["graph"]["seed"] == 9
+
+
+def test_verify_seed_override_changes_graph(tmp_path, capsys):
+    # verify checks the same graph as run under --seed-override
+    path, cfg = small_config(tmp_path, K=5)
+    assert cmd_run(path, seed_override=9, out_override=str(tmp_path / "s9")) == 0
+    with open(tmp_path / "s9" / "summary.json") as fh:
+        nu = json.load(fh)["graph"]["nu"]
+    capsys.readouterr()
+    assert main(["verify", path, "--seed-override", "9"]) == 0
+    out = capsys.readouterr().out
+    assert f"consensus conditions (config graph)  [nu={nu:.4f}]" in out
+    base = cb.metropolis_weights(cb.random_connected_graph(24, 5.0, 3)).nu
+    assert f"{base:.4f}" != f"{nu:.4f}"
 
 
 def test_cmd_run_lmi_instance(tmp_path):
@@ -166,17 +210,15 @@ def test_cmd_verify_reports_conditional_skips(tmp_path, capsys):
 
 
 def test_bundled_fig_configs_parse_to_figure_curve_set():
-    # the bundled configs reproduce the five-curve replication family
+    # the bundled config reproduces the five-curve replication family
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
-    for name in ("fig1.json", "fig2.json"):
-        cfg = load_config(os.path.join(root, name))
-        assert cfg.instance == {"builtin": "num", "n": 100, "seed": 42}
-        assert cfg.graph == {"n": 100, "avg_degree": 3.12, "seed": 7}
-        combos = {(r.alpha, r.phi) for r in cfg.runs}
-        assert combos == {(1.0, 1), (1.0, 2), (1.0, 4), (1.0, 26), (0.1, 1)}
-        assert all(r.K == 2000 and r.solver == "cobadd" for r in cfg.runs)
-    names = [os.path.basename(p) for p in sorted(os.listdir(root))]
-    assert names == ["fig1.json", "fig2.json"]
+    cfg = load_config(os.path.join(root, "fig1.json"))
+    assert cfg.instance == {"builtin": "num", "n": 100, "seed": 42}
+    assert cfg.graph == {"n": 100, "avg_degree": 3.12, "seed": 7}
+    combos = {(r.alpha, r.phi) for r in cfg.runs}
+    assert combos == {(1.0, 1), (1.0, 2), (1.0, 4), (1.0, 26), (0.1, 1)}
+    assert all(r.K == 2000 and r.solver == "cobadd" for r in cfg.runs)
+    assert sorted(os.listdir(root)) == ["fig1.json"]
 
 
 def test_corrupted_weights_fail_conditions_check(fig_graph):

@@ -126,10 +126,12 @@ def test_dykstra_matches_closed_form_scaling():
 
 def test_dykstra_agrees_with_projection_batch():
     rng = np.random.default_rng(17)
+    mats = []
     for _ in range(10):
         A = rng.normal(size=(4, 4))
-        A = (A + A.T) / 2.0
-        ref = cb.dykstra_project(A, 1.2, 10_000)
+        mats.append((A + A.T) / 2.0)
+    refs = cb.dykstra_project(np.stack(mats), 1.2, 10_000)
+    for A, ref in zip(mats, refs):
         assert np.linalg.norm(cb.project_G(A, 1.2) - ref) < 1e-7
 
 

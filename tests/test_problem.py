@@ -85,9 +85,16 @@ def _node(f, g, A=None, box=(0.0, 1.0)):
     return cb.NodeSpec(f, g, np.zeros((0, 0)) if A is None else A, box)
 
 
+def node_oracle(node, dual, A0=None, tol=1e-10):
+    """(q, x) of one node, through oracle_sweep on the instance made of it."""
+    inst = cb.ProblemInstance((node,), A0, node.A.shape[0])
+    q, x = cb.oracle_sweep(inst, dual, tol)
+    return q[0], x[0]
+
+
 def test_oracle_linear_slope_negative_takes_upper_endpoint():
     node = _node(cb.ScalarFunction.linear(-1.0), cb.ScalarFunction.affine(1.0, -0.1))
-    q, x = cb.local_dual_oracle(node, cb.DualPoint(0.5), n=1)
+    q, x = node_oracle(node, cb.DualPoint(0.5))
     assert x == 1.0
     gx, gq = grid_minimizer(node, 0.5, np.zeros((0, 0)), 1, np.zeros((0, 0)), 1_000_000)
     assert abs(x - gx) < 1e-5
@@ -96,7 +103,7 @@ def test_oracle_linear_slope_negative_takes_upper_endpoint():
 
 def test_oracle_neg_log_stationary_point_clips_to_zero():
     node = _node(cb.ScalarFunction.neg_log(1.0), cb.ScalarFunction.affine(1.0, -0.1))
-    q, x = cb.local_dual_oracle(node, cb.DualPoint(2.0), n=1)
+    q, x = node_oracle(node, cb.DualPoint(2.0))
     assert x == 0.0
     gx, gq = grid_minimizer(node, 2.0, np.zeros((0, 0)), 1, np.zeros((0, 0)), 1_000_000)
     assert abs(x - gx) < 1e-5
@@ -105,21 +112,21 @@ def test_oracle_neg_log_stationary_point_clips_to_zero():
 
 def test_oracle_constant_objective_lower_endpoint_tie_break():
     node = _node(cb.ScalarFunction.linear(0.0), cb.ScalarFunction.affine(1.0, -0.3))
-    q, x = cb.local_dual_oracle(node, cb.DualPoint(0.0), n=1)
+    q, x = node_oracle(node, cb.DualPoint(0.0))
     assert x == 0.0
     assert q == 0.0
 
 
 def test_oracle_interior_stationary_point():
     node = _node(cb.ScalarFunction.neg_log(1.0), cb.ScalarFunction.affine(1.0, 0.0))
-    q, x = cb.local_dual_oracle(node, cb.DualPoint(2.0 / 3.0), n=1)
+    q, x = node_oracle(node, cb.DualPoint(2.0 / 3.0))
     assert np.isclose(x, 0.5)
 
 
 def test_oracle_custom_kind_uses_golden_section():
     node = _node(cb.ScalarFunction.custom(lambda x: (x - 0.37) ** 2),
                  cb.ScalarFunction.affine(0.0, 0.0))
-    q, x = cb.local_dual_oracle(node, cb.DualPoint(0.0), n=1, tol=1e-10)
+    q, x = node_oracle(node, cb.DualPoint(0.0), tol=1e-10)
     assert abs(x - 0.37) < 1e-8
     assert abs(q) < 1e-15
 
@@ -127,7 +134,7 @@ def test_oracle_custom_kind_uses_golden_section():
 def test_oracle_custom_flat_objective_prefers_lower_endpoint():
     node = _node(cb.ScalarFunction.custom(lambda x: 1.0),
                  cb.ScalarFunction.affine(0.0, 0.0))
-    q, x = cb.local_dual_oracle(node, cb.DualPoint(0.0), n=1)
+    q, x = node_oracle(node, cb.DualPoint(0.0))
     assert x == 0.0
 
 
@@ -137,12 +144,12 @@ def test_oracle_includes_lmi_terms():
     node = cb.NodeSpec(cb.ScalarFunction.linear(1.0), cb.ScalarFunction.affine(1.0, -1.0),
                        A, (0.0, 1.0))
     G = np.diag([2.0, 1.0])
-    q, x = cb.local_dual_oracle(node, cb.DualPoint(0.5, G), n=2, A0=A0)
+    q, x = node_oracle(node, cb.DualPoint(0.5, G), A0=A0)
     # slope = 1 + 0.5 + tr[diag(1,0) G] = 3.5 > 0 -> x = 0
     assert x == 0.0
-    expected_q = 0.0 + 0.5 * (-1.0) - np.sum(A0 * G) / 2.0
+    expected_q = 0.0 + 0.5 * (-1.0) - np.sum(A0 * G)
     assert np.isclose(q, expected_q)
-    gx, gq = grid_minimizer(node, 0.5, G, 2, A0, 1_000_000)
+    gx, gq = grid_minimizer(node, 0.5, G, 1, A0, 1_000_000)
     assert abs(x - gx) < 1e-5
     assert abs(q - gq) < 1e-9
 
@@ -154,7 +161,8 @@ def test_oracle_matches_grid_on_random_duals(num_instance):
         i = int(rng.integers(0, num_instance.n))
         node = num_instance.nodes[i]
         mu = float(rng.uniform(0.0, 3.0))
-        q, x = cb.local_dual_oracle(node, cb.DualPoint(mu), n=num_instance.n)
+        q_all, x_all = cb.oracle_sweep(num_instance, cb.DualPoint(mu))
+        q, x = q_all[i], x_all[i]
         gx, gq = grid_minimizer(node, mu, np.zeros((0, 0)), num_instance.n, A0)
         assert abs(x - gx) <= 1e-10 + 1.0 / 9_999
         assert q <= gq + 1e-12
@@ -163,7 +171,7 @@ def test_oracle_matches_grid_on_random_duals(num_instance):
 def test_oracle_rejects_nonpositive_tol():
     node = _node(cb.ScalarFunction.linear(1.0), cb.ScalarFunction.linear(1.0))
     with pytest.raises(ValueError):
-        cb.local_dual_oracle(node, cb.DualPoint(0.0), n=1, tol=0.0)
+        node_oracle(node, cb.DualPoint(0.0), tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +180,21 @@ def test_oracle_rejects_nonpositive_tol():
 
 def test_node_subgradient_direct_evaluation():
     node = _node(cb.ScalarFunction.linear(-1.0), cb.ScalarFunction.affine(1.0, -0.1))
-    h, Q = cb.node_subgradient(node, 1.0, n=1)
-    assert np.isclose(h, 0.9)
-    assert Q.shape == (0, 0)
-    h, _ = cb.node_subgradient(node, 0.0, n=1)
-    assert np.isclose(h, -0.1)
+    inst = cb.ProblemInstance((node,), np.zeros((0, 0)), 0)
+    h, Q = cb.constraint_values(inst, np.array([1.0]))
+    assert np.isclose(h[0], 0.9)
+    assert Q.shape == (1, 0, 0)
+    h, _ = cb.constraint_values(inst, np.array([0.0]))
+    assert np.isclose(h[0], -0.1)
 
 
 def test_node_subgradient_matrix_part():
     node = cb.NodeSpec(cb.ScalarFunction.linear(1.0), cb.ScalarFunction.linear(1.0),
                        np.eye(2), (0.0, 1.0))
-    _, Q = cb.node_subgradient(node, 0.0, n=2, A0=np.eye(2))
-    assert np.allclose(Q, -np.eye(2) / 2.0)
+    inst = cb.ProblemInstance((node, node), np.eye(2), 2)
+    _, Q = cb.constraint_values(inst, np.array([0.0, 1.0]))
+    assert np.allclose(Q[0], -np.eye(2) / 2.0)
+    assert np.allclose(Q[1], -1.5 * np.eye(2))
 
 
 def test_subgradient_bounds_endpoint_cases():
@@ -361,10 +372,9 @@ def test_dual_lipschitz_bound(seed_a, seed_b):
     rng_b = np.random.default_rng(seed_b + 77_000)
     mu1 = float(rng_a.uniform(0.0, 5.0))
     mu2 = float(rng_b.uniform(0.0, 5.0))
-    for node in inst.nodes:
-        q1, _ = cb.local_dual_oracle(node, cb.DualPoint(mu1), inst.n)
-        q2, _ = cb.local_dual_oracle(node, cb.DualPoint(mu2), inst.n)
-        assert abs(q1 - q2) <= M * abs(mu1 - mu2) + 1e-9
+    q1, _ = cb.oracle_sweep(inst, cb.DualPoint(mu1))
+    q2, _ = cb.oracle_sweep(inst, cb.DualPoint(mu2))
+    assert np.all(np.abs(q1 - q2) <= M * abs(mu1 - mu2) + 1e-9)
 
 
 def test_dual_lipschitz_bound_with_matrix_duals(lmi_instance):
@@ -377,10 +387,8 @@ def test_dual_lipschitz_bound_with_matrix_duals(lmi_instance):
             z.append(cb.DualPoint(float(rng.uniform(0, 1)), B @ B.T / 4.0))
         dist = math.sqrt((z[0].mu - z[1].mu) ** 2
                          + np.linalg.norm(z[0].G - z[1].G) ** 2)
-        for i, node in enumerate(lmi_instance.nodes):
-            q = [cb.local_dual_oracle(node, zz, 2, A0=lmi_instance.A0)[0]
-                 for zz in z]
-            assert abs(q[0] - q[1]) <= M * dist + 1e-9
+        q = [cb.oracle_sweep(lmi_instance, zz)[0] for zz in z]
+        assert np.all(np.abs(q[0] - q[1]) <= M * dist + 1e-9)
 
 
 def test_oracle_matches_grid_with_matrix_duals(lmi_instance):
@@ -388,8 +396,8 @@ def test_oracle_matches_grid_with_matrix_duals(lmi_instance):
     for _ in range(10):
         B = rng.normal(size=(2, 2))
         z = cb.DualPoint(float(rng.uniform(0, 1)), B @ B.T / 3.0)
-        for node in lmi_instance.nodes:
-            q, x = cb.local_dual_oracle(node, z, 2, A0=lmi_instance.A0)
+        q_all, x_all = cb.oracle_sweep(lmi_instance, z)
+        for node, q, x in zip(lmi_instance.nodes, q_all, x_all):
             gx, gq = grid_minimizer(node, z.mu, z.G, 2, lmi_instance.A0)
             assert abs(x - gx) <= 1e-10 + 1.0 / 9_999
             assert q <= gq + 1e-12
@@ -436,7 +444,7 @@ def test_batch_oracle_matches_scalar_path(num_instance):
     duals = [cb.DualPoint(m) for m in mus]
     q_batch, x_batch = cb.oracle_sweep(num_instance, duals)
     for i in (0, 7, 40, 99):
-        q_i, x_i = cb.local_dual_oracle(num_instance.nodes[i], duals[i], num_instance.n)
+        q_i, x_i = node_oracle(num_instance.nodes[i], duals[i])
         assert q_batch[i] == q_i
         assert x_batch[i] == x_i
 

@@ -17,7 +17,9 @@ def two_node_toy():
 
 
 def manual_states(mus, k=0):
-    return [cb.NodeState(cb.DualPoint(m), math.nan, math.nan, 0.0, k) for m in mus]
+    n = len(mus)
+    return cb.CobaddState(np.array(mus, dtype=float), None, np.full(n, math.nan),
+                          np.zeros(n), k)
 
 
 def test_step_complete_graph_hand_evaluation():
@@ -158,16 +160,31 @@ def test_higher_phi_lowers_floor(num_instance, num_sets, fig_graph, num_f_star):
     assert floors[4] < floors[1]
 
 
-def test_step_and_solve_agree(num_instance, num_sets, fig_graph):
-    W = cb.metropolis_weights(fig_graph)
-    cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=5, sets=num_sets)
-    tr = cb.cobadd_solve(num_instance, W, cfg, record_duals=True)
-    states = cb.cobadd_init(num_instance, W, cfg)
-    for k in range(5):
-        mus = np.array([s.dual.mu for s in states])
-        assert np.allclose(mus, tr.mu_history[k], atol=1e-12)
-        states = cb.cobadd_step(num_instance, states, W, cfg)
-    assert states[0].k == 5
+@pytest.mark.parametrize("name", ["num", "lmi"])
+def test_step_and_solve_agree(name, request):
+    # the solve loop and the public step API run the same kernel: duals,
+    # and the ergodic point's cost and violations, agree exactly
+    instance = request.getfixturevalue(f"{name}_instance")
+    sets = request.getfixturevalue(f"{name}_sets")
+    graph = (request.getfixturevalue("fig_graph") if name == "num"
+             else cb.Graph(2, ((0, 1),)))
+    W = cb.metropolis_weights(graph)
+    K = 5
+    cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=K, sets=sets)
+    tr = cb.cobadd_solve(instance, W, cfg, record_duals=True)
+    state = cb.cobadd_init(instance, W, cfg)
+    for k in range(K):
+        assert np.array_equal(state.mus, tr.mu_history[k])
+        if instance.d:
+            assert np.array_equal(state.Gs, tr.G_history[k])
+        state = cb.cobadd_step(instance, state, W, cfg)
+        row = (tr.f_ergodic[k], tr.viol_ineq[k], tr.viol_lmi[k])
+        assert cb.evaluate_primal(instance, state.ergodic_x) == row
+        assert np.array_equal(state.ergodic_x, [s.ergodic_x for s in state])
+    assert state[0].k == K
+    assert np.array_equal(state.mus, tr.final_mus)
+    if instance.d:
+        assert np.array_equal(state.Gs, tr.final_Gs)
 
 
 def test_subgradient_bounds_cover_realized_values(lmi_instance, lmi_sets):
@@ -208,8 +225,9 @@ def test_oracle_optimum_below_feasible_trace_points(
 
 def test_config_validation():
     sets = cb.DualSetSpec(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        cb.CobaddConfig(alpha=0.0, phi=1, K=10, sets=sets)
+    for alpha in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            cb.CobaddConfig(alpha=alpha, phi=1, K=10, sets=sets)
     with pytest.raises(ValueError):
         cb.CobaddConfig(alpha=1.0, phi=0, K=10, sets=sets)
     with pytest.raises(ValueError):
