@@ -232,7 +232,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
         trace.write_csv(csv_path)
         err = np.abs(f_star - trace.f_ergodic)
         tail = max(1, spec.K // 10)
-        rel = (f_star - trace.f_ergodic) / f_star if f_star != 0 else np.zeros(spec.K)
+        rel = err / abs(f_star) if f_star != 0 else np.zeros(spec.K)
         cross = _first_crossing(rel)
         violations = _bound_violations(trace, f_star)
         summary_runs.append({
@@ -243,6 +243,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
             "floor": float(err[-tail:].mean()),
             "rel_error_1pct_k": None if cross is None else int(trace.k[cross]),
             "messages_at_1pct": None if cross is None else int(trace.messages_cum[cross]),
+            "viol_ineq_at_1pct": None if cross is None else float(trace.viol_ineq[cross]),
             "bound_violations": violations,
         })
 

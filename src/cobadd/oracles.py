@@ -245,13 +245,21 @@ def _ball_clip(A: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
 # JSON cache keyed by instance hash
 # ---------------------------------------------------------------------------
 
+def _read_cache(path: str) -> dict:
+    """The cache document, or an empty one when the file is missing or
+    unreadable (a corrupt cache is a miss, and the next store rewrites it)."""
+    try:
+        with open(path) as fh:
+            cache = json.load(fh)
+    except (OSError, ValueError):
+        return {}
+    return cache if isinstance(cache, dict) else {}
+
+
 def load_cached_result(path: str, instance: ProblemInstance) -> OracleResult | None:
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        cache = json.load(fh)
-    entry = cache.get(instance_hash(instance))
-    if entry is None:
+    cache = _read_cache(path)
+    entry = cache.get(instance_hash(instance)) if cache else None
+    if not isinstance(entry, dict):
         return None
     return OracleResult(entry["f_star"], np.array(entry["x_star"]),
                         entry.get("mu_star"), dict(entry.get("certificate", {})))
@@ -259,15 +267,19 @@ def load_cached_result(path: str, instance: ProblemInstance) -> OracleResult | N
 
 def store_cached_result(path: str, instance: ProblemInstance,
                         result: OracleResult) -> None:
-    cache = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            cache = json.load(fh)
+    """Add the result to the cache, replacing the file atomically."""
+    cache = _read_cache(path)
     cache[instance_hash(instance)] = {
         "f_star": result.f_star,
         "x_star": result.x_star.tolist(),
         "mu_star": result.mu_star,
         "certificate": result.certificate,
     }
-    with open(path, "w") as fh:
-        json.dump(cache, fh, sort_keys=True, indent=1)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(cache, fh, sort_keys=True, indent=1)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -310,22 +310,74 @@ class SubgradientBounds:
 # local dual oracles
 # ---------------------------------------------------------------------------
 
-def _closed_form_minimize(C, S, T, lo, hi):
-    """Box minimizer and minimum of -C*log(1+x) + S*x + T, elementwise.
+# Node evaluations per row block of dual_function_values: 16k float64
+# elements make 128 KiB per scratch array, so a block's working set of
+# four arrays and two masks stays in a core's L2 cache.
+_BLOCK_ELEMENTS = 16384
 
-    C == 0 gives an affine objective whose minimizer is an endpoint (the
-    lower one on ties); C > 0 gives a strictly convex objective minimized
-    at the clipped stationary point C/S - 1 when S > 0 and at the upper
-    endpoint otherwise.
+
+def _scratch(shape) -> tuple[np.ndarray, np.ndarray]:
+    """Float and mask scratch for one :func:`_closed_form_minimize` block."""
+    return np.empty((4,) + shape), np.empty((2,) + shape, dtype=bool)
+
+
+def _closed_form_minimize(cf: "_ClosedFormArrays", lo, hi, mu, lin, const,
+                          work: np.ndarray, masks: np.ndarray):
+    """Box minimizers and minima of -C*log(1+x) + S*x + T for a block.
+
+    The coefficients are those of the node Lagrangians at the block's
+    dual points,
+
+        C = c_f + mu c_g,   S = a_f + mu a_g + lin,   T = b_f + mu b_g + const,
+
+    with the (n,) coefficient arrays of ``cf`` broadcast against ``mu``,
+    ``lin`` and ``const`` (``None`` drops an LMI term): per-node duals of
+    shape (n,) for the oracle, or one dual per row, shape (r, 1), for a
+    row block of dual values.  C == 0 gives an affine objective whose
+    minimizer is an endpoint (the lower one on ties); C > 0 gives a
+    strictly convex objective minimized at the clipped stationary point
+    C/S - 1 when S > 0 and at the upper endpoint otherwise.
+
+    Everything is evaluated in place, with ``out=`` ufuncs into ``work``
+    (float, shape (4,) + block) and ``where=`` masks in ``masks`` (bool,
+    shape (2,) + block), so the kernel allocates nothing.  Each
+    element gets bit-for-bit the minimizer and value of the broadcast
+    expression ``x = where(C > 0, where(S > 0, clip(C/S - 1, lo, hi),
+    hi), where(S < 0, hi, lo))``, ``value = -C*log1p(x) + S*x + T`` (the
+    log term read as 0 where C == 0): ``S*x - C*log1p(x)`` rounds as
+    ``-C*log1p(x) + S*x`` does.  Returns views ``(x, value)`` into
+    ``work``.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stationary = C / S - 1.0
-    x_convex = np.where(S > 0.0, np.clip(stationary, lo, hi), hi)
-    x = np.where(C > 0.0, x_convex, np.where(S < 0.0, hi, lo))
-    with np.errstate(invalid="ignore"):
-        log_term = np.where(C > 0.0, np.log1p(np.where(C > 0.0, x, 0.0)), 0.0)
-    value = -C * log_term + S * x + T
-    return x, value
+    C, val, x, tmp = work
+    convex, sel = masks
+    np.multiply(mu, cf.c_g, out=C)
+    np.add(cf.c_f, C, out=C)
+    np.multiply(mu, cf.a_g, out=val)            # val holds S until S*x
+    np.add(cf.a_f, val, out=val)
+    if lin is not None:
+        np.add(val, lin, out=val)
+    np.greater(C, 0.0, out=convex)
+    # affine: upper endpoint where S < 0, else lower; convex: upper endpoint
+    np.less(val, 0.0, out=sel)
+    np.logical_or(sel, convex, out=sel)
+    np.copyto(x, lo)
+    np.copyto(x, hi, where=sel)
+    # convex with S > 0: the clipped stationary point
+    np.greater(val, 0.0, out=sel)
+    np.logical_and(sel, convex, out=sel)
+    np.divide(C, val, out=x, where=sel)
+    np.subtract(x, 1.0, out=x, where=sel)
+    np.clip(x, lo, hi, out=x, where=sel)
+    np.multiply(val, x, out=val)
+    np.log1p(x, out=tmp, where=convex)
+    np.multiply(C, tmp, out=tmp, where=convex)
+    np.subtract(val, tmp, out=val, where=convex)
+    np.multiply(mu, cf.b_g, out=tmp)            # tmp holds T
+    np.add(cf.b_f, tmp, out=tmp)
+    if const is not None:
+        np.add(tmp, const, out=tmp)
+    np.add(val, tmp, out=val)
+    return x, val
 
 
 def _lmi_terms(instance: ProblemInstance, Gs: np.ndarray | None):
@@ -369,10 +421,7 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
     cf = instance._closed
     lo, hi = instance.boxes
     if cf is not None:
-        C = cf.c_f + mus * cf.c_g
-        S = cf.a_f + mus * cf.a_g + lin
-        T = cf.b_f + mus * cf.b_g + const
-        x, q = _closed_form_minimize(C, S, T, lo, hi)
+        x, q = _closed_form_minimize(cf, lo, hi, mus, lin, const, *_scratch(lo.shape))
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
             raise MalformedInstanceError("non-finite Lagrangian evaluation inside a box")
         return x, q
@@ -455,31 +504,38 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     """q evaluated at m dual points at once.
 
     ``mus`` has shape (m,) and ``Gs`` shape (m, d, d) (None when d = 0).
-    Closed-form instances evaluate all m*n node minimizations as one
-    broadcasted expression; otherwise each point falls back to the
-    per-node path.
+    Closed-form instances walk the m points in row blocks of about
+    ``_BLOCK_ELEMENTS`` node evaluations (at least one row), so that a
+    block's scratch stays in cache.  Each block computes its own LMI
+    terms, runs :func:`_closed_form_minimize` in place in scratch shared
+    by all blocks, and writes its row sums into the output; a row sum is
+    ``vals.sum(axis=1)`` over one contiguous row, so every q is summed in
+    the same order as for a single point.  Other instances fall back to
+    the per-node path for each point.
     """
     mus = np.asarray(mus, dtype=float)
     m, n = mus.shape[0], instance.n
     cf = instance._closed
-    lo, hi = instance.boxes
-    if cf is not None:
-        if instance.d and Gs is not None:
-            lin = -np.einsum("jkl,ikl->ij", instance.A_stack, Gs)
-            const = (-np.sum(instance.A0 * Gs, axis=(1, 2)) / n)[:, None]
-        else:
-            lin = 0.0
-            const = 0.0
-        C = cf.c_f[None, :] + mus[:, None] * cf.c_g[None, :]
-        S = cf.a_f[None, :] + mus[:, None] * cf.a_g[None, :] + lin
-        T = cf.b_f[None, :] + mus[:, None] * cf.b_g[None, :] + const
-        _, vals = _closed_form_minimize(C, S, T, lo[None, :], hi[None, :])
-        return vals.sum(axis=1)
     out = np.empty(m)
-    for i in range(m):
-        Gi = None if Gs is None else np.broadcast_to(Gs[i], (n,) + Gs[i].shape)
-        _, q = minimize_node_lagrangians(instance, np.full(n, mus[i]), Gi, tol)
-        out[i] = q.sum()
+    if cf is None:
+        for i in range(m):
+            Gi = None if Gs is None else np.broadcast_to(Gs[i], (n,) + Gs[i].shape)
+            _, q = minimize_node_lagrangians(instance, np.full(n, mus[i]), Gi, tol)
+            out[i] = q.sum()
+        return out
+    lo, hi = instance.boxes
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    work, masks = _scratch((min(rows, m), n))
+    lin = const = None
+    for start in range(0, m, rows):
+        block = slice(start, min(start + rows, m))
+        r = block.stop - start
+        if instance.d and Gs is not None:
+            lin = -np.einsum("jkl,ikl->ij", instance.A_stack, Gs[block])
+            const = (-np.sum(instance.A0 * Gs[block], axis=(1, 2)) / n)[:, None]
+        _, vals = _closed_form_minimize(cf, lo, hi, mus[block, None], lin, const,
+                                        work[:, :r], masks[:, :r])
+        vals.sum(axis=1, out=out[block])
     return out
 
 

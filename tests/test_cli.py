@@ -186,6 +186,50 @@ def test_oracle_cache_reused(tmp_path):
         assert fh.read() == before
 
 
+def test_corrupt_oracle_cache_is_a_miss_and_rewritten(tmp_path):
+    path, cfg = small_config(tmp_path, K=5)
+    out = tmp_path / "garbage_cache"
+    out.mkdir()
+    cache_file = out / "oracle_cache.json"
+    cache_file.write_text('{"truncated": [1, 2')
+    assert cmd_run(path, out_override=str(out)) == 0
+    cache = json.loads(cache_file.read_text())
+    instance = cb.make_sample_num_instance(24, 4)
+    assert list(cache) == [cb.instance_hash(instance)]
+    assert sorted(os.listdir(out)) == sorted(
+        ["oracle_cache.json", "summary.json", "cobadd_phi1_alpha1.csv",
+         "cobadd_phi4_alpha1.csv", "central_alpha1.csv"])
+
+
+def test_first_crossing_uses_absolute_relative_error(tmp_path):
+    # f* = -10 and the early ergodic iterates are infeasible with f < f*,
+    # which a signed (f* - f)/f* counts as crossing 1% at k = 1
+    cfg = {
+        "instance": {"builtin": "num", "n": 100, "seed": 42},
+        "graph": {"n": 100, "avg_degree": 3.12, "seed": 7},
+        "runs": [{"solver": "cobadd", "alpha": 1.0, "phi": 1, "K": 200}],
+        "output_dir": str(tmp_path / "o"),
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert cmd_run(str(path)) == 0
+    with open(tmp_path / "o" / "summary.json") as fh:
+        run = json.load(fh)["runs"][0]
+    assert run["rel_error_1pct_k"] == 169
+    assert run["messages_at_1pct"] == 55094
+    cols = read_csv(str(tmp_path / "o" / "cobadd_phi1_alpha1.csv"))
+    assert run["viol_ineq_at_1pct"] == cols["viol_ineq"][168]
+
+
+def test_verify_dense_config_applies_every_theorem(capsys):
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    assert cmd_verify(os.path.join(root, "verify_dense.json")) == 0
+    out = capsys.readouterr().out
+    assert "SKIP" not in out
+    assert out.count("PASS               agreement bound") == 2
+    assert out.count("PASS               primal sandwich") == 2
+
+
 def test_cmd_verify_passes_on_good_config(tmp_path, capsys):
     path, _ = small_config(tmp_path, K=30)
     assert cmd_verify(path) == 0
@@ -218,7 +262,7 @@ def test_bundled_fig_configs_parse_to_figure_curve_set():
     combos = {(r.alpha, r.phi) for r in cfg.runs}
     assert combos == {(1.0, 1), (1.0, 2), (1.0, 4), (1.0, 26), (0.1, 1)}
     assert all(r.K == 2000 and r.solver == "cobadd" for r in cfg.runs)
-    assert sorted(os.listdir(root)) == ["fig1.json"]
+    assert sorted(os.listdir(root)) == ["fig1.json", "verify_dense.json"]
 
 
 def test_corrupted_weights_fail_conditions_check(fig_graph):

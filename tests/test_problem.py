@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import cobadd as cb
 from cobadd.errors import ConfigurationError, MalformedInstanceError
+from cobadd.problem import minimize_node_lagrangians
 
 # regression constants for the seeded 100-node sample instance
 NUM_THRESHOLD_PIN = 3.950934757988979
@@ -456,4 +457,113 @@ def test_dual_function_values_matches_single(lmi_instance):
     vals = cb.dual_function_values(lmi_instance, mus, Gs)
     for i in range(4):
         single = cb.dual_function_value(lmi_instance, cb.DualPoint(mus[i], Gs[i]))
-        assert np.isclose(vals[i], single, atol=1e-12)
+        assert vals[i] == single
+
+
+# ---------------------------------------------------------------------------
+# the in-place closed-form kernel against the broadcast expression
+# ---------------------------------------------------------------------------
+
+def reference_minimize(C, S, T, lo, hi):
+    """Box minimizer and minimum of -C*log(1+x) + S*x + T as one broadcast
+    expression with full-size temporaries: the reference the in-place
+    kernel must match bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stationary = C / S - 1.0
+    x_convex = np.where(S > 0.0, np.clip(stationary, lo, hi), hi)
+    x = np.where(C > 0.0, x_convex, np.where(S < 0.0, hi, lo))
+    with np.errstate(invalid="ignore"):
+        log_term = np.where(C > 0.0, np.log1p(np.where(C > 0.0, x, 0.0)), 0.0)
+    return x, -C * log_term + S * x + T
+
+
+# the dual at which the constructed nodes hit S == 0 or land C/S - 1 on a
+# box endpoint exactly (dyadic data keeps that arithmetic exact)
+MU_EXACT = 2.0
+
+
+def _coef(rng, low, high):
+    if rng.random() < 0.5:
+        return float(rng.integers(4 * low, 4 * high + 1)) / 4.0
+    return float(rng.uniform(low, high))
+
+
+def _closed_form_node(rng, d):
+    lo = float(rng.integers(-3, 4)) / 8.0
+    hi = lo + float(rng.integers(0, 9)) / 8.0
+    a_g = float(rng.integers(1, 9)) / 4.0
+    role = rng.integers(6)
+    if role == 0:    # affine Lagrangian with S == 0 at MU_EXACT: lower endpoint
+        f = cb.ScalarFunction.affine(-MU_EXACT * a_g, _coef(rng, -2, 2))
+        g = cb.ScalarFunction.affine(a_g, _coef(rng, -2, 2))
+    elif role == 1:  # log terms only: S == 0 where G = 0, upper endpoint if C > 0
+        f = cb.ScalarFunction.neg_log(_coef(rng, 0, 2))
+        g = cb.ScalarFunction.neg_log(_coef(rng, 0, 2))
+    elif role == 2:  # C/S - 1 lands exactly on lo or hi at MU_EXACT
+        end = lo if rng.random() < 0.5 else hi
+        f = cb.ScalarFunction.neg_log((end + 1.0) * MU_EXACT * a_g)
+        g = cb.ScalarFunction.affine(a_g, _coef(rng, -2, 2))
+    else:
+        kinds = (lambda: cb.ScalarFunction.linear(_coef(rng, -2, 2)),
+                 lambda: cb.ScalarFunction.neg_log(_coef(rng, 0, 2)),
+                 lambda: cb.ScalarFunction.affine(_coef(rng, -2, 2), _coef(rng, -2, 2)))
+        f = kinds[rng.integers(3)]()
+        g = kinds[rng.integers(3)]()
+    A = rng.normal(size=(d, d))
+    return cb.NodeSpec(f, g, (A + A.T) / 2.0, (lo, hi))
+
+
+def _psd_duals(rng, count, d):
+    B = rng.normal(size=(count, d, d))
+    return B @ np.swapaxes(B, 1, 2) / 4.0
+
+
+# n = 1 to 60 fit many rows in one block, 2000 and 5000 split m into
+# blocks of 8 and 3 rows, 16385 exceeds the block size: one row per block
+@given(st.sampled_from([1, 3, 60, 2000, 5000, 16385]), st.integers(1, 13),
+       st.sampled_from([0, 2]), st.integers(0, 2**32 - 1))
+def test_closed_form_kernel_matches_broadcast_expression(n, m, d, seed):
+    rng = np.random.default_rng(seed)
+    # nodes drawn from a pool of distinct random nodes keep large n cheap
+    pool = [_closed_form_node(rng, d) for _ in range(min(n, 64))]
+    A0 = rng.normal(size=(d, d))
+    inst = cb.ProblemInstance([pool[j] for j in rng.integers(len(pool), size=n)],
+                              A0 + A0.T, d)
+    cf = inst._closed
+    lo, hi = inst.boxes
+
+    # the oracle, one dual per node: some at 0, some at MU_EXACT with G = 0
+    mus_n = rng.uniform(0.0, 3.0, size=n)
+    pick = rng.integers(3, size=n)
+    mus_n[pick == 0] = 0.0
+    mus_n[pick == 1] = MU_EXACT
+    Gs_n = _psd_duals(rng, n, d)
+    Gs_n[pick == 1] = 0.0
+    x, q = minimize_node_lagrangians(inst, mus_n, Gs_n if d else None)
+    lin = -np.sum(inst.A_stack * Gs_n, axis=(1, 2)) if d else np.zeros(n)
+    const = -np.sum(inst.A0 * Gs_n, axis=(1, 2)) / n if d else np.zeros(n)
+    x_ref, q_ref = reference_minimize(
+        cf.c_f + mus_n * cf.c_g, cf.a_f + mus_n * cf.a_g + lin,
+        cf.b_f + mus_n * cf.b_g + const, lo, hi)
+    assert np.array_equal(x, x_ref) and np.array_equal(q, q_ref)
+
+    # dual values at m shared points: the first two at 0 and MU_EXACT, G = 0
+    mus = rng.uniform(0.0, 3.0, size=m)
+    mus[:2] = (0.0, MU_EXACT)[:m]
+    Gs = _psd_duals(rng, m, d)
+    Gs[:2] = 0.0
+    vals = cb.dual_function_values(inst, mus, Gs if d else None)
+    lin = -np.einsum("jkl,ikl->ij", inst.A_stack, Gs) if d else 0.0
+    const = (-np.sum(inst.A0 * Gs, axis=(1, 2)) / n)[:, None] if d else 0.0
+    _, v_ref = reference_minimize(
+        cf.c_f + mus[:, None] * cf.c_g, cf.a_f + mus[:, None] * cf.a_g + lin,
+        cf.b_f + mus[:, None] * cf.b_g + const, lo, hi)
+    assert np.array_equal(vals, v_ref.sum(axis=1))
+    for i in range(m):
+        G_i = np.broadcast_to(Gs[i], (n, d, d)) if d else None
+        single = minimize_node_lagrangians(inst, np.full(n, mus[i]), G_i)[1].sum()
+        if d:
+            # the oracle sums tr[A_i G] with np.sum, the batch with einsum
+            assert vals[i] == pytest.approx(single, rel=1e-12, abs=1e-12)
+        else:
+            assert vals[i] == single
