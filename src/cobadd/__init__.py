@@ -23,7 +23,7 @@ from .problem import (DualPoint, DualSetSpec, NodeSpec, ProblemInstance,
                       make_sample_lmi_instance, make_sample_num_instance,
                       oracle_sweep, slater_certificate, subgradient_bounds)
 from .solver import (CobaddConfig, CobaddState, NodeState, cobadd_init,
-                     cobadd_solve, cobadd_step)
+                     cobadd_solve, cobadd_step, record_run)
 from .spectral import project_G, project_mu, project_psd
 from .trace import TRACE_COLUMNS, RunTrace, read_csv
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import (DualPoint, DualSetSpec, ProblemInstance,
-                      constraint_values, evaluate_primal, oracle_sweep,
-                      subgradient_bounds)
+                      constraint_values, oracle_sweep, subgradient_bounds)
+from .solver import record_run
 from .spectral import project_G, project_mu, project_psd
 from .trace import RunTrace
 
@@ -30,15 +30,22 @@ class CentralState:
 
     ``dual`` is the pair the *next* iteration will sample at;
     ``ergodic_x = tilde_sum / k`` once k >= 1 (NaN before the first
-    recorded iteration); ``q`` is the dual value at the pair the last
-    pass sampled.
+    recorded iteration).  ``mus`` and ``Gs`` view ``dual`` as a stack of
+    one point, the m = 1 case of :func:`record_run`.
     """
 
     dual: DualPoint
     ergodic_x: np.ndarray
     k: int
     tilde_sum: np.ndarray
-    q: float = math.nan
+
+    @property
+    def mus(self) -> np.ndarray:
+        return np.array([self.dual.mu])
+
+    @property
+    def Gs(self) -> np.ndarray | None:
+        return self.dual.G[None] if self.dual.d else None
 
 
 def _updated_dual(instance: ProblemInstance, dual: DualPoint, x_tilde: np.ndarray,
@@ -63,25 +70,24 @@ def central_init(instance: ProblemInstance, alpha: float,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     z0 = DualPoint(0.0, np.zeros((instance.d,) * 2))
-    q, x0 = oracle_sweep(instance, z0)
+    _, x0 = oracle_sweep(instance, z0)
     dual = _updated_dual(instance, z0, x0, alpha, sets)
     n = instance.n
-    return CentralState(dual, np.full(n, math.nan), 0, np.zeros(n), float(q.sum()))
+    return CentralState(dual, np.full(n, math.nan), 0, np.zeros(n))
 
 
 def central_step(instance: ProblemInstance, state: CentralState, alpha: float,
                  sets: DualSetSpec | None = None) -> CentralState:
     """One recorded iteration: sample, extend the ergodic mean, update."""
-    q, x_tilde = oracle_sweep(instance, state.dual)
+    _, x_tilde = oracle_sweep(instance, state.dual)
     k = state.k + 1
     tilde_sum = state.tilde_sum + x_tilde
     dual = _updated_dual(instance, state.dual, x_tilde, alpha, sets)
-    return CentralState(dual, tilde_sum / k, k, tilde_sum, float(q.sum()))
+    return CentralState(dual, tilde_sum / k, k, tilde_sum)
 
 
 def central_solve(instance: ProblemInstance, alpha: float, K: int,
-                  sets: DualSetSpec | None = None,
-                  record_duals: bool = False) -> RunTrace:
+                  sets: DualSetSpec | None = None) -> RunTrace:
     """Run K recorded iterations and assemble the trace.
 
     The baseline bound columns use the realized maxima of the dual norms
@@ -92,32 +98,17 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
     if K < 1:
         raise ValueError("K must be at least 1")
     n = instance.n
-    lam_max = gam_max = 0.0  # the zero initial pair
     state = central_init(instance, alpha, sets)
+    duals = [state.dual]  # for the realized norms; the zero initial pair adds nothing
 
-    cols = {name: np.zeros(K) for name in
-            ("f_ergodic", "viol_ineq", "viol_lmi", "q_best_node", "q_mean")}
-    mu_hist = np.zeros(K) if record_duals else None
-    G_hist = np.zeros((K, instance.d, instance.d)) if record_duals else None
-    for k in range(1, K + 1):
-        dual = state.dual
-        lam_max = max(lam_max, abs(dual.mu))
-        if instance.d:
-            gam_max = max(gam_max, float(np.linalg.norm(dual.G)))
-        if record_duals:
-            mu_hist[k - 1] = dual.mu
-            if instance.d:
-                G_hist[k - 1] = dual.G
-        state = central_step(instance, state, alpha, sets)
-        f, vi, vl = evaluate_primal(instance, state.ergodic_x)
-        cols["f_ergodic"][k - 1] = f
-        cols["viol_ineq"][k - 1] = vi
-        cols["viol_lmi"][k - 1] = vl
-        cols["q_best_node"][k - 1] = state.q
-        cols["q_mean"][k - 1] = state.q
-    lam_max = max(lam_max, abs(state.dual.mu))
-    if instance.d:
-        gam_max = max(gam_max, float(np.linalg.norm(state.dual.G)))
+    def step(s: CentralState) -> CentralState:
+        s = central_step(instance, s, alpha, sets)
+        duals.append(s.dual)
+        return s
+
+    cols, state = record_run(instance, state, step, K)
+    lam_max = max(z.mu for z in duals)
+    gam_max = max(float(np.linalg.norm(z.G)) for z in duals)
 
     sb = subgradient_bounds(instance)
     ks = np.arange(1, K + 1, dtype=float)
@@ -129,23 +120,8 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
               "bounded": sets is not None,
               "radius": sets.Lambda if sets is not None else None,
               "instance": dict(instance.meta)}
-    return RunTrace(
-        config=config,
-        k=np.arange(1, K + 1),
-        f_ergodic=cols["f_ergodic"],
-        viol_ineq=cols["viol_ineq"],
-        viol_lmi=cols["viol_lmi"],
-        q_best_node=cols["q_best_node"],
-        q_mean=cols["q_mean"],
-        disagreement=np.zeros(K),
-        messages_cum=np.zeros(K, dtype=int),
-        bound_upper=bound_upper,
-        bound_lower=bound_lower,
-        beta_k=np.full(K, math.nan),
-        mu_history=mu_hist,
-        G_history=G_hist,
-        final_mus=np.array([state.dual.mu]),
-        final_Gs=state.dual.G[None, :, :] if instance.d else None,
-        lambda_realized=lam_max,
-        gamma_realized=gam_max,
-    )
+    return RunTrace(config=config, k=np.arange(1, K + 1), **cols,
+                    messages_cum=np.zeros(K, dtype=int),
+                    bound_upper=bound_upper, bound_lower=bound_lower,
+                    beta_k=np.full(K, math.nan),
+                    final_mus=state.mus, final_Gs=state.Gs, lambda_realized=lam_max)

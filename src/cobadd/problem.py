@@ -482,11 +482,13 @@ def oracle_sweep(instance: ProblemInstance, duals: "list[DualPoint] | DualPoint"
     """
     n = instance.n
     if isinstance(duals, DualPoint):
-        duals = [duals] * n
-    if len(duals) != n:
+        mus = np.full(n, duals.mu)
+        Gs = np.broadcast_to(duals.G, (n,) + duals.G.shape) if instance.d else None
+    elif len(duals) != n:
         raise ValueError(f"expected {n} dual points, got {len(duals)}")
-    mus = np.array([z.mu for z in duals])
-    Gs = np.stack([z.G for z in duals]) if instance.d else None
+    else:
+        mus = np.array([z.mu for z in duals])
+        Gs = np.stack([z.G for z in duals]) if instance.d else None
     x, q = minimize_node_lagrangians(instance, mus, Gs, tol)
     return q, x
 

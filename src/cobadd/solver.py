@@ -138,8 +138,37 @@ def cobadd_step(instance: ProblemInstance, state: CobaddState,
     return CobaddState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
 
 
+def record_run(instance: ProblemInstance, state, step, K: int):
+    """Run ``state = step(state)`` K times and record one trace row per step.
+
+    Before each step the loop reads the m dual points that step samples,
+    ``state.mus`` (shape (m,)) and ``state.Gs`` (shape (m, d, d), or
+    None), and records the max and mean of q over them and their largest
+    deviations from their mean; after it, the cost and violations of
+    ``state.ergodic_x``.  CoBa-DD is the case m = n and the master node
+    the case m = 1.  Returns the columns, keyed by RunTrace field name,
+    and the final state.
+    """
+    cols = {name: np.zeros(K) for name in
+            ("f_ergodic", "viol_ineq", "viol_lmi", "q_best_node", "q_mean",
+             "disagreement", "mu_disagreement", "G_disagreement")}
+    for k in range(K):
+        mus, Gs = state.mus, state.Gs
+        q = dual_function_values(instance, mus, Gs)
+        dev_mu = np.abs(mus - mus.mean())
+        dev_G = (np.linalg.norm(Gs - Gs.mean(axis=0), axis=(1, 2)) if Gs is not None
+                 else np.zeros(len(mus)))
+        cols["q_best_node"][k], cols["q_mean"][k] = q.max(), q.mean()
+        cols["mu_disagreement"][k], cols["G_disagreement"][k] = dev_mu.max(), dev_G.max()
+        cols["disagreement"][k] = (dev_mu + dev_G).max()
+        state = step(state)
+        cols["f_ergodic"][k], cols["viol_ineq"][k], cols["viol_lmi"][k] = \
+            evaluate_primal(instance, state.ergodic_x)
+    return cols, state
+
+
 def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
-                 config: CobaddConfig, record_duals: bool = False) -> RunTrace:
+                 config: CobaddConfig) -> RunTrace:
     """Full CoBa-DD run over a simulated synchronous network.
 
     ``network`` is either a Graph (Metropolis-Hastings weights are built
@@ -149,7 +178,6 @@ def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
     to max(c0, 10 alpha M) with c0 evaluated at this run's phi.
     """
     W = metropolis_weights(network) if isinstance(network, Graph) else network
-    n, d = instance.n, instance.d
     K, alpha = config.K, config.alpha
     ledger = MessageLedger()
 
@@ -160,63 +188,18 @@ def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
         beta0 = default_beta0(c0, alpha, subgradient_bounds(instance).M)
     bounds = theoretical_bounds(instance, config.sets, W.nu, config, beta0)
 
-    cols = {name: np.zeros(K) for name in
-            ("f_ergodic", "viol_ineq", "viol_lmi", "q_best_node", "q_mean",
-             "disagreement")}
-    mu_dis = np.zeros(K)
-    G_dis = np.zeros(K)
-    mu_hist = np.zeros((K, n)) if record_duals else None
-    G_hist = np.zeros((K, n, d, d)) if (record_duals and d) else None
-
     # the bootstrap's consensus round produces the duals used at row 1
     state = cobadd_init(instance, W, config, ledger)
-    for k in range(1, K + 1):
-        # per-node dual values and disagreement at the duals used this round
-        mus, Gs = state.mus, state.Gs
-        q_nodes = dual_function_values(instance, mus, Gs)
-        dev_mu = np.abs(mus - mus.mean())
-        dev_G = np.linalg.norm(Gs - Gs.mean(axis=0), axis=(1, 2)) if d else np.zeros(n)
-        mu_dis[k - 1] = float(dev_mu.max())
-        G_dis[k - 1] = float(dev_G.max())
-        cols["disagreement"][k - 1] = float((dev_mu + dev_G).max())
-        cols["q_best_node"][k - 1] = float(q_nodes.max())
-        cols["q_mean"][k - 1] = float(q_nodes.mean())
-        if record_duals:
-            mu_hist[k - 1] = mus
-            if d:
-                G_hist[k - 1] = Gs
-
-        state = cobadd_step(instance, state, W, config, ledger)
-        f, vi, vl = evaluate_primal(instance, state.ergodic_x)
-        cols["f_ergodic"][k - 1] = f
-        cols["viol_ineq"][k - 1] = vi
-        cols["viol_lmi"][k - 1] = vl
-
+    cols, state = record_run(instance, state,
+                             lambda s: cobadd_step(instance, s, W, config, ledger), K)
     ks = np.arange(1, K + 1)
-    messages_cum = np.cumsum(ledger.per_iteration)[:K]
     config_echo = {"solver": "cobadd", "alpha": alpha, "phi": config.phi,
                    "K": K, "radius": config.sets.Lambda, "seed": config.seed,
                    "beta0": bounds.beta0, "c0": c0, "nu": W.nu,
                    "instance": dict(instance.meta)}
-    return RunTrace(
-        config=config_echo,
-        k=ks,
-        f_ergodic=cols["f_ergodic"],
-        viol_ineq=cols["viol_ineq"],
-        viol_lmi=cols["viol_lmi"],
-        q_best_node=cols["q_best_node"],
-        q_mean=cols["q_mean"],
-        disagreement=cols["disagreement"],
-        messages_cum=messages_cum,
-        bound_upper=bounds.primal_upper_deviation(ks),
-        bound_lower=bounds.primal_lower_deviation(ks),
-        beta_k=bounds.beta_k.copy(),
-        bounds=bounds,
-        mu_disagreement=mu_dis,
-        G_disagreement=G_dis,
-        mu_history=mu_hist,
-        G_history=G_hist,
-        final_mus=state.mus.copy(),
-        final_Gs=state.Gs.copy() if d else None,
-        extras={"ledger_total": ledger.total_messages},
-    )
+    return RunTrace(config=config_echo, k=ks, **cols,
+                    messages_cum=np.cumsum(ledger.per_iteration)[:K],
+                    bound_upper=bounds.primal_upper_deviation(ks),
+                    bound_lower=bounds.primal_lower_deviation(ks),
+                    beta_k=bounds.beta_k.copy(), bounds=bounds,
+                    final_mus=state.mus, final_Gs=state.Gs)

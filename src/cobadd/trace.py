@@ -16,16 +16,19 @@ bound_lower    theoretical bound on f* - f(x^k)
 beta_k         agreement envelope beta_k (NaN when inapplicable)
 =============  ==========================================================
 
-The centralized baseline writes zeros for disagreement / messages_cum
-and NaN for beta_k; its bound columns carry the master-node analysis
-with the realized dual norms.  Floats are rendered with ``repr`` so the
+Both solvers fill the per-row columns with one recording loop,
+``solver.record_run``.  The centralized baseline is its m = 1 case: one
+dual point per row, so q_best_node equals q_mean and the disagreement
+is exactly zero.  It writes zeros for messages_cum and NaN for beta_k;
+its bound columns carry the master-node analysis with the realized dual
+norms.  Floats are rendered with ``repr`` so the
 files are byte-stable across identical runs.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +41,7 @@ _INT_COLUMNS = {"k", "messages_cum"}
 
 @dataclass
 class RunTrace:
-    """One solver run: config echo, per-iteration columns, extras."""
+    """One solver run: config echo, per-iteration columns, final duals."""
 
     config: dict
     k: np.ndarray
@@ -55,13 +58,9 @@ class RunTrace:
     bounds: object | None = None
     mu_disagreement: np.ndarray | None = None
     G_disagreement: np.ndarray | None = None
-    mu_history: np.ndarray | None = None
-    G_history: np.ndarray | None = None
     final_mus: np.ndarray | None = None
     final_Gs: np.ndarray | None = None
     lambda_realized: float | None = None
-    gamma_realized: float | None = None
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         K = len(self.k)

@@ -67,8 +67,25 @@ def test_solve_single_iteration_is_first_sample(num_instance):
         state = cb.central_step(num_instance, state, alpha=1.0)
         row = (trace.f_ergodic[k], trace.viol_ineq[k], trace.viol_lmi[k])
         assert cb.evaluate_primal(num_instance, state.ergodic_x) == row
-        assert trace.q_best_node[k] == trace.q_mean[k] == state.q == q
+        assert trace.q_best_node[k] == trace.q_mean[k] == q
     assert trace.final_mus[0] == state.dual.mu
+
+
+def test_solve_records_the_single_dual_point_lmi(lmi_instance, lmi_sets):
+    # the master node is the m = 1 case of the shared recording loop:
+    # one dual point per row, so the nodes cannot disagree
+    K = 60
+    trace = cb.central_solve(lmi_instance, 0.5, K, sets=lmi_sets)
+    for col in (trace.disagreement, trace.mu_disagreement, trace.G_disagreement):
+        assert np.all(col == 0.0)
+    assert np.array_equal(trace.q_best_node, trace.q_mean)
+    assert np.array_equal(trace.messages_cum, np.zeros(K))
+    state = cb.central_init(lmi_instance, 0.5, lmi_sets)
+    for k in range(K):
+        q = cb.dual_function_value(lmi_instance, state.dual)
+        assert trace.q_best_node[k] == pytest.approx(q, rel=1e-12, abs=0.0)
+        state = cb.central_step(lmi_instance, state, 0.5, lmi_sets)
+    assert np.array_equal(trace.final_Gs[0], state.dual.G)
 
 
 def test_solve_baseline_sandwich_num(num_instance, num_f_star):

@@ -66,6 +66,29 @@ def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
     assert err.startswith("error:") and "runs[0].alpha" in err
 
 
+@pytest.mark.parametrize("keys, value", [
+    (("probe_mu",), -1),
+    (("r",), "abc"),
+    (("graph", "avg_degree"), 0),
+    (("slater_xbar",), ["a"] * 24),
+    (("runs", 0, "phi"), "x"),
+    (("instance", "n"), "ten"),
+    (("instance", "n"), 1),
+], ids=["probe_mu", "r", "avg_degree", "slater_xbar", "phi", "n_text", "n_one"])
+def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
+    path, cfg = small_config(tmp_path, K=5)
+    *parents, last = keys
+    section = cfg
+    for key in parents:
+        section = section[key]
+    section[last] = value
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["run", path]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and keys[-1] in err
+
+
 @pytest.mark.parametrize("command", [cmd_run, cmd_verify])
 def test_graph_size_mismatch_is_a_config_error(tmp_path, capsys, command):
     path, cfg = small_config(tmp_path, K=5)

@@ -78,47 +78,57 @@ def test_init_does_not_feed_ergodic(num_instance, num_sets, fig_graph):
     assert after[0].ergodic_x == after[0].tilde_sum
 
 
+def cobadd_states(instance, network, cfg):
+    """The state after cobadd_init and after each of cfg.K cobadd_step calls."""
+    W = cb.metropolis_weights(network) if isinstance(network, cb.Graph) else network
+    state = cb.cobadd_init(instance, W, cfg)
+    yield state
+    for _ in range(cfg.K):
+        state = cb.cobadd_step(instance, state, W, cfg)
+        yield state
+
+
+def exact_averaging_rows(instance, sets, alpha, K):
+    """Per-row (CoBa-DD state on exact averaging, centralized state at
+    stepsize alpha/n): the duals each samples, then the ergodic point."""
+    n = instance.n
+    cfg = cb.CobaddConfig(alpha=alpha, phi=1, K=K, sets=sets)
+    central = cb.central_init(instance, alpha / n, sets)
+    for state in cobadd_states(instance, cb.exact_averaging_matrix(n), cfg):
+        yield state, central
+        central = cb.central_step(instance, central, alpha / n, sets)
+
+
 def test_exact_averaging_matches_centralized_bounded(num_instance, num_sets):
-    n = num_instance.n
-    cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=300, sets=num_sets)
-    tr_c = cb.cobadd_solve(num_instance, cb.exact_averaging_matrix(n), cfg,
-                           record_duals=True)
-    tr_z = cb.central_solve(num_instance, 1.0 / n, 300, sets=num_sets,
-                            record_duals=True)
-    assert np.max(np.abs(tr_c.mu_history - tr_z.mu_history[:, None])) <= 1e-9
-    assert np.max(np.abs(tr_c.f_ergodic - tr_z.f_ergodic)) <= 1e-9
-    # every node holds the same dual when averaging is exact
-    assert np.max(np.abs(tr_c.mu_history - tr_c.mu_history[:, :1])) == 0.0
+    for state, central in exact_averaging_rows(num_instance, num_sets, 1.0, 300):
+        assert np.max(np.abs(state.mus - central.dual.mu)) <= 1e-9
+        # every node holds the same dual when averaging is exact
+        assert np.max(np.abs(state.mus - state.mus[0])) == 0.0
+        if state.k:
+            f_c = cb.evaluate_primal(num_instance, state.ergodic_x)[0]
+            f_z = cb.evaluate_primal(num_instance, central.ergodic_x)[0]
+            assert abs(f_c - f_z) <= 1e-9
 
 
 def test_exact_averaging_matches_centralized_bounded_lmi(lmi_instance, lmi_sets):
-    cfg = cb.CobaddConfig(alpha=0.5, phi=1, K=200, sets=lmi_sets)
-    tr_c = cb.cobadd_solve(lmi_instance, cb.exact_averaging_matrix(2), cfg,
-                           record_duals=True)
-    tr_z = cb.central_solve(lmi_instance, 0.25, 200, sets=lmi_sets,
-                            record_duals=True)
-    assert np.max(np.abs(tr_c.mu_history - tr_z.mu_history[:, None])) <= 1e-9
-    dev_G = np.abs(tr_c.G_history - tr_z.G_history[:, None, :, :])
-    assert np.max(dev_G) <= 1e-9
+    for state, central in exact_averaging_rows(lmi_instance, lmi_sets, 0.5, 200):
+        assert np.max(np.abs(state.mus - central.dual.mu)) <= 1e-9
+        assert np.max(np.abs(state.Gs - central.dual.G)) <= 1e-9
 
 
 def test_duals_and_ergodic_stay_feasible(num_instance, num_sets, fig_graph):
     cfg = cb.CobaddConfig(alpha=1.0, phi=2, K=150, sets=num_sets)
-    tr = cb.cobadd_solve(num_instance, fig_graph, cfg, record_duals=True)
-    assert np.all(tr.mu_history >= 0.0)
-    assert np.all(tr.mu_history <= num_sets.Lambda + 1e-12)
-    assert np.all(tr.final_mus >= 0.0)
-    assert np.all(tr.final_mus <= num_sets.Lambda + 1e-12)
-    assert np.all(tr.viol_lmi == 0.0)
+    for state in cobadd_states(num_instance, fig_graph, cfg):
+        assert np.all(state.mus >= 0.0)
+        assert np.all(state.mus <= num_sets.Lambda + 1e-12)
+        if state.k:
+            assert cb.evaluate_primal(num_instance, state.ergodic_x)[2] == 0.0
 
 
 def test_lmi_duals_stay_in_sets(lmi_instance, lmi_sets):
-    g = cb.Graph(2, ((0, 1),))
     cfg = cb.CobaddConfig(alpha=0.5, phi=1, K=120, sets=lmi_sets)
-    tr = cb.cobadd_solve(lmi_instance, g, cfg, record_duals=True)
-    for k in range(tr.iterations):
-        for i in range(2):
-            Gk = tr.G_history[k, i]
+    for state in cobadd_states(lmi_instance, cb.Graph(2, ((0, 1),)), cfg):
+        for Gk in state.Gs:
             assert np.linalg.eigvalsh(Gk)[0] >= -1e-9
             assert np.linalg.norm(Gk) <= lmi_sets.Gamma * (1.0 + 1e-12)
 
@@ -162,7 +172,8 @@ def test_higher_phi_lowers_floor(num_instance, num_sets, fig_graph, num_f_star):
 
 @pytest.mark.parametrize("name", ["num", "lmi"])
 def test_step_and_solve_agree(name, request):
-    # the solve loop and the public step API run the same kernel: duals,
+    # the solve loop and the public step API run the same kernel: each
+    # row's dual values and disagreement at the duals the step samples,
     # and the ergodic point's cost and violations, agree exactly
     instance = request.getfixturevalue(f"{name}_instance")
     sets = request.getfixturevalue(f"{name}_sets")
@@ -171,12 +182,15 @@ def test_step_and_solve_agree(name, request):
     W = cb.metropolis_weights(graph)
     K = 5
     cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=K, sets=sets)
-    tr = cb.cobadd_solve(instance, W, cfg, record_duals=True)
+    tr = cb.cobadd_solve(instance, W, cfg)
     state = cb.cobadd_init(instance, W, cfg)
     for k in range(K):
-        assert np.array_equal(state.mus, tr.mu_history[k])
+        q = cb.dual_function_values(instance, state.mus, state.Gs)
+        dev = np.abs(state.mus - state.mus.mean())
         if instance.d:
-            assert np.array_equal(state.Gs, tr.G_history[k])
+            dev = dev + np.linalg.norm(state.Gs - state.Gs.mean(axis=0), axis=(1, 2))
+        assert (tr.q_best_node[k], tr.q_mean[k]) == (q.max(), q.mean())
+        assert tr.disagreement[k] == dev.max()
         state = cb.cobadd_step(instance, state, W, cfg)
         row = (tr.f_ergodic[k], tr.viol_ineq[k], tr.viol_lmi[k])
         assert cb.evaluate_primal(instance, state.ergodic_x) == row
@@ -190,13 +204,10 @@ def test_step_and_solve_agree(name, request):
 def test_subgradient_bounds_cover_realized_values(lmi_instance, lmi_sets):
     # every subgradient realized along a run stays under the L/Q bounds
     sb = cb.subgradient_bounds(lmi_instance)
-    g = cb.Graph(2, ((0, 1),))
     cfg = cb.CobaddConfig(alpha=0.7, phi=1, K=100, sets=lmi_sets)
-    tr = cb.cobadd_solve(lmi_instance, g, cfg, record_duals=True)
-    for k in range(tr.iterations):
-        duals = [cb.DualPoint(tr.mu_history[k, i], tr.G_history[k, i])
-                 for i in range(2)]
-        _, x_tilde = cb.oracle_sweep(lmi_instance, duals)
+    states = list(cobadd_states(lmi_instance, cb.Graph(2, ((0, 1),)), cfg))
+    for state in states[:-1]:
+        _, x_tilde = cb.oracle_sweep(lmi_instance, [s.dual for s in state])
         h, Qm = cb.constraint_values(lmi_instance, x_tilde)
         assert np.all(np.abs(h) <= sb.L + 1e-12)
         assert np.all(np.linalg.norm(Qm, axis=(1, 2)) <= sb.Q + 1e-12)
