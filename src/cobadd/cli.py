@@ -80,12 +80,19 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigurationError(f"{where}.{key} must be {what}")
         return float(value)
 
+    def integer(section, key, where, minimum, default=None):
+        value = need(section, key, object, where) if default is None else section.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigurationError(f"{where}.{key} must be an integer >= {minimum}")
+        return value
+
     inst = need(doc, "instance", dict, "config")
     if "builtin" not in inst and "path" not in inst:
         raise ConfigurationError("instance needs either 'builtin' or 'path'")
     graph = need(doc, "graph", dict, "config")
-    for key in ("n", "avg_degree", "seed"):
-        need(graph, key, (int, float), "graph")
+    integer(graph, "n", "graph", 1)
+    integer(graph, "seed", "graph", 0)
+    need(graph, "avg_degree", (int, float), "graph")
     number(graph, "avg_degree", "graph", None, lambda v: v > 0, "positive")
     runs_doc = need(doc, "runs", list, "config")
     if not runs_doc:
@@ -99,15 +106,12 @@ def load_config(path: str) -> ExperimentConfig:
         alpha = float(need(rd, "alpha", (int, float), where))
         if not (math.isfinite(alpha) and alpha > 0):
             raise ConfigurationError(f"{where}.alpha must be finite and positive")
-        K = int(need(rd, "K", (int,), where))
-        if K < 1:
-            raise ConfigurationError(f"{where}.K must be >= 1")
-        phi = rd.get("phi", 1)
-        if not (isinstance(phi, int) and phi >= 1):
-            raise ConfigurationError(f"{where}.phi must be an integer >= 1")
-        runs.append(RunSpec(solver=solver, alpha=alpha, K=K, phi=phi,
-                            bounded=bool(rd.get("bounded", True)),
-                            name=str(rd.get("name", ""))))
+        bounded = rd.get("bounded", True)
+        if not isinstance(bounded, bool):
+            raise ConfigurationError(f"{where}.bounded must be true or false")
+        runs.append(RunSpec(solver=solver, alpha=alpha, K=integer(rd, "K", where, 1),
+                            phi=integer(rd, "phi", where, 1, default=1),
+                            bounded=bounded, name=str(rd.get("name", ""))))
     output_dir = need(doc, "output_dir", str, "config")
     r = None if doc.get("r") is None else number(doc, "r", "config", None,
                                                  lambda v: v > 0, "positive")
@@ -131,7 +135,7 @@ def build_instance(spec: dict, seed_override: int | None = None) -> ProblemInsta
         n, seed = spec.get("n", 100), spec.get("seed", 0)
         if not (isinstance(n, int) and n >= 2):
             raise ConfigurationError("instance.n must be an integer >= 2")
-        if not isinstance(seed, int):
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigurationError("instance.seed must be an integer")
         return make_sample_num_instance(n, seed if seed_override is None else seed_override)
     if builtin == "lmi":
@@ -140,19 +144,21 @@ def build_instance(spec: dict, seed_override: int | None = None) -> ProblemInsta
 
 
 def ground_truth(instance: ProblemInstance, cache_path: str | None = None) -> OracleResult:
-    """f* for an instance from the applicable independent oracle."""
-    if cache_path:
-        cached = load_cached_result(cache_path, instance)
-        if cached is not None:
-            return cached
+    """f* for an instance from the applicable independent oracle; a cached
+    entry counts only if stored for the same oracle method and setting."""
     if instance.d == 0:
-        result = dual_bisection(instance, tol=1e-10)
+        oracle, key = dual_bisection, {"method": "dual_bisection", "setting": 1e-10}
     elif instance.n <= 3:
-        result = grid_search_lmi(instance, 1e-3)
+        oracle, key = grid_search_lmi, {"method": "grid_search_lmi", "setting": 1e-3}
     else:
         raise ConfigurationError("no oracle covers this instance shape")
     if cache_path:
-        store_cached_result(cache_path, instance, result)
+        cached = load_cached_result(cache_path, instance, **key)
+        if cached is not None:
+            return cached
+    result = oracle(instance, key["setting"])
+    if cache_path:
+        store_cached_result(cache_path, instance, result, **key)
     return result
 
 
@@ -176,11 +182,11 @@ def build_setup(cfg: ExperimentConfig, seed_override: int | None = None,
     ``seed_override`` replaces both the instance seed and the graph seed.
     """
     instance = build_instance(cfg.instance, seed_override)
-    n = int(cfg.graph["n"])
+    n = cfg.graph["n"]
     if n != instance.n:
         raise ConfigurationError(
             f"graph has {n} nodes but the instance has {instance.n}")
-    graph_seed = seed_override if seed_override is not None else int(cfg.graph["seed"])
+    graph_seed = seed_override if seed_override is not None else cfg.graph["seed"]
     graph = random_connected_graph(n, float(cfg.graph["avg_degree"]), graph_seed)
     W = metropolis_weights(graph)
     if cfg.slater_xbar is not None:

@@ -242,8 +242,13 @@ def _ball_clip(A: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON cache keyed by instance hash
+# JSON cache keyed by instance hash, oracle method and its setting
 # ---------------------------------------------------------------------------
+
+def _cache_key(instance: ProblemInstance, method: str, setting: float) -> str:
+    """Entry key: the instance, the oracle, and its tol or step."""
+    return f"{instance_hash(instance)}:{method}:{setting!r}"
+
 
 def _read_cache(path: str) -> dict:
     """The cache document, or an empty one when the file is missing or
@@ -256,20 +261,22 @@ def _read_cache(path: str) -> dict:
     return cache if isinstance(cache, dict) else {}
 
 
-def load_cached_result(path: str, instance: ProblemInstance) -> OracleResult | None:
+def load_cached_result(path: str, instance: ProblemInstance, *, method: str,
+                       setting: float) -> OracleResult | None:
+    """The entry stored for this instance, method and setting, if any."""
     cache = _read_cache(path)
-    entry = cache.get(instance_hash(instance)) if cache else None
+    entry = cache.get(_cache_key(instance, method, setting)) if cache else None
     if not isinstance(entry, dict):
         return None
     return OracleResult(entry["f_star"], np.array(entry["x_star"]),
                         entry.get("mu_star"), dict(entry.get("certificate", {})))
 
 
-def store_cached_result(path: str, instance: ProblemInstance,
-                        result: OracleResult) -> None:
+def store_cached_result(path: str, instance: ProblemInstance, result: OracleResult,
+                        *, method: str, setting: float) -> None:
     """Add the result to the cache, replacing the file atomically."""
     cache = _read_cache(path)
-    cache[instance_hash(instance)] = {
+    cache[_cache_key(instance, method, setting)] = {
         "f_star": result.f_star,
         "x_star": result.x_star.tolist(),
         "mu_star": result.mu_star,

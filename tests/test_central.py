@@ -67,7 +67,8 @@ def test_solve_single_iteration_is_first_sample(num_instance):
         state = cb.central_step(num_instance, state, alpha=1.0)
         row = (trace.f_ergodic[k], trace.viol_ineq[k], trace.viol_lmi[k])
         assert cb.evaluate_primal(num_instance, state.ergodic_x) == row
-        assert trace.q_best_node[k] == trace.q_mean[k] == q
+        assert trace.q_best_node[k] == trace.q_mean[k]
+        assert trace.q_best_node[k] == pytest.approx(q, rel=1e-12, abs=0.0)
     assert trace.final_mus[0] == state.dual.mu
 
 

@@ -74,7 +74,15 @@ def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
     (("runs", 0, "phi"), "x"),
     (("instance", "n"), "ten"),
     (("instance", "n"), 1),
-], ids=["probe_mu", "r", "avg_degree", "slater_xbar", "phi", "n_text", "n_one"])
+    (("runs", 2, "bounded"), "false"),
+    (("graph", "n"), 24.7),
+    (("graph", "seed"), 3.9),
+    (("runs", 0, "K"), True),
+    (("runs", 0, "phi"), True),
+    (("instance", "seed"), True),
+], ids=["probe_mu", "r", "avg_degree", "slater_xbar", "phi", "n_text", "n_one",
+        "bounded_text", "graph_n_float", "graph_seed_float", "K_bool", "phi_bool",
+        "seed_bool"])
 def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
     path, cfg = small_config(tmp_path, K=5)
     *parents, last = keys
@@ -218,7 +226,7 @@ def test_corrupt_oracle_cache_is_a_miss_and_rewritten(tmp_path):
     assert cmd_run(path, out_override=str(out)) == 0
     cache = json.loads(cache_file.read_text())
     instance = cb.make_sample_num_instance(24, 4)
-    assert list(cache) == [cb.instance_hash(instance)]
+    assert list(cache) == [cb.instance_hash(instance) + ":dual_bisection:1e-10"]
     assert sorted(os.listdir(out)) == sorted(
         ["oracle_cache.json", "summary.json", "cobadd_phi1_alpha1.csv",
          "cobadd_phi4_alpha1.csv", "central_alpha1.csv"])

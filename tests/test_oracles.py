@@ -1,5 +1,7 @@
 """Ground-truth oracles: bisection, grid search, Dykstra projections."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -140,14 +142,29 @@ def test_dykstra_agrees_with_projection_batch():
 # ---------------------------------------------------------------------------
 
 def test_oracle_cache_round_trip(tmp_path, num_instance):
+    from cobadd.cli import ground_truth
     from cobadd.oracles import load_cached_result, store_cached_result
     path = str(tmp_path / "cache.json")
-    assert load_cached_result(path, num_instance) is None
+    key = {"method": "dual_bisection", "setting": 1e-10}
+    assert load_cached_result(path, num_instance, **key) is None
     res = cb.dual_bisection(num_instance)
-    store_cached_result(path, num_instance, res)
-    back = load_cached_result(path, num_instance)
+    store_cached_result(path, num_instance, res, **key)
+    back = load_cached_result(path, num_instance, **key)
     assert back.f_star == res.f_star
     assert back.mu_star == res.mu_star
     assert np.allclose(back.x_star, res.x_star)
     other = cb.make_sample_num_instance(10, 1)
-    assert load_cached_result(path, other) is None
+    assert load_cached_result(path, other, **key) is None
+    # an entry from another method or setting is a miss
+    assert load_cached_result(path, num_instance, method="dual_bisection",
+                              setting=1e-6) is None
+    assert load_cached_result(path, num_instance, method="grid_search_lmi",
+                              setting=1e-10) is None
+    # so is one keyed by the instance alone: ground_truth recomputes f*
+    stale = str(tmp_path / "stale.json")
+    with open(stale, "w") as fh:
+        json.dump({cb.instance_hash(num_instance): {
+            "f_star": 0.0, "x_star": [0.0] * num_instance.n, "mu_star": None,
+            "certificate": {"method": "grid_search_lmi", "step": 0.5}}}, fh)
+    assert ground_truth(num_instance, stale).f_star == res.f_star
+    assert load_cached_result(stale, num_instance, **key).f_star == res.f_star

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import cobadd as cb
 from cobadd.errors import ConfigurationError, MalformedInstanceError
@@ -558,12 +558,82 @@ def test_closed_form_kernel_matches_broadcast_expression(n, m, d, seed):
     _, v_ref = reference_minimize(
         cf.c_f + mus[:, None] * cf.c_g, cf.a_f + mus[:, None] * cf.a_g + lin,
         cf.b_f + mus[:, None] * cf.b_g + const, lo, hi)
-    assert np.array_equal(vals, v_ref.sum(axis=1))
+    if d:
+        assert np.array_equal(vals, v_ref.sum(axis=1))
+    else:
+        # d = 0 reads q off the sorted breakpoints: same value, another
+        # summation order, so bounded by the size of the summands
+        assert np.all(np.abs(vals - v_ref.sum(axis=1)) <= 1e-12 * np.abs(v_ref).sum(axis=1))
     for i in range(m):
         G_i = np.broadcast_to(Gs[i], (n, d, d)) if d else None
-        single = minimize_node_lagrangians(inst, np.full(n, mus[i]), G_i)[1].sum()
+        q_i = minimize_node_lagrangians(inst, np.full(n, mus[i]), G_i)[1]
         if d:
             # the oracle sums tr[A_i G] with np.sum, the batch with einsum
-            assert vals[i] == pytest.approx(single, rel=1e-12, abs=1e-12)
+            assert vals[i] == pytest.approx(q_i.sum(), rel=1e-12, abs=1e-12)
         else:
-            assert vals[i] == single
+            assert abs(vals[i] - q_i.sum()) <= 1e-12 * np.abs(q_i).sum()
+
+
+# ---------------------------------------------------------------------------
+# the sorted-breakpoint dual values (d = 0) against the per-point kernel
+# ---------------------------------------------------------------------------
+
+KIND_PAIRS = [(f, g) for f in ("linear", "neg_log", "affine")
+              for g in ("linear", "neg_log", "affine")]
+
+
+def _kind_node(rng, f_kind, g_kind):
+    """A node of the given kinds.  The coefficient of g is 0 or a power of
+    two (of either sign unless neg_log), and so are 1 + lo and 1 + hi
+    when a log term is present, so every breakpoint is dyadic and the
+    kernel lands exactly on a box endpoint there.  Without a log term the
+    box may reach below -1, where 0 * log(1 + x) must still read as 0."""
+    def fun(kind, coef):
+        if kind == "neg_log":
+            return cb.ScalarFunction.neg_log(abs(coef))
+        if kind == "linear":
+            return cb.ScalarFunction.linear(coef)
+        return cb.ScalarFunction.affine(coef, float(rng.integers(-16, 17)) / 8.0)
+
+    g_coef = 0.0 if rng.random() < 0.125 else float(
+        rng.choice([-1.0, 1.0]) * 2.0 ** rng.integers(-2, 3))
+    f = fun(f_kind, float(rng.integers(-8, 9)) / 4.0)
+    g = fun(g_kind, g_coef)
+    ends = [-0.75, -0.5, 0.0, 1.0] + ([] if f.c or g.c else [-3.0, -1.0])
+    lo, hi = sorted(rng.choice(ends, size=2))
+    return cb.NodeSpec(f, g, np.zeros((0, 0)), (lo, hi))
+
+
+@given(st.sampled_from([1, 3, 60, 2000, 5000]), st.integers(0, 2**32 - 1))
+# every q_i is exactly 0 on a breakpoint, where the stationary point
+# enters (18379) or leaves (588) the box: the endpoint piece must hold
+@example(n=3, seed=18379)
+@example(n=1, seed=588)
+def test_breakpoint_dual_values_match_kernel(n, seed):
+    rng = np.random.default_rng(seed)
+    start = int(rng.integers(len(KIND_PAIRS)))
+    pool = [_kind_node(rng, *KIND_PAIRS[(start + j) % len(KIND_PAIRS)])
+            for j in range(min(n, 36))]
+    inst = cb.ProblemInstance([pool[j] for j in rng.integers(len(pool), size=n)])
+    assert inst._breakpoints is not None
+    # where a stationary point meets the box or S changes sign, from the
+    # data (some candidates are no breakpoint of their node: more points)
+    cf, (lo, hi) = inst._closed, inst.boxes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.concatenate([cf.c_f / (cf.a_g * (1 + lo)), cf.c_f / (cf.a_g * (1 + hi)),
+                            cf.a_f * (1 + lo) / cf.c_g, cf.a_f * (1 + hi) / cf.c_g,
+                            -cf.a_f / cf.a_g])
+    t = t[np.isfinite(t) & (t > 0)]
+    beyond = 2.0 * (t.max() if t.size else 1.0)
+    mus = [0.0, beyond, *rng.choice(t, size=min(t.size, 8)), *rng.uniform(0.0, beyond, 4)]
+    try:    # mu at Lambda, when the box midpoint is a Slater point
+        slater = cb.slater_certificate(inst, (lo + hi) / 2.0)
+        threshold = cb.dual_set_threshold(inst, slater, cb.DualPoint(0.0))
+        r = threshold if threshold > 0 else 1.0
+        mus.append(cb.build_dual_sets(inst, slater, cb.DualPoint(0.0), r).Lambda)
+    except ConfigurationError:
+        pass
+    vals = cb.dual_function_values(inst, np.array(mus))
+    for mu, v in zip(mus, vals):
+        q_i = minimize_node_lagrangians(inst, np.full(n, mu))[1]
+        assert abs(v - q_i.sum()) <= 1e-12 * np.abs(q_i).sum()
