@@ -313,6 +313,17 @@ def _bound_violations(trace: RunTrace, f_star: float) -> dict:
 # verify
 # ---------------------------------------------------------------------------
 
+def _inside_sets(trace: RunTrace, sets: DualSetSpec) -> bool:
+    """Whether the final duals lie in [0, Lambda] and {G PSD : ||G||_F <= Gamma},
+    up to 1e-12."""
+    mus, Gs = trace.final_mus, trace.final_Gs
+    ok = np.all((mus >= -1e-12) & (mus <= sets.Lambda + 1e-12))
+    if Gs is not None:
+        ok = ok and np.all(np.linalg.eigvalsh(Gs) >= -1e-12) and \
+            np.all(np.linalg.norm(Gs, axis=(1, 2)) <= sets.Gamma + 1e-12)
+    return bool(ok)
+
+
 def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
     """Run the invariant suites and report one PASS/FAIL line each."""
     try:
@@ -383,8 +394,7 @@ def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
             report(f"baseline sandwich ({name})", sandwich_ok)
             continue
         report(f"weak duality ({name})", v["weak_duality"] == 0)
-        report(f"dual iterates inside sets ({name})",
-               bool(np.all(trace.final_mus <= setup.sets.Lambda + 1e-12)))
+        report(f"dual iterates inside sets ({name})", _inside_sets(trace, setup.sets))
         if v["applicable"]:
             report(f"agreement bound ({name})", v["disagreement"] == 0)
             report(f"primal sandwich ({name})", sandwich_ok)

@@ -629,7 +629,8 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
 
 
 def _node_values(instance: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node cost and constraint values ``(f_i(x_i), g_i(x_i))``.
+    """Per-node cost and constraint values ``(f_i(x_i), g_i(x_i))`` at x of
+    shape (n,) or (r, n).
 
     Closed-form instances evaluate -c log(1 + x) + a x + b from the
     coefficient arrays, with the log term dropped where c = 0; other
@@ -638,9 +639,10 @@ def _node_values(instance: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     cf = instance._closed
     if cf is None:
-        f = np.array([float(nd.f(v)) for nd, v in zip(instance.nodes, x)])
-        g = np.array([float(nd.g(v)) for nd, v in zip(instance.nodes, x)])
-        return f, g
+        rows = x.reshape(-1, instance.n)
+        f = np.array([[float(nd.f(v)) for nd, v in zip(instance.nodes, r)] for r in rows])
+        g = np.array([[float(nd.g(v)) for nd, v in zip(instance.nodes, r)] for r in rows])
+        return f.reshape(x.shape), g.reshape(x.shape)
     with np.errstate(invalid="ignore", divide="ignore"):
         log1p = np.log1p(x)
     f = -cf.c_f * np.where(cf.c_f != 0.0, log1p, 0.0) + cf.a_f * x + cf.b_f
@@ -740,25 +742,30 @@ def dual_set_threshold(instance: ProblemInstance, slater: SlaterCertificate,
     return (slater.fxbar - q_probe) / slater.gamma
 
 
-def evaluate_primal(instance: ProblemInstance, x) -> tuple[float, float, float]:
+def evaluate_primal(instance: ProblemInstance, x) -> tuple:
     """Cost and constraint violations at a box-feasible point.
 
     Returns ``(f, violation_ineq, violation_lmi)`` with
     violation_ineq = max(0, sum g_i(x_i)) and
-    violation_lmi = max(0, -lambda_min(A0 + sum A_i x_i)).
+    violation_lmi = max(0, -lambda_min(A0 + sum A_i x_i)): floats for x of
+    shape (n,), (r,) arrays for a stack of shape (r, n), bit for bit the
+    values of each row alone (the LMI matrix is summed one row at a time
+    before one batched ``eigvalsh``).  Raises ValueError if any row
+    leaves the boxes.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = instance.boxes
     if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
         raise ValueError("point leaves the boxes")
     f_vals, g_vals = _node_values(instance, x)
-    viol_ineq = max(0.0, float(g_vals.sum()))
+    g_sum = g_vals.sum(axis=-1)
+    viol_lmi = np.zeros_like(g_sum)
     if instance.d:
-        lam_min = float(np.linalg.eigvalsh(instance.lmi_matrix(x))[0])
-        viol_lmi = max(0.0, -lam_min)
-    else:
-        viol_lmi = 0.0
-    return float(f_vals.sum()), viol_ineq, viol_lmi
+        lmi = np.array([instance.lmi_matrix(row) for row in x.reshape(-1, instance.n)])
+        neg_lam = -np.linalg.eigvalsh(lmi)[:, 0].reshape(g_sum.shape)
+        viol_lmi = np.where(neg_lam > 0.0, neg_lam, 0.0)
+    out = f_vals.sum(axis=-1), np.where(g_sum > 0.0, g_sum, 0.0), viol_lmi
+    return tuple(float(v) for v in out) if x.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,11 @@ def cobadd_step(instance: ProblemInstance, state: CobaddState,
     return CobaddState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
 
 
+# Buffered elements per block of trace rows.  Larger blocks only grow the
+# d = 0 breakpoint gather, a (points, 4) long-double table.
+_RECORD_ELEMENTS = 4096
+
+
 def record_run(instance: ProblemInstance, state, step, K: int):
     """Run ``state = step(state)`` K times and record one trace row per step.
 
@@ -146,24 +151,39 @@ def record_run(instance: ProblemInstance, state, step, K: int):
     None), and records the max and mean of q over them and their largest
     deviations from their mean; after it, the cost and violations of
     ``state.ergodic_x``.  CoBa-DD is the case m = n and the master node
-    the case m = 1.  Returns the columns, keyed by RunTrace field name,
-    and the final state.
+    the case m = 1.  Rows are evaluated once per block of about
+    ``_RECORD_ELEMENTS`` buffered elements, by one call each of
+    :func:`dual_function_values` and :func:`evaluate_primal`, bit-identical
+    to evaluating each row alone; an ergodic point outside the boxes
+    raises at the end of its block.  Returns the columns, keyed by
+    RunTrace field name, and the final state.
     """
     cols = {name: np.zeros(K) for name in
             ("f_ergodic", "viol_ineq", "viol_lmi", "q_best_node", "q_mean",
              "disagreement", "mu_disagreement", "G_disagreement")}
+    m, n, d = len(state.mus), instance.n, instance.d
+    B = max(1, _RECORD_ELEMENTS // (max(m, n) * (1 + d * d)))
+    mus, Gs, xs = np.empty((B, m)), np.empty((B, m, d, d)), np.empty((B, n))
     for k in range(K):
-        mus, Gs = state.mus, state.Gs
-        q = dual_function_values(instance, mus, Gs)
-        dev_mu = np.abs(mus - mus.mean())
-        dev_G = (np.linalg.norm(Gs - Gs.mean(axis=0), axis=(1, 2)) if Gs is not None
-                 else np.zeros(len(mus)))
-        cols["q_best_node"][k], cols["q_mean"][k] = q.max(), q.mean()
-        cols["mu_disagreement"][k], cols["G_disagreement"][k] = dev_mu.max(), dev_G.max()
-        cols["disagreement"][k] = (dev_mu + dev_G).max()
+        j = k % B
+        mus[j] = state.mus
+        if d:
+            Gs[j] = state.Gs
         state = step(state)
-        cols["f_ergodic"][k], cols["viol_ineq"][k], cols["viol_lmi"][k] = \
-            evaluate_primal(instance, state.ergodic_x)
+        xs[j] = state.ergodic_x
+        if j + 1 < B and k + 1 < K:
+            continue
+        r, rows = j + 1, slice(k - j, k + 1)
+        q = dual_function_values(instance, mus[:r].reshape(-1),
+                                 Gs[:r].reshape(-1, d, d) if d else None).reshape(r, m)
+        dev_mu = np.abs(mus[:r] - mus[:r].mean(axis=1, keepdims=True))
+        dev_G = np.linalg.norm(Gs[:r] - Gs[:r].mean(axis=1, keepdims=True), axis=(2, 3))
+        cols["q_best_node"][rows], cols["q_mean"][rows] = q.max(axis=1), q.mean(axis=1)
+        cols["mu_disagreement"][rows], cols["G_disagreement"][rows] = \
+            dev_mu.max(axis=1), dev_G.max(axis=1)
+        cols["disagreement"][rows] = (dev_mu + dev_G).max(axis=1)
+        cols["f_ergodic"][rows], cols["viol_ineq"][rows], cols["viol_lmi"][rows] = \
+            evaluate_primal(instance, xs[:r])
     return cols, state
 
 

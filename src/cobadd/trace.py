@@ -17,11 +17,13 @@ beta_k         agreement envelope beta_k (NaN when inapplicable)
 =============  ==========================================================
 
 Both solvers fill the per-row columns with one recording loop,
-``solver.record_run``.  The centralized baseline is its m = 1 case: one
-dual point per row, so q_best_node equals q_mean and the disagreement
-is exactly zero.  It writes zeros for messages_cum and NaN for beta_k;
-its bound columns carry the master-node analysis with the realized dual
-norms.  Floats are rendered with ``repr`` so the
+``solver.record_run``, which evaluates them once per block of rows,
+bit-identical to evaluating each row alone (an ergodic point outside
+the boxes raises at the end of its block).  The centralized baseline
+is its m = 1 case: one dual point per row, so q_best_node equals q_mean
+and the disagreement is exactly zero.  It writes zeros for messages_cum
+and NaN for beta_k; its bound columns carry the master-node analysis
+with the realized dual norms.  Floats are rendered with ``repr`` so the
 files are byte-stable across identical runs.
 """
 

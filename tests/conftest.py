@@ -51,3 +51,16 @@ def lmi_f_star(lmi_instance):
 @pytest.fixture(scope="session")
 def fig_graph():
     return cb.random_connected_graph(100, 3.12, GRAPH_SEED)
+
+
+@pytest.fixture(scope="session")
+def lmi200_instance():
+    """d = 2 on the 200 num nodes with random symmetric LMI blocks: large
+    enough that a stacked (GEMM) LMI sum would round differently from
+    the per-point one."""
+    base = cb.make_sample_num_instance(200, 3)
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(201, 2, 2))
+    A = (A + np.swapaxes(A, 1, 2)) / 2.0
+    nodes = [cb.NodeSpec(nd.f, nd.g, Ai, nd.box) for nd, Ai in zip(base.nodes, A[1:])]
+    return cb.ProblemInstance(nodes, A[0], 2)

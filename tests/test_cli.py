@@ -1,5 +1,6 @@
 """Experiment CLI: config validation, runs, determinism, verification."""
 
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import cobadd as cb
+import cobadd.cli as cli
 from cobadd.cli import cmd_run, cmd_verify, load_config, main
 from cobadd.errors import ConfigurationError
 from cobadd.trace import TRACE_COLUMNS, read_csv
@@ -282,6 +284,38 @@ def test_cmd_verify_reports_conditional_skips(tmp_path, capsys):
     assert cmd_verify(str(path)) == 0
     out = capsys.readouterr().out
     assert "SKIP (conditional)" in out
+
+
+def _outside_ball(trace, sets):
+    return dataclasses.replace(trace, final_Gs=trace.final_Gs + 2.0 * sets.Gamma * np.eye(2))
+
+
+def _not_psd(trace, sets):
+    return dataclasses.replace(trace, final_Gs=np.stack([np.diag([0.1, -1e-6])] * 2))
+
+
+def _mu_negative(trace, sets):
+    return dataclasses.replace(trace, final_mus=np.array([-1e-6, 0.0]))
+
+
+@pytest.mark.parametrize("corrupt", [_outside_ball, _not_psd, _mu_negative])
+def test_cmd_verify_fails_on_duals_outside_the_sets(tmp_path, capsys, monkeypatch, corrupt):
+    # the set-membership check reads mu >= 0, PSD and ||G_i||_F <= Gamma,
+    # not only mu <= Lambda
+    cfg = {
+        "instance": {"builtin": "lmi"},
+        "graph": {"n": 2, "avg_degree": 1.0, "seed": 0},
+        "runs": [{"solver": "cobadd", "alpha": 0.5, "phi": 1, "K": 20}],
+        "output_dir": str(tmp_path / "o"),
+    }
+    path = tmp_path / "lmi.json"
+    path.write_text(json.dumps(cfg))
+    solve = cli._solve
+    monkeypatch.setattr(cli, "_solve", lambda spec, setup, K:
+                        corrupt(solve(spec, setup, K), setup.sets))
+    assert cmd_verify(str(path)) == 1
+    out = capsys.readouterr().out
+    assert "FAIL               dual iterates inside sets" in out
 
 
 def test_bundled_fig_configs_parse_to_figure_curve_set():

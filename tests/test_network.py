@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cobadd as cb
 from cobadd.errors import ConfigurationError
@@ -134,6 +135,41 @@ def test_consensus_round_mean_preservation_and_contraction(fig_graph):
     one = cb.consensus_round(W, x, 1)
     spread = lambda v: np.max(v, axis=0) - np.min(v, axis=0)
     assert np.all(spread(one) <= spread(x) + 1e-12)
+
+
+def random_tree_plus_edges(n, p, rng):
+    """A connected graph: a random spanning tree plus each other pair with
+    probability p."""
+    order = rng.permutation(n)
+    edges = {tuple(sorted((int(order[i]), int(order[rng.integers(i)]))))
+             for i in range(1, n)}
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < p
+    edges |= {(int(i), int(j)) for i, j in zip(iu[keep], ju[keep])}
+    return cb.Graph(n, tuple(sorted(edges)))
+
+
+@given(st.integers(2, 40), st.floats(0.0, 1.0), st.integers(1, 8),
+       st.sampled_from([None, 0, 1, 2, 3]), st.integers(-3, 6),
+       st.integers(0, 2**32 - 1))
+def test_consensus_round_properties(n, p, phi, d, scale, seed):
+    # on any connected graph with Metropolis weights, phi steps keep each
+    # column mean, contract each column's deviation from it by nu**phi,
+    # and cost phi * 2|E| messages
+    rng = np.random.default_rng(seed)
+    graph = random_tree_plus_edges(n, p, rng)
+    W = cb.metropolis_weights(graph)
+    shape = (n,) if d is None else (n, 1 + d * d)
+    x = rng.normal(size=shape) * 10.0 ** scale
+    ledger = cb.MessageLedger()
+    out = cb.consensus_round(W, x, phi, ledger)
+    assert out.shape == shape
+    tol = 1e-12 * max(1.0, np.max(np.abs(x)))
+    assert np.all(np.abs(out.mean(axis=0) - x.mean(axis=0)) <= tol)
+    dev0 = np.linalg.norm(x - x.mean(axis=0), axis=0)
+    dev1 = np.linalg.norm(out - out.mean(axis=0), axis=0)
+    assert np.all(dev1 <= W.nu ** phi * dev0 + tol)
+    assert ledger.per_iteration == [phi * 2 * graph.edge_count]
 
 
 def test_exact_averaging_matrix_reaches_mean_in_one_step():

@@ -292,6 +292,46 @@ def test_evaluate_primal_all_ones_matches_direct_sum(num_instance):
     assert np.isclose(vi, sigma.sum() - 10.0)
 
 
+@pytest.mark.parametrize("name", ["num", "lmi200"])
+def test_evaluate_primal_stack_matches_single_points(name, request):
+    # each row of an (r, n) stack gets the single-point values bit for bit
+    instance = request.getfixturevalue(f"{name}_instance")
+    lo, hi = instance.boxes
+    rng = np.random.default_rng(11)
+    X = lo + (hi - lo) * rng.random((7, instance.n))
+    X[0] = lo
+    f, vi, vl = cb.evaluate_primal(instance, X)
+    assert f.shape == vi.shape == vl.shape == (7,)
+    for row, x in enumerate(X):
+        single = cb.evaluate_primal(instance, x)
+        assert all(type(v) is float for v in single)
+        assert single == (f[row], vi[row], vl[row])
+    assert np.any(vi > 0.0) and np.any(vi == 0.0)
+    if instance.d:
+        assert np.any(vl > 0.0)
+
+
+def test_evaluate_primal_stack_with_custom_functions():
+    # instances without closed forms call each node's functions per row
+    nodes = [cb.NodeSpec(cb.ScalarFunction.custom(lambda x, c=c: (x - c) ** 2),
+                         cb.ScalarFunction.affine(1.0, -0.5), np.zeros((0, 0)), (0.0, 1.0))
+             for c in (0.1, 0.6, 0.9)]
+    inst = cb.ProblemInstance(nodes, np.zeros((0, 0)), 0)
+    X = np.random.default_rng(2).random((4, 3))
+    f, vi, vl = cb.evaluate_primal(inst, X)
+    for row, x in enumerate(X):
+        assert cb.evaluate_primal(inst, x) == (f[row], vi[row], vl[row])
+
+
+def test_evaluate_primal_stack_rejects_a_row_outside_the_boxes(num_instance):
+    lo, hi = num_instance.boxes
+    X = np.stack([lo, hi, hi])
+    X[2, 5] = hi[5] + 1e-6
+    with pytest.raises(ValueError):
+        cb.evaluate_primal(num_instance, X)
+    cb.evaluate_primal(num_instance, X[:2])
+
+
 def test_evaluate_primal_lmi_zero_violation():
     node = cb.NodeSpec(cb.ScalarFunction.linear(1.0), cb.ScalarFunction.affine(1.0, -1.0),
                        np.zeros((2, 2)), (0.0, 1.0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cobadd as cb
+import cobadd.solver as solver_module
 
 
 def two_node_toy():
@@ -199,6 +200,66 @@ def test_step_and_solve_agree(name, request):
     assert np.array_equal(state.mus, tr.final_mus)
     if instance.d:
         assert np.array_equal(state.Gs, tr.final_Gs)
+
+
+COLUMNS = ("f_ergodic", "viol_ineq", "viol_lmi", "q_best_node", "q_mean",
+           "disagreement", "mu_disagreement", "G_disagreement")
+
+
+def record_rows_reference(instance, state, step, K):
+    """The per-row recording loop: every row's dual values, disagreement
+    and ergodic-point metrics evaluated on their own."""
+    cols = {name: np.zeros(K) for name in COLUMNS}
+    for k in range(K):
+        mus, Gs = state.mus, state.Gs
+        q = cb.dual_function_values(instance, mus, Gs)
+        dev_mu = np.abs(mus - mus.mean())
+        dev_G = (np.linalg.norm(Gs - Gs.mean(axis=0), axis=(1, 2)) if Gs is not None
+                 else np.zeros(len(mus)))
+        cols["q_best_node"][k], cols["q_mean"][k] = q.max(), q.mean()
+        cols["mu_disagreement"][k], cols["G_disagreement"][k] = dev_mu.max(), dev_G.max()
+        cols["disagreement"][k] = (dev_mu + dev_G).max()
+        state = step(state)
+        cols["f_ergodic"][k], cols["viol_ineq"][k], cols["viol_lmi"][k] = \
+            cb.evaluate_primal(instance, state.ergodic_x)
+    return cols, state
+
+
+@pytest.mark.parametrize("offset", ["1", "B-1", "B", "B+1", "2B+3"])
+@pytest.mark.parametrize("solver", ["cobadd", "central"])
+@pytest.mark.parametrize("name", ["num", "lmi", "lmi200"])
+def test_blocked_recorder_matches_per_row_loop(name, solver, offset, request):
+    # blocks of rows are evaluated together, yet every column and the
+    # final duals equal the per-row loop bit for bit, in full and
+    # partial blocks alike
+    instance = request.getfixturevalue(f"{name}_instance")
+    n = instance.n
+    sets = (request.getfixturevalue(f"{name}_sets") if name != "lmi200"
+            else cb.DualSetSpec(3.0, 3.0, 1.5))
+    # rows per block as record_run sizes them; max(m, n) = n for m = n and m = 1
+    B = max(1, solver_module._RECORD_ELEMENTS // (n * (1 + instance.d ** 2)))
+    K = {"1": 1, "B-1": max(1, B - 1), "B": B, "B+1": B + 1, "2B+3": 2 * B + 3}[offset]
+    if solver == "cobadd":
+        graph = (cb.random_connected_graph(n, 8.0, 1) if n > 2
+                 else cb.Graph(2, ((0, 1),)))
+        W = cb.metropolis_weights(graph)
+        cfg = cb.CobaddConfig(alpha=1.0, phi=2, K=K, sets=sets)
+        tr = cb.cobadd_solve(instance, W, cfg)
+        ref, state = record_rows_reference(
+            instance, cb.cobadd_init(instance, W, cfg),
+            lambda s: cb.cobadd_step(instance, s, W, cfg), K)
+    else:
+        alpha = 1.0 / n
+        tr = cb.central_solve(instance, alpha, K, sets=sets)
+        ref, state = record_rows_reference(
+            instance, cb.central_init(instance, alpha, sets),
+            lambda s: cb.central_step(instance, s, alpha, sets), K)
+    for col in COLUMNS:
+        assert np.array_equal(getattr(tr, col), ref[col]), col
+    assert np.array_equal(tr.final_mus, state.mus)
+    assert (tr.final_Gs is None) == (state.Gs is None)
+    if state.Gs is not None:
+        assert np.array_equal(tr.final_Gs, state.Gs)
 
 
 def test_subgradient_bounds_cover_realized_values(lmi_instance, lmi_sets):
