@@ -103,7 +103,8 @@ def compute_c0(instance: ProblemInstance, W: ConsensusMatrix, phi: int,
 
 def default_beta0(c0: float, alpha: float, M: float) -> float:
     """max(c0, 10 alpha M): dominates c0 and keeps beta0 well above the
-    per-step subgradient drift so the simplified step bound is usable."""
+    per-step subgradient drift alpha M, so phibar stays within
+    log(1.1)/|log nu| of its large-beta0 limit log(1/(4n(1+d^2)))/log(nu)."""
     return max(c0, 10.0 * alpha * M)
 
 
@@ -119,7 +120,7 @@ def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, nu: float,
     alpha, phi, K = config.alpha, config.phi, config.K
     M = subgradient_bounds(instance).M
     Lam, Gam = sets.Lambda, sets.Gamma
-    phibar = min_consensus_steps(beta0, alpha, M, n, d, nu).exact
+    phibar = min_consensus_steps(beta0, alpha, M, n, d, nu)
     applicable = phi >= phibar
     ks = np.arange(1, K + 1, dtype=float)
 

@@ -128,8 +128,13 @@ def load_config(path: str) -> ExperimentConfig:
 
 def build_instance(spec: dict, seed_override: int | None = None) -> ProblemInstance:
     if "path" in spec:
-        with open(spec["path"]) as fh:
-            return instance_from_json(json.load(fh))
+        path = spec["path"]
+        with open(path) as fh:
+            try:
+                return instance_from_json(json.load(fh))
+            except (LookupError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"malformed instance file {path}: {type(exc).__name__}: {exc}") from exc
     builtin = spec["builtin"]
     if builtin == "num":
         n, seed = spec.get("n", 100), spec.get("seed", 0)

@@ -75,13 +75,6 @@ class Graph:
                     stack.append(v)
         return len(seen) == self.n
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
-
-    @staticmethod
-    def from_json(doc: dict) -> "Graph":
-        return Graph(int(doc["n"]), tuple((int(i), int(j)) for i, j in doc["edges"]))
-
 
 @dataclass(frozen=True)
 class ConsensusMatrix:
@@ -206,25 +199,8 @@ def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int,
     return flat.reshape(out.shape)
 
 
-@dataclass(frozen=True)
-class MinConsensusSteps:
-    """Lower bound on consensus steps per iteration.
-
-    ``exact`` follows the agreement analysis; ``simplified`` is the
-    large-beta0 form log(1/(4n(1+d^2)))/log(nu), populated only when
-    beta0 exceeds alpha*M by more than a factor 1e3.
-    """
-
-    exact: float
-    simplified: float | None = None
-
-    @property
-    def phibar(self) -> float:
-        return self.exact
-
-
 def min_consensus_steps(beta0: float, alpha: float, M: float, n: int, d: int,
-                        nu: float) -> MinConsensusSteps:
+                        nu: float) -> float:
     """phibar = [log(beta0) - log(4 n (1+d^2) (beta0 + alpha M))] / log(nu).
 
     Running phi >= phibar consensus steps per iteration keeps the
@@ -238,13 +214,9 @@ def min_consensus_steps(beta0: float, alpha: float, M: float, n: int, d: int,
     if not (0.0 <= nu < 1.0):
         raise ValueError(f"nu={nu} must lie in [0, 1)")
     if beta0 == 0.0 or nu == 0.0:
-        return MinConsensusSteps(0.0, 0.0)
+        return 0.0
     denom = 4.0 * n * (1 + d * d) * (beta0 + alpha * M)
-    exact = (np.log(beta0) - np.log(denom)) / np.log(nu)
-    simplified = None
-    if alpha * M == 0.0 or beta0 / (alpha * M) > 1e3:
-        simplified = float(np.log(1.0 / (4.0 * n * (1 + d * d))) / np.log(nu))
-    return MinConsensusSteps(float(exact), simplified)
+    return float((np.log(beta0) - np.log(denom)) / np.log(nu))
 
 
 def check_consensus_conditions(W: np.ndarray, g: Graph,

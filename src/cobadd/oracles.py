@@ -125,33 +125,19 @@ def _assemble_primal(instance: ProblemInstance, x_lo: np.ndarray,
         if gain <= 0.0:
             continue
         take = min(slack, gain)
-        x[i] = _invert_g(node, g_here + take, x[i], x_lo[i])
+        x[i] = _invert_g(node, g_here + take)
         slack -= take
     lo, hi = instance.boxes
     return np.clip(x, lo, hi)
 
 
-def _invert_g(node, target: float, x_a: float, x_b: float) -> float:
-    """Solve g(x) = target for x between x_a and x_b (g monotone there)."""
-    g = node.g
-    if g.closed_form:
-        c, a, b = g.coefficients()
-        if c == 0.0 and a != 0.0:
-            return (target - b) / a
-        if c != 0.0 and a == 0.0:
-            return math.expm1((b - target) / c)
-    lo, hi = min(x_a, x_b), max(x_a, x_b)
-    f_lo = float(g(lo))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (float(g(mid)) - target) * (f_lo - target) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-            f_lo = float(g(lo))
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+def _invert_g(node, target: float) -> float:
+    """Solve g(x) = target for a non-constant g: affine (c == 0, a != 0)
+    or negative-log (c != 0, a == 0)."""
+    c, a, b = node.g.coefficients()
+    if c == 0.0:
+        return (target - b) / a
+    return math.expm1((b - target) / c)
 
 
 def grid_search_lmi(instance: ProblemInstance, step: float,

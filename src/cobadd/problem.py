@@ -10,9 +10,8 @@ independent one-dimensional convex minimizations
 
     L_i(x, mu, G) = f_i(x) + mu g_i(x) - tr[(A0/n + A_i x) G],
 
-which this module solves in closed form for the linear / negative-log /
-affine function kinds and by golden-section search otherwise.  All
-closed-form node functions reduce to
+which this module solves in closed form: every node function is linear,
+negative-log or affine, so each node Lagrangian reduces to
 
     value(x) = -C log(1 + x) + S x + T,      C >= 0,
 
@@ -35,7 +34,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -44,7 +42,8 @@ from .errors import ConfigurationError, MalformedInstanceError
 # Numerical tolerance for "positive semidefinite" checks on dual matrices.
 PSD_TOL = 1e-9
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the coefficients of -c log(1 + x) + a x + b each kind takes; the others are 0
+_KIND_COEFFICIENTS = {"linear": "a", "neg_log": "c", "affine": "ab"}
 
 
 # ---------------------------------------------------------------------------
@@ -53,31 +52,33 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """One-dimensional convex function of a supported kind.
+    """One-dimensional convex function -c log(1 + x) + a x + b of one kind.
 
-    ==========  =======================================
-    kind        value(x)
-    ==========  =======================================
-    linear      a * x
-    neg_log     -c * log(1 + x)  with c >= 0
-    affine      a * x + b
-    custom      fn(x), declared convex by the caller
-    ==========  =======================================
+    ==========  ===============================  ============
+    kind        value(x)                         coefficients
+    ==========  ===============================  ============
+    linear      a * x                            a
+    neg_log     -c * log(1 + x)  with c >= 0     c
+    affine      a * x + b                        a, b
+    ==========  ===============================  ============
+
+    A nonzero coefficient the kind does not take is rejected: the JSON
+    form of the kind would drop it, and with it the instance hash.
     """
 
     kind: str
     a: float = 0.0
     b: float = 0.0
     c: float = 0.0
-    fn: Callable[[float], float] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("linear", "neg_log", "affine", "custom"):
+        if self.kind not in _KIND_COEFFICIENTS:
             raise ValueError(f"unknown function kind {self.kind!r}")
-        if self.kind == "neg_log" and self.c < 0:
+        for name in "abc":
+            if name not in _KIND_COEFFICIENTS[self.kind] and getattr(self, name) != 0.0:
+                raise ValueError(f"{self.kind} functions take no coefficient {name}")
+        if self.c < 0:
             raise ValueError("neg_log coefficient must be nonnegative for convexity")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom functions need a callable")
 
     @staticmethod
     def linear(slope: float) -> "ScalarFunction":
@@ -92,28 +93,13 @@ class ScalarFunction:
     def affine(a: float, b: float) -> "ScalarFunction":
         return ScalarFunction("affine", a=float(a), b=float(b))
 
-    @staticmethod
-    def custom(fn: Callable[[float], float]) -> "ScalarFunction":
-        return ScalarFunction("custom", fn=fn)
-
-    @property
-    def closed_form(self) -> bool:
-        return self.kind != "custom"
-
     def __call__(self, x):
-        if self.kind == "custom":
-            return self.fn(x)
         if self.c != 0.0:
             return self.a * x + self.b - self.c * np.log1p(x)
         return self.a * x + self.b
 
     def coefficients(self) -> tuple[float, float, float]:
-        """(C, a, b) such that value(x) = -C*log(1+x) + a*x + b.
-
-        Only valid for closed-form kinds.
-        """
-        if not self.closed_form:
-            raise ValueError("custom functions have no closed-form coefficients")
+        """(C, a, b) such that value(x) = -C*log(1+x) + a*x + b."""
         return self.c, self.a, self.b
 
 
@@ -235,9 +221,7 @@ class ProblemInstance:
         return A
 
     @cached_property
-    def _closed(self) -> "_ClosedFormArrays | None":
-        if not all(nd.f.closed_form and nd.g.closed_form for nd in self.nodes):
-            return None
+    def _closed(self) -> "_ClosedFormArrays":
         cf, af, bf = zip(*(nd.f.coefficients() for nd in self.nodes))
         cg, ag, bg = zip(*(nd.g.coefficients() for nd in self.nodes))
         return _ClosedFormArrays(
@@ -247,7 +231,7 @@ class ProblemInstance:
     @cached_property
     def _breakpoints(self) -> "tuple[np.ndarray, np.ndarray] | None":
         """The sorted-breakpoint form of q for d = 0 (see :func:`_dual_breakpoints`)."""
-        if self.d or self._closed is None:
+        if self.d:
             return None
         return _dual_breakpoints(self._closed, *self.boxes)
 
@@ -407,8 +391,7 @@ def _lmi_terms(instance: ProblemInstance, Gs: np.ndarray | None):
 
 
 def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
-                              Gs: np.ndarray | None = None,
-                              tol: float = 1e-10):
+                              Gs: np.ndarray | None = None):
     """Solve every node's Lagrangian minimization at its own dual point.
 
     Parameters
@@ -418,8 +401,6 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
         Per-node scalar duals.
     Gs : ndarray, shape (n, d, d), optional
         Per-node matrix duals; ignored when d = 0.
-    tol : float
-        Interval tolerance for the golden-section fallback.
 
     Returns
     -------
@@ -427,98 +408,42 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
         Box minimizers and attained local dual values
         q_i = min_x L_i(x, mu_i, G_i).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     mus = np.asarray(mus, dtype=float)
     lin, const = _lmi_terms(instance, Gs)
-    cf = instance._closed
     lo, hi = instance.boxes
-    if cf is not None:
-        x, q = _closed_form_minimize(cf, lo, hi, mus, lin, const, *_scratch(lo.shape))
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
-            raise MalformedInstanceError("non-finite Lagrangian evaluation inside a box")
-        return x, q
-    x = np.empty(instance.n)
-    q = np.empty(instance.n)
-    for i, node in enumerate(instance.nodes):
-        x[i], q[i] = _minimize_single(node, mus[i], lin[i], const[i], tol)
+    x, q = _closed_form_minimize(instance._closed, lo, hi, mus, lin, const,
+                                 *_scratch(lo.shape))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
+        raise MalformedInstanceError("non-finite Lagrangian evaluation inside a box")
     return x, q
 
 
-def _minimize_single(node: NodeSpec, mu: float, lmi_lin: float, lmi_const: float,
-                     tol: float):
-    def objective(x):
-        v = float(node.f(x)) + mu * float(node.g(x)) + lmi_lin * x + lmi_const
-        if not math.isfinite(v):
-            raise MalformedInstanceError(
-                f"non-finite Lagrangian evaluation at x={x} inside the box")
-        return v
+def oracle_sweep(instance: ProblemInstance, dual: DualPoint):
+    """Run every node's local oracle at one shared dual point.
 
-    x = _golden_section(objective, node.lo, node.hi, tol)
-    # lower-endpoint tie-break: a flat stretch adjoining lo wins
-    if objective(node.lo) <= objective(x):
-        x = node.lo
-    return x, objective(x)
-
-
-def _golden_section(fun, lo: float, hi: float, tol: float, max_iter: int = 200):
-    """Golden-section search for the minimizer of a unimodal function."""
-    a, b = lo, hi
-    if b - a <= tol:
-        return a if fun(a) <= fun(b) else b
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return min((a, b, c, d, x), key=fun)
-
-
-def oracle_sweep(instance: ProblemInstance, duals: "list[DualPoint] | DualPoint",
-                 tol: float = 1e-10):
-    """Run every node's local oracle, each at its own dual point.
-
-    ``duals`` is either one shared DualPoint or a per-node list.  Returns
-    ``(q, x_tilde)`` arrays of shape (n,); the q values include the
-    -tr[A0 G_i]/n share of the LMI constant, so ``q.sum()`` is the dual
-    function value when all nodes share one dual point.
+    Returns ``(q, x_tilde)`` arrays of shape (n,); the q values include
+    the -tr[A0 G]/n share of the LMI constant, so ``q.sum()`` is the dual
+    function value.
     """
     n = instance.n
-    if isinstance(duals, DualPoint):
-        mus = np.full(n, duals.mu)
-        Gs = np.broadcast_to(duals.G, (n,) + duals.G.shape) if instance.d else None
-    elif len(duals) != n:
-        raise ValueError(f"expected {n} dual points, got {len(duals)}")
-    else:
-        mus = np.array([z.mu for z in duals])
-        Gs = np.stack([z.G for z in duals]) if instance.d else None
-    x, q = minimize_node_lagrangians(instance, mus, Gs, tol)
+    Gs = np.broadcast_to(dual.G, (n,) + dual.G.shape) if instance.d else None
+    x, q = minimize_node_lagrangians(instance, np.full(n, dual.mu), Gs)
     return q, x
 
 
-def dual_function_value(instance: ProblemInstance, dual: DualPoint,
-                        tol: float = 1e-10) -> float:
+def dual_function_value(instance: ProblemInstance, dual: DualPoint) -> float:
     """q(mu, G) = sum_i min_x L_i(x, mu, G)."""
-    q, _ = oracle_sweep(instance, dual, tol)
+    q, _ = oracle_sweep(instance, dual)
     return float(q.sum())
 
 
 def _dual_breakpoints(cf: "_ClosedFormArrays", lo, hi):
     """q(mu) for d = 0 as sorted breakpoints with cumulative coefficients.
 
-    Node i's minimum has C = c_f + mu c_g and S = a_f + mu a_g.  When every
-    function has ``c * a = 0``, as each supported kind does, it is piecewise
-    in mu on at most three intervals, with pieces in
+    Node i's minimum has C = c_f + mu c_g and S = a_f + mu a_g.  Every
+    function has ``c * a = 0`` and ``c >= 0`` (:class:`ScalarFunction`
+    rejects the rest), so the minimum is piecewise in mu on at most three
+    intervals, with pieces in
     span{1, mu, log mu, mu log mu}:
 
     - neg_log f, a_g > 0: x = hi up to c_f/(a_g(1+hi)), then the stationary
@@ -536,11 +461,9 @@ def _dual_breakpoints(cf: "_ClosedFormArrays", lo, hi):
     pieces of similar size exactly, so a node's jumps cancel past its last
     breakpoint.  Returns ``(t, cum)``: the 2n sorted breakpoints (inf, with
     a zero jump, where a node has fewer) and q's coefficients on the 2n + 1
-    intervals, shape (2n + 1, 4).  None if some ``c * a != 0`` or ``c < 0``.
+    intervals, shape (2n + 1, 4).
     """
     c_f, a_f, b_f, c_g, a_g, b_g = cf.c_f, cf.a_f, cf.b_f, cf.c_g, cf.a_g, cf.b_g
-    if np.any(c_f * a_f) or np.any(c_g * a_g) or np.any(c_f < 0) or np.any(c_g < 0):
-        return None
     log_f = (c_f > 0) & (a_g > 0)
     log_g = (c_g > 0) & (a_f > 0)
     flip = (c_f == 0) & (c_g == 0) & (a_f * a_g < 0)
@@ -579,21 +502,20 @@ def _dual_breakpoints(cf: "_ClosedFormArrays", lo, hi):
 
 
 def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
-                         Gs: np.ndarray | None = None,
-                         tol: float = 1e-10) -> np.ndarray:
+                         Gs: np.ndarray | None = None) -> np.ndarray:
     """q evaluated at m dual points at once.
 
     ``mus`` has shape (m,) and ``Gs`` shape (m, d, d) (None when d = 0).
-    Closed-form instances with d = 0 and every mu >= 0 read q off the
-    breakpoints of :func:`_dual_breakpoints`: one ``searchsorted`` and a
-    four-term sum per point instead of n node evaluations.  That sums in
+    With d = 0 and every mu >= 0, q is read off the breakpoints of
+    :func:`_dual_breakpoints`: one ``searchsorted`` and a four-term sum
+    per point instead of n node evaluations.  That sums in
     another order than :func:`dual_function_value`, so the two agree to
     a few 1e-15 of ``sum_i |q_i|``, not bit for bit.  With d > 0, where
     ``tr[A_i G_j]`` couples each node with each dual, the m points go in
     row blocks of about ``_BLOCK_ELEMENTS`` node evaluations through
     :func:`_closed_form_minimize`, in scratch shared by all blocks, and
-    each row is summed in the same order as a single point.  Other
-    instances fall back to the per-node path for each point.
+    each row is summed in the same order as a single point (as is every
+    row at d = 0 when some mu < 0).
     """
     mus = np.asarray(mus, dtype=float)
     m, n = mus.shape[0], instance.n
@@ -606,12 +528,6 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
         return (k[:, 0] + mu * (k[:, 1] + k[:, 3] * log_mu) + k[:, 2] * log_mu).astype(float)
     cf = instance._closed
     out = np.empty(m)
-    if cf is None:
-        for i in range(m):
-            Gi = None if Gs is None else np.broadcast_to(Gs[i], (n,) + Gs[i].shape)
-            _, q = minimize_node_lagrangians(instance, np.full(n, mus[i]), Gi, tol)
-            out[i] = q.sum()
-        return out
     lo, hi = instance.boxes
     rows = max(1, _BLOCK_ELEMENTS // n)
     work, masks = _scratch((min(rows, m), n))
@@ -628,26 +544,23 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     return out
 
 
+def _log1p(x: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.log1p(x)
+
+
+def _values(c, a, b, x, log1p) -> np.ndarray:
+    """-c log(1 + x) + a x + b per node, the log term dropped where c = 0."""
+    return -c * np.where(c != 0.0, log1p, 0.0) + a * x + b
+
+
 def _node_values(instance: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
     """Per-node cost and constraint values ``(f_i(x_i), g_i(x_i))`` at x of
-    shape (n,) or (r, n).
-
-    Closed-form instances evaluate -c log(1 + x) + a x + b from the
-    coefficient arrays, with the log term dropped where c = 0; other
-    instances call each node's functions.
-    """
+    shape (n,) or (r, n)."""
     x = np.asarray(x, dtype=float)
-    cf = instance._closed
-    if cf is None:
-        rows = x.reshape(-1, instance.n)
-        f = np.array([[float(nd.f(v)) for nd, v in zip(instance.nodes, r)] for r in rows])
-        g = np.array([[float(nd.g(v)) for nd, v in zip(instance.nodes, r)] for r in rows])
-        return f.reshape(x.shape), g.reshape(x.shape)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log1p = np.log1p(x)
-    f = -cf.c_f * np.where(cf.c_f != 0.0, log1p, 0.0) + cf.a_f * x + cf.b_f
-    g = -cf.c_g * np.where(cf.c_g != 0.0, log1p, 0.0) + cf.a_g * x + cf.b_g
-    return f, g
+    cf, log1p = instance._closed, _log1p(x)
+    return (_values(cf.c_f, cf.a_f, cf.b_f, x, log1p),
+            _values(cf.c_g, cf.a_g, cf.b_g, x, log1p))
 
 
 def constraint_values(instance: ProblemInstance, x_tilde: np.ndarray):
@@ -657,7 +570,8 @@ def constraint_values(instance: ProblemInstance, x_tilde: np.ndarray):
     Qmats[i] = -A0/n - A_i x_i with shape (n, d, d).
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
-    _, h = _node_values(instance, x_tilde)
+    cf = instance._closed
+    h = _values(cf.c_g, cf.a_g, cf.b_g, x_tilde, _log1p(x_tilde))
     Qmats = -instance.A0 / instance.n - instance.A_stack * x_tilde[:, None, None]
     return h, Qmats
 
@@ -666,26 +580,18 @@ def constraint_values(instance: ProblemInstance, x_tilde: np.ndarray):
 # bounds, dual sets, primal evaluation
 # ---------------------------------------------------------------------------
 
-def subgradient_bounds(instance: ProblemInstance, grid: int = 10001) -> SubgradientBounds:
+def subgradient_bounds(instance: ProblemInstance) -> SubgradientBounds:
     """Uniform bounds L and Q on the per-node subgradient components.
 
-    For closed-form kinds both |g_i| and the Frobenius norm of the affine
-    matrix path are maximized at box endpoints (the functions are
-    monotone or convex in x); custom constraint functions are maximized
-    on a dense grid of ``grid`` points.
+    Both |g_i| and the Frobenius norm of the affine matrix path are
+    maximized at box endpoints: every g_i is monotone in x, and a norm
+    is convex along an affine path.
     """
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
     L = 0.0
     Q = 0.0
     for node in instance.nodes:
         lo, hi = node.box
-        if node.g.closed_form:
-            gmax = max(abs(float(node.g(lo))), abs(float(node.g(hi))))
-        else:
-            xs = np.linspace(lo, hi, grid)
-            gmax = float(np.max(np.abs([node.g(x) for x in xs])))
-        L = max(L, gmax)
+        L = max(L, abs(float(node.g(lo))), abs(float(node.g(hi))))
         if instance.d:
             for x in (lo, hi):
                 Q = max(Q, float(np.linalg.norm(-instance.A0 / instance.n - node.A * x)))
@@ -820,12 +726,9 @@ def make_sample_lmi_instance() -> ProblemInstance:
 # ---------------------------------------------------------------------------
 
 def instance_to_json(instance: ProblemInstance) -> dict:
-    """JSON document for an instance (closed-form kinds only)."""
+    """JSON document for an instance."""
     nodes = []
     for nd in instance.nodes:
-        for fun in (nd.f, nd.g):
-            if not fun.closed_form:
-                raise ValueError("custom functions are not serializable")
         nodes.append({
             "f": _fun_to_json(nd.f),
             "g": _fun_to_json(nd.g),

@@ -58,8 +58,8 @@ def crit3_runs(num_instance, num_sets, dense_graph, num_f_star,
     W = cb.metropolis_weights(dense_graph)
     M = cb.subgradient_bounds(num_instance).M
     for alpha in (1.0, 0.1):
-        est = cb.min_consensus_steps(10 * alpha * M, alpha, M, 100, 0, W.nu)
-        phi = math.ceil(est.exact) + 1
+        phibar = cb.min_consensus_steps(10 * alpha * M, alpha, M, 100, 0, W.nu)
+        phi = math.ceil(phibar) + 1
         cfg = cb.CobaddConfig(alpha=alpha, phi=phi, K=400, sets=num_sets)
         out.append(("num", alpha, cb.cobadd_solve(num_instance, W, cfg), num_f_star))
     pair_graph = cb.Graph(2, ((0, 1),))
@@ -146,7 +146,7 @@ def test_criterion_4_dual_agreement():
     M = cb.subgradient_bounds(instance).M
     c0_any = cb.compute_c0(instance, W, 1, alpha)
     beta0 = cb.default_beta0(c0_any, alpha, M)
-    phibar = cb.min_consensus_steps(beta0, alpha, M, 20, 0, W.nu).exact
+    phibar = cb.min_consensus_steps(beta0, alpha, M, 20, 0, W.nu)
     phi = math.ceil(phibar) + 2
     cfg = cb.CobaddConfig(alpha=alpha, phi=phi, K=500, sets=sets, beta0=beta0)
     tr = cb.cobadd_solve(instance, W, cfg)

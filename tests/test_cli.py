@@ -206,6 +206,60 @@ def test_cmd_run_lmi_instance(tmp_path):
     assert summary["runs"][0]["final_error"] <= 1e-9
 
 
+def test_path_instance_runs_like_its_builtin(tmp_path):
+    # an instance read back from its JSON file gives the builtin's runs
+    inst_path = tmp_path / "num24.json"
+    inst_path.write_text(json.dumps(cb.instance_to_json(cb.make_sample_num_instance(24, 3))))
+    summaries = {}
+    for name, spec in (("path", {"path": str(inst_path)}),
+                       ("builtin", {"builtin": "num", "n": 24, "seed": 3})):
+        _, cfg = small_config(tmp_path, out_name=name, K=30)
+        cfg["instance"] = spec
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cmd_run(str(cfg_path)) == 0
+        with open(tmp_path / name / "summary.json") as fh:
+            summaries[name] = json.load(fh)
+    for name in ("cobadd_phi1_alpha1.csv", "cobadd_phi4_alpha1.csv", "central_alpha1.csv"):
+        assert (tmp_path / "path" / name).read_bytes() == \
+            (tmp_path / "builtin" / name).read_bytes(), name
+    assert summaries["path"].pop("config") == "path.json"
+    assert summaries["builtin"].pop("config") == "builtin.json"
+    assert summaries["path"] == summaries["builtin"]
+
+
+def _break_box(doc):
+    doc["nodes"][0]["box"] = [1.0, 0.0]
+
+
+def _drop_slope(doc):
+    doc["nodes"][0]["f"] = {"kind": "linear"}
+
+
+def _unknown_kind(doc):
+    doc["nodes"][0]["g"]["kind"] = "quad"
+
+
+@pytest.mark.parametrize("command", [cmd_run, cmd_verify])
+@pytest.mark.parametrize("corrupt", [_break_box, _drop_slope, _unknown_kind, None],
+                         ids=["empty_box", "missing_a", "unknown_kind", "not_json"])
+def test_malformed_instance_file_is_a_config_error(tmp_path, capsys, command, corrupt):
+    doc = cb.instance_to_json(cb.make_sample_num_instance(24, 4))
+    inst_path = tmp_path / "instance.json"
+    if corrupt is None:
+        inst_path.write_text(json.dumps(doc)[:-1])
+    else:
+        corrupt(doc)
+        inst_path.write_text(json.dumps(doc))
+    path, cfg = small_config(tmp_path, K=5)
+    cfg["instance"] = {"path": str(inst_path)}
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert command(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed instance file") and str(inst_path) in err
+
+
 def test_oracle_cache_reused(tmp_path):
     path, cfg = small_config(tmp_path, K=5)
     out = str(tmp_path / "cache_run")

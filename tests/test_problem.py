@@ -38,8 +38,17 @@ def test_scalar_function_kinds():
     assert np.isclose(g(1.0), -2.0 * math.log(2.0))
     h = cb.ScalarFunction.affine(1.5, -1.0)
     assert h(2.0) == 2.0
-    c = cb.ScalarFunction.custom(lambda x: (x - 0.3) ** 2)
-    assert np.isclose(c(0.3), 0.0)
+
+
+@pytest.mark.parametrize("kind, coefficients", [
+    ("linear", {"a": 1.0, "b": 5.0}), ("linear", {"a": 1.0, "c": 1.0}),
+    ("neg_log", {"a": 2.0, "c": 1.0}), ("neg_log", {"b": 1.0, "c": 1.0}),
+    ("affine", {"a": 1.0, "b": 1.0, "c": 1.0})])
+def test_scalar_function_rejects_coefficients_its_kind_drops(kind, coefficients):
+    # the JSON form of each kind keeps only its own coefficients, so an
+    # extra one would hash like the function without it
+    with pytest.raises(ValueError):
+        cb.ScalarFunction(kind, **coefficients)
 
 
 def test_neg_log_requires_nonnegative_coefficient():
@@ -86,10 +95,10 @@ def _node(f, g, A=None, box=(0.0, 1.0)):
     return cb.NodeSpec(f, g, np.zeros((0, 0)) if A is None else A, box)
 
 
-def node_oracle(node, dual, A0=None, tol=1e-10):
+def node_oracle(node, dual, A0=None):
     """(q, x) of one node, through oracle_sweep on the instance made of it."""
     inst = cb.ProblemInstance((node,), A0, node.A.shape[0])
-    q, x = cb.oracle_sweep(inst, dual, tol)
+    q, x = cb.oracle_sweep(inst, dual)
     return q[0], x[0]
 
 
@@ -124,21 +133,6 @@ def test_oracle_interior_stationary_point():
     assert np.isclose(x, 0.5)
 
 
-def test_oracle_custom_kind_uses_golden_section():
-    node = _node(cb.ScalarFunction.custom(lambda x: (x - 0.37) ** 2),
-                 cb.ScalarFunction.affine(0.0, 0.0))
-    q, x = node_oracle(node, cb.DualPoint(0.0), tol=1e-10)
-    assert abs(x - 0.37) < 1e-8
-    assert abs(q) < 1e-15
-
-
-def test_oracle_custom_flat_objective_prefers_lower_endpoint():
-    node = _node(cb.ScalarFunction.custom(lambda x: 1.0),
-                 cb.ScalarFunction.affine(0.0, 0.0))
-    q, x = node_oracle(node, cb.DualPoint(0.0))
-    assert x == 0.0
-
-
 def test_oracle_includes_lmi_terms():
     A = np.diag([-1.0, 0.0])
     A0 = np.diag([1.5, 1.5])
@@ -167,12 +161,6 @@ def test_oracle_matches_grid_on_random_duals(num_instance):
         gx, gq = grid_minimizer(node, mu, np.zeros((0, 0)), num_instance.n, A0)
         assert abs(x - gx) <= 1e-10 + 1.0 / 9_999
         assert q <= gq + 1e-12
-
-
-def test_oracle_rejects_nonpositive_tol():
-    node = _node(cb.ScalarFunction.linear(1.0), cb.ScalarFunction.linear(1.0))
-    with pytest.raises(ValueError):
-        node_oracle(node, cb.DualPoint(0.0), tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +299,6 @@ def test_evaluate_primal_stack_matches_single_points(name, request):
         assert np.any(vl > 0.0)
 
 
-def test_evaluate_primal_stack_with_custom_functions():
-    # instances without closed forms call each node's functions per row
-    nodes = [cb.NodeSpec(cb.ScalarFunction.custom(lambda x, c=c: (x - c) ** 2),
-                         cb.ScalarFunction.affine(1.0, -0.5), np.zeros((0, 0)), (0.0, 1.0))
-             for c in (0.1, 0.6, 0.9)]
-    inst = cb.ProblemInstance(nodes, np.zeros((0, 0)), 0)
-    X = np.random.default_rng(2).random((4, 3))
-    f, vi, vl = cb.evaluate_primal(inst, X)
-    for row, x in enumerate(X):
-        assert cb.evaluate_primal(inst, x) == (f[row], vi[row], vl[row])
-
-
 def test_evaluate_primal_stack_rejects_a_row_outside_the_boxes(num_instance):
     lo, hi = num_instance.boxes
     X = np.stack([lo, hi, hi])
@@ -391,14 +367,6 @@ def test_instance_json_round_trip(num_instance):
 def test_lmi_json_round_trip(lmi_instance):
     back = cb.instance_from_json(cb.instance_to_json(lmi_instance))
     assert np.allclose(back.nodes[0].A, lmi_instance.nodes[0].A)
-
-
-def test_custom_functions_not_serializable():
-    node = _node(cb.ScalarFunction.custom(lambda x: x * x),
-                 cb.ScalarFunction.linear(1.0))
-    inst = cb.ProblemInstance((node,), np.zeros((0, 0)), 0)
-    with pytest.raises(ValueError):
-        cb.instance_to_json(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +450,9 @@ def test_weak_duality_random_duals(num_instance, num_f_star):
 def test_batch_oracle_matches_scalar_path(num_instance):
     rng = np.random.default_rng(14)
     mus = rng.uniform(0.0, 4.0, size=num_instance.n)
-    duals = [cb.DualPoint(m) for m in mus]
-    q_batch, x_batch = cb.oracle_sweep(num_instance, duals)
+    x_batch, q_batch = minimize_node_lagrangians(num_instance, mus)
     for i in (0, 7, 40, 99):
-        q_i, x_i = node_oracle(num_instance.nodes[i], duals[i])
+        q_i, x_i = node_oracle(num_instance.nodes[i], cb.DualPoint(mus[i]))
         assert q_batch[i] == q_i
         assert x_batch[i] == x_i
 

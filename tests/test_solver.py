@@ -7,6 +7,7 @@ import pytest
 
 import cobadd as cb
 import cobadd.solver as solver_module
+from cobadd.problem import minimize_node_lagrangians
 
 
 def two_node_toy():
@@ -268,7 +269,7 @@ def test_subgradient_bounds_cover_realized_values(lmi_instance, lmi_sets):
     cfg = cb.CobaddConfig(alpha=0.7, phi=1, K=100, sets=lmi_sets)
     states = list(cobadd_states(lmi_instance, cb.Graph(2, ((0, 1),)), cfg))
     for state in states[:-1]:
-        _, x_tilde = cb.oracle_sweep(lmi_instance, [s.dual for s in state])
+        x_tilde, _ = minimize_node_lagrangians(lmi_instance, state.mus, state.Gs)
         h, Qm = cb.constraint_values(lmi_instance, x_tilde)
         assert np.all(np.abs(h) <= sb.L + 1e-12)
         assert np.all(np.linalg.norm(Qm, axis=(1, 2)) <= sb.Q + 1e-12)
