@@ -7,10 +7,10 @@ variables are coupled by one scalar inequality and one linear matrix
 inequality.
 """
 
-from .bounds import TheoreticalBounds, compute_c0, default_beta0, theoretical_bounds
+from .bounds import TheoreticalBounds, default_beta0, theoretical_bounds
 from .central import CentralState, central_init, central_solve, central_step
 from .errors import ConfigurationError, MalformedInstanceError
-from .network import (ConsensusMatrix, Graph, MessageLedger, check_consensus_conditions,
+from .network import (ConsensusMatrix, Graph, check_consensus_conditions,
                       consensus_round, exact_averaging_matrix, metropolis_weights,
                       min_consensus_steps, random_connected_graph)
 from .oracles import OracleResult, dual_bisection, dykstra_project, grid_search_lmi

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .network import ConsensusMatrix, min_consensus_steps
-from .problem import (DualPoint, DualSetSpec, ProblemInstance,
-                      constraint_values, oracle_sweep, subgradient_bounds)
+from .network import min_consensus_steps
+from .problem import DualSetSpec, ProblemInstance, subgradient_bounds
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,6 @@ class TheoreticalBounds:
     e_k: float
     dual_gap_floor: float
 
-    def beta_at(self, k: int) -> float:
-        """beta_k with the convention beta_0 = beta0 (k >= 0)."""
-        if k == 0:
-            return self.beta0
-        return float(self.beta_k[k - 1])
-
     def disagreement_envelope(self, ks: np.ndarray) -> np.ndarray:
         """Bound on each dual component's deviation from the mean at the
         duals used in iteration k (= 2 beta_{k-1}, k >= 1)."""
@@ -79,33 +72,21 @@ class TheoreticalBounds:
         return 9.0 * self.n * (self.Lambda**2 + self.Gamma**2) / (2.0 * ks * self.alpha) + self.e_k
 
 
-def compute_c0(instance: ProblemInstance, W: ConsensusMatrix, phi: int,
-               alpha: float) -> float:
-    """Exact initial payload disagreement under phi consensus steps.
+def default_beta0(alpha: float, M: float) -> float:
+    """10 alpha M: the envelope anchor, which must dominate c0.
 
-    Evaluates, for every node i, the deviation-from-mean of the first
-    mixed payload (scalar part plus Frobenius norm of the matrix part)
-    from the zero initial duals, using the deviation matrix
-    W^phi - 11^T/n, and returns the maximum.  Identical nodes give
-    exactly 0.
+    c0 is the largest deviation from the mean of the first mixed payload
+    alpha (g_i, -A0/n - A_i x_i) under P = W^phi, scalar part plus
+    Frobenius norm of the matrix part.  P is doubly stochastic, so node
+    i's mixed scalar sum_j P_ij alpha g_j lies between the smallest and
+    largest alpha g_j, and so does their mean; the two differ by at most
+    2 alpha L.  Likewise sum_j |P_ij - 1/n| <= 2 bounds the matrix part
+    by 2 alpha Q.  Hence c0 <= 2 alpha M < 10 alpha M, whatever the graph
+    and phi.  The factor 10 keeps beta0 well above the per-step
+    subgradient drift alpha M, so phibar stays within log(1.1)/|log nu|
+    of its large-beta0 limit log(1/(4n(1+d^2)))/log(nu).
     """
-    n, d = instance.n, instance.d
-    _, x0 = oracle_sweep(instance, DualPoint(0.0, np.zeros((d, d))))
-    h, Qm = constraint_values(instance, x0)
-    D = np.linalg.matrix_power(W.W, phi) - np.full((n, n), 1.0 / n)
-    dev_mu = np.abs(D @ (alpha * h))
-    if d:
-        dev_G = np.linalg.norm(np.einsum("ij,jkl->ikl", D, alpha * Qm), axis=(1, 2))
-    else:
-        dev_G = np.zeros(n)
-    return float(np.max(dev_mu + dev_G))
-
-
-def default_beta0(c0: float, alpha: float, M: float) -> float:
-    """max(c0, 10 alpha M): dominates c0 and keeps beta0 well above the
-    per-step subgradient drift alpha M, so phibar stays within
-    log(1.1)/|log nu| of its large-beta0 limit log(1/(4n(1+d^2)))/log(nu)."""
-    return max(c0, 10.0 * alpha * M)
+    return 10.0 * alpha * M
 
 
 def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, nu: float,

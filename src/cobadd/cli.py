@@ -23,8 +23,7 @@ import numpy as np
 
 from .central import central_solve
 from .errors import ConfigurationError
-from .network import (ConsensusMatrix, Graph, MessageLedger,
-                      check_consensus_conditions, consensus_round,
+from .network import (ConsensusMatrix, Graph, check_consensus_conditions, consensus_round,
                       metropolis_weights, random_connected_graph)
 from .oracles import (dual_bisection, dykstra_project, grid_search_lmi,
                       load_cached_result, store_cached_result, OracleResult)
@@ -365,14 +364,13 @@ def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
                not check_consensus_conditions(Wg.W, g))
         # mean preservation and spread contraction
         x = rng.normal(size=(30, 3))
-        ledger = MessageLedger()
-        y = consensus_round(Wg, x, 4, ledger)
+        y = consensus_round(Wg, x, 4)
         mean_ok = np.max(np.abs(y.mean(axis=0) - x.mean(axis=0))) < 1e-10
         dev0 = np.linalg.norm(x - x.mean(axis=0), axis=0)
         dev1 = np.linalg.norm(y - y.mean(axis=0), axis=0)
         contract_ok = np.all(dev1 <= (Wg.nu ** 4) * dev0 + 1e-12)
         report(f"consensus contraction (seed {seed})", bool(mean_ok and contract_ok),
-               f"messages={ledger.total_messages}")
+               f"messages={4 * 2 * Wg.edge_count}")
 
     # projection against the alternating-projection oracle, one stack per d
     draws = []

@@ -10,7 +10,7 @@ One consensus step sends one payload per directed edge, so a round of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,18 +112,6 @@ class ConsensusMatrix:
         return self.W.shape[0]
 
 
-@dataclass
-class MessageLedger:
-    """Running count of payload transmissions, one entry per round."""
-
-    total_messages: int = 0
-    per_iteration: list[int] = field(default_factory=list)
-
-    def record(self, count: int) -> None:
-        self.per_iteration.append(int(count))
-        self.total_messages += int(count)
-
-
 def random_connected_graph(n: int, target_avg_degree: float, seed: int,
                            max_attempts: int = 1000) -> Graph:
     """Erdos-Renyi graph with p = target_avg_degree/(n-1), resampled
@@ -173,20 +161,18 @@ def metropolis_weights(g: Graph) -> ConsensusMatrix:
     return ConsensusMatrix(W, nu, g.edge_count)
 
 
-def exact_averaging_matrix(n: int, edge_count: int | None = None) -> ConsensusMatrix:
-    """The idealized matrix 11^T/n (one step reaches the exact mean)."""
-    if edge_count is None:
-        edge_count = n * (n - 1) // 2
-    return ConsensusMatrix(np.full((n, n), 1.0 / n), 0.0, edge_count)
+def exact_averaging_matrix(n: int) -> ConsensusMatrix:
+    """The idealized matrix 11^T/n (one step reaches the exact mean) on
+    the complete graph's n(n-1)/2 edges."""
+    return ConsensusMatrix(np.full((n, n), 1.0 / n), 0.0, n * (n - 1) // 2)
 
 
-def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int,
-                    ledger: MessageLedger | None = None) -> np.ndarray:
+def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int) -> np.ndarray:
     """Apply ``v <- W v`` exactly ``phi`` times to per-node payloads.
 
     ``values`` has one row per node (any trailing payload shape).  The
-    ledger, when given, is charged phi * 2|E| messages: one payload per
-    directed edge per step.
+    round sends phi * 2|E| messages: one payload per directed edge per
+    step.
     """
     if phi < 1:
         raise ValueError("phi must be at least 1")
@@ -194,8 +180,6 @@ def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int,
     flat = out.reshape(out.shape[0], -1)
     for _ in range(phi):
         flat = W.W @ flat
-    if ledger is not None:
-        ledger.record(phi * 2 * W.edge_count)
     return flat.reshape(out.shape)
 
 

@@ -756,22 +756,20 @@ def instance_from_json(doc: dict) -> ProblemInstance:
 
 
 def _fun_to_json(fun: ScalarFunction) -> dict:
-    if fun.kind == "linear":
-        return {"kind": "linear", "a": fun.a}
-    if fun.kind == "neg_log":
-        return {"kind": "neg_log", "c": fun.c}
-    return {"kind": "affine", "a": fun.a, "b": fun.b}
+    return {"kind": fun.kind, **{name: getattr(fun, name)
+                                 for name in _KIND_COEFFICIENTS[fun.kind]}}
 
 
 def _fun_from_json(doc: dict) -> ScalarFunction:
+    """Exactly ``kind`` plus that kind's coefficients; any other key is an error."""
     kind = doc["kind"]
-    if kind == "linear":
-        return ScalarFunction.linear(doc["a"])
-    if kind == "neg_log":
-        return ScalarFunction.neg_log(doc["c"])
-    if kind == "affine":
-        return ScalarFunction.affine(doc["a"], doc["b"])
-    raise ValueError(f"unknown function kind {kind!r}")
+    if kind not in _KIND_COEFFICIENTS:
+        raise ValueError(f"unknown function kind {kind!r}")
+    names = _KIND_COEFFICIENTS[kind]
+    if set(doc) != {"kind", *names}:
+        raise ValueError(f"a {kind} function has keys kind, {', '.join(names)}; "
+                         f"got {', '.join(sorted(doc))}")
+    return ScalarFunction(kind, **{name: float(doc[name]) for name in names})
 
 
 def instance_hash(instance: ProblemInstance) -> str:

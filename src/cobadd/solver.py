@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import compute_c0, default_beta0, theoretical_bounds
-from .network import ConsensusMatrix, Graph, MessageLedger, consensus_round, metropolis_weights
+from .bounds import default_beta0, theoretical_bounds
+from .network import ConsensusMatrix, Graph, consensus_round, metropolis_weights
 from .problem import (DualPoint, DualSetSpec, ProblemInstance,
                       constraint_values, dual_function_values, evaluate_primal,
                       minimize_node_lagrangians, subgradient_bounds)
@@ -41,7 +41,6 @@ class CobaddConfig:
     K: int
     sets: DualSetSpec
     seed: int = 0
-    beta0: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -99,8 +98,7 @@ class CobaddState:
 
 
 def _advance(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig,
-             mus: np.ndarray, Gs: np.ndarray | None,
-             ledger: MessageLedger | None):
+             mus: np.ndarray, Gs: np.ndarray | None):
     """Oracle pass at the current duals followed by the projected
     consensus update; returns the minimizers and the new duals."""
     n, d = instance.n, instance.d
@@ -110,7 +108,7 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig
     if d:
         payload_G = Gs + config.alpha * Qm
         payload = np.concatenate([payload, payload_G.reshape(n, d * d)], axis=1)
-    mixed = consensus_round(W, payload, config.phi, ledger)
+    mixed = consensus_round(W, payload, config.phi)
     new_mus = np.clip(mixed[:, 0], 0.0, config.sets.Lambda)
     new_Gs = None
     if d:
@@ -118,23 +116,22 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig
     return x_tilde, new_mus, new_Gs
 
 
-def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig,
-                ledger: MessageLedger | None = None) -> CobaddState:
+def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix,
+                config: CobaddConfig) -> CobaddState:
     """Bootstrap: sample at the zero initial duals, run the first
     consensus update, and return the state holding the updated duals
     with an empty ergodic sum."""
     n, d = instance.n, instance.d
     Gs = np.zeros((n, d, d)) if d else None
-    x_tilde, mus, Gs = _advance(instance, W, config, np.zeros(n), Gs, ledger)
+    x_tilde, mus, Gs = _advance(instance, W, config, np.zeros(n), Gs)
     return CobaddState(mus, Gs, x_tilde, np.zeros(n), 0)
 
 
 def cobadd_step(instance: ProblemInstance, state: CobaddState,
-                W: ConsensusMatrix, config: CobaddConfig,
-                ledger: MessageLedger | None = None) -> CobaddState:
+                W: ConsensusMatrix, config: CobaddConfig) -> CobaddState:
     """One recorded iteration: sample at the state's duals, extend the
     ergodic sum, and mix and project the duals."""
-    x_tilde, mus, Gs = _advance(instance, W, config, state.mus, state.Gs, ledger)
+    x_tilde, mus, Gs = _advance(instance, W, config, state.mus, state.Gs)
     return CobaddState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
 
 
@@ -194,31 +191,28 @@ def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
     ``network`` is either a Graph (Metropolis-Hastings weights are built
     and certified) or a ready ConsensusMatrix (e.g. the exact averaging
     matrix for equivalence experiments).  The trace carries one row per
-    recorded iteration plus the theoretical bound curves; beta0 defaults
-    to max(c0, 10 alpha M) with c0 evaluated at this run's phi.
+    recorded iteration plus the theoretical bound curves, anchored at
+    beta0 = 10 alpha M, which dominates the initial payload disagreement
+    c0 on every doubly stochastic W (see :func:`default_beta0`).  Row k
+    samples the duals of the k-th consensus round, the bootstrap's being
+    the first, and each round sends phi * 2|E| messages.
     """
     W = metropolis_weights(network) if isinstance(network, Graph) else network
     K, alpha = config.K, config.alpha
-    ledger = MessageLedger()
-
-    c0 = compute_c0(instance, W, config.phi, alpha)
-    if config.beta0 is not None:
-        beta0 = config.beta0
-    else:
-        beta0 = default_beta0(c0, alpha, subgradient_bounds(instance).M)
+    beta0 = default_beta0(alpha, subgradient_bounds(instance).M)
     bounds = theoretical_bounds(instance, config.sets, W.nu, config, beta0)
 
     # the bootstrap's consensus round produces the duals used at row 1
-    state = cobadd_init(instance, W, config, ledger)
+    state = cobadd_init(instance, W, config)
     cols, state = record_run(instance, state,
-                             lambda s: cobadd_step(instance, s, W, config, ledger), K)
+                             lambda s: cobadd_step(instance, s, W, config), K)
     ks = np.arange(1, K + 1)
     config_echo = {"solver": "cobadd", "alpha": alpha, "phi": config.phi,
                    "K": K, "radius": config.sets.Lambda, "seed": config.seed,
-                   "beta0": bounds.beta0, "c0": c0, "nu": W.nu,
+                   "beta0": bounds.beta0, "nu": W.nu,
                    "instance": dict(instance.meta)}
     return RunTrace(config=config_echo, k=ks, **cols,
-                    messages_cum=np.cumsum(ledger.per_iteration)[:K],
+                    messages_cum=ks * (config.phi * 2 * W.edge_count),
                     bound_upper=bounds.primal_upper_deviation(ks),
                     bound_lower=bounds.primal_lower_deviation(ks),
                     beta_k=bounds.beta_k.copy(), bounds=bounds,

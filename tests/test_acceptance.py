@@ -16,6 +16,7 @@ import pytest
 import cobadd as cb
 from cobadd.cli import cmd_run
 from cobadd.oracles import dykstra_project
+from test_bounds import initial_disagreement
 
 SLACK = 1e-9
 
@@ -144,16 +145,15 @@ def test_criterion_4_dual_agreement():
                               cb.dual_set_threshold(instance, slater, cb.DualPoint(0.0)))
     alpha = 1.0
     M = cb.subgradient_bounds(instance).M
-    c0_any = cb.compute_c0(instance, W, 1, alpha)
-    beta0 = cb.default_beta0(c0_any, alpha, M)
+    beta0 = cb.default_beta0(alpha, M)
     phibar = cb.min_consensus_steps(beta0, alpha, M, 20, 0, W.nu)
     phi = math.ceil(phibar) + 2
-    cfg = cb.CobaddConfig(alpha=alpha, phi=phi, K=500, sets=sets, beta0=beta0)
+    cfg = cb.CobaddConfig(alpha=alpha, phi=phi, K=500, sets=sets)
     tr = cb.cobadd_solve(instance, W, cfg)
     b = tr.bounds
-    assert b.agreement_applicable and b.delta == 2
+    assert b.agreement_applicable and b.delta == 2 and b.beta0 == beta0
     # the envelope anchor must dominate the realized initial disagreement
-    assert cb.compute_c0(instance, W, phi, alpha) <= beta0
+    assert initial_disagreement(instance, W, phi, alpha) <= beta0
     env = b.disagreement_envelope(tr.k)
     theorem_ok = bool(np.all(tr.mu_disagreement <= env + SLACK)
                       and np.all(tr.G_disagreement <= env + SLACK))

@@ -1,15 +1,13 @@
-"""Bound calculators: c0, agreement envelope, error floors."""
+"""Bound calculators: the envelope anchor, agreement envelope, error floors."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cobadd as cb
-
-# seeded regression constant: 100-node sample instance, seed-7 graph,
-# phi=1, alpha=1, zero initial duals
-C0_PIN = 0.31533875413306733
+from test_network import random_tree_plus_edges
 
 
 class _Cfg:
@@ -17,33 +15,39 @@ class _Cfg:
         self.alpha, self.phi, self.K = alpha, phi, K
 
 
-def test_c0_zero_for_identical_nodes_and_duals():
-    node = cb.NodeSpec(cb.ScalarFunction.linear(-1.0),
-                       cb.ScalarFunction.affine(1.0, -0.5), np.zeros((0, 0)), (0.0, 1.0))
-    inst = cb.ProblemInstance((node,) * 4, np.zeros((0, 0)), 0)
-    g = cb.random_connected_graph(4, 3.0, 1)
-    W = cb.metropolis_weights(g)
-    c0 = cb.compute_c0(inst, W, phi=1, alpha=1.0)
-    assert c0 < 1e-12
-
-
-def test_c0_vanishes_for_large_phi(num_instance, fig_graph):
-    W = cb.metropolis_weights(fig_graph)
-    c_small = cb.compute_c0(num_instance, W, 1, 1.0)
-    c_large = cb.compute_c0(num_instance, W, 200, 1.0)
-    assert c_large < 1e-4
-    assert c_large < c_small
-
-
-def test_c0_regression_pin(num_instance, fig_graph):
-    W = cb.metropolis_weights(fig_graph)
-    c0 = cb.compute_c0(num_instance, W, 1, 1.0)
-    assert c0 == pytest.approx(C0_PIN, abs=1e-9)
-
-
 def test_default_beta0():
-    assert cb.default_beta0(0.5, 1.0, 2.0) == 20.0
-    assert cb.default_beta0(30.0, 1.0, 2.0) == 30.0
+    assert cb.default_beta0(1.0, 2.0) == 20.0
+
+
+def initial_disagreement(instance, W, phi, alpha):
+    """c0: the largest deviation from the mean of the first mixed payload
+    alpha (g_i, -A0/n - A_i x_i) at the zero-dual minimizers, scalar part
+    plus Frobenius norm of the matrix part."""
+    n, d = instance.n, instance.d
+    _, x0 = cb.oracle_sweep(instance, cb.DualPoint(0.0, np.zeros((d, d))))
+    h, Qm = cb.constraint_values(instance, x0)
+    payload = alpha * np.concatenate([h[:, None], Qm.reshape(n, d * d)], axis=1)
+    mixed = cb.consensus_round(W, payload, phi)
+    dev = mixed - mixed.mean(axis=0)
+    return float(np.max(np.abs(dev[:, 0]) + np.linalg.norm(dev[:, 1:], axis=1)))
+
+
+@given(st.integers(2, 40), st.floats(0.0, 1.0), st.integers(1, 30),
+       st.floats(1e-3, 10.0), st.sampled_from([0, 2]), st.integers(0, 2**32 - 1))
+def test_initial_disagreement_within_twice_alpha_M(n, p, phi, alpha, d, seed):
+    # W^phi is doubly stochastic and nonnegative, so the first mixed
+    # payload deviates from its mean by at most 2 alpha L + 2 alpha Q,
+    # and 10 alpha M = default_beta0 dominates c0 on any graph and phi
+    rng = np.random.default_rng(seed)
+    W = cb.metropolis_weights(random_tree_plus_edges(n, p, rng))
+    instance = cb.make_sample_num_instance(n, seed)
+    if d:
+        A = rng.normal(size=(n + 1, d, d))
+        A = (A + np.swapaxes(A, 1, 2)) / 2.0
+        nodes = [cb.NodeSpec(nd.f, nd.g, Ai, nd.box) for nd, Ai in zip(instance.nodes, A[1:])]
+        instance = cb.ProblemInstance(nodes, A[0], d)
+    M = cb.subgradient_bounds(instance).M
+    assert initial_disagreement(instance, W, phi, alpha) <= 2.0 * alpha * M * (1 + 1e-12)
 
 
 def test_bounds_exact_averaging_limit(num_instance, num_sets):
@@ -77,7 +81,7 @@ def test_bounds_formulas_by_hand(num_instance, num_sets):
     # recursion beta_{k+1} = p beta_k + p alpha M with beta_1 = nu^delta beta0
     beta = nu**delta * beta0
     for k in range(1, K + 1):
-        assert b.beta_at(k) == pytest.approx(beta, rel=1e-12)
+        assert b.beta_k[k - 1] == pytest.approx(beta, rel=1e-12)
         beta = p * beta + p * alpha * M
     assert b.beta_inf == pytest.approx(p * alpha * M / (1 - p))
     tau = beta0 / alpha
@@ -113,8 +117,8 @@ def test_disagreement_envelope_index_convention(num_instance, num_sets):
                               config=_Cfg(1.0, 8, 10), beta0=5.0)
     env = b.disagreement_envelope(np.arange(1, 11))
     assert env[0] == pytest.approx(2.0 * b.beta0)
-    assert env[1] == pytest.approx(2.0 * b.beta_at(1))
-    assert env[9] == pytest.approx(2.0 * b.beta_at(9))
+    assert env[1] == pytest.approx(2.0 * b.beta_k[0])
+    assert env[9] == pytest.approx(2.0 * b.beta_k[8])
 
 
 def test_primal_deviation_curves(num_instance, num_sets):

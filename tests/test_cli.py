@@ -240,9 +240,25 @@ def _unknown_kind(doc):
     doc["nodes"][0]["g"]["kind"] = "quad"
 
 
+# coefficients a kind does not take, and unknown keys, used to load
+# silently as the kind's own function
+def _linear_with_b(doc):
+    doc["nodes"][0]["f"] = {"kind": "linear", "a": 1, "b": 5}
+
+
+def _neg_log_with_a(doc):
+    doc["nodes"][0]["f"] = {"kind": "neg_log", "c": 1, "a": 2}
+
+
+def _unknown_key(doc):
+    doc["nodes"][0]["f"] = {"kind": "linear", "a": 1, "slope": 9}
+
+
 @pytest.mark.parametrize("command", [cmd_run, cmd_verify])
-@pytest.mark.parametrize("corrupt", [_break_box, _drop_slope, _unknown_kind, None],
-                         ids=["empty_box", "missing_a", "unknown_kind", "not_json"])
+@pytest.mark.parametrize("corrupt", [_break_box, _drop_slope, _unknown_kind, None,
+                                     _linear_with_b, _neg_log_with_a, _unknown_key],
+                         ids=["empty_box", "missing_a", "unknown_kind", "not_json",
+                              "linear_with_b", "neg_log_with_a", "unknown_key"])
 def test_malformed_instance_file_is_a_config_error(tmp_path, capsys, command, corrupt):
     doc = cb.instance_to_json(cb.make_sample_num_instance(24, 4))
     inst_path = tmp_path / "instance.json"

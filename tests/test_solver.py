@@ -135,11 +135,15 @@ def test_lmi_duals_stay_in_sets(lmi_instance, lmi_sets):
             assert np.linalg.norm(Gk) <= lmi_sets.Gamma * (1.0 + 1e-12)
 
 
-def test_trace_message_accounting(num_instance, num_sets, fig_graph):
+@pytest.mark.parametrize("exact", [False, True], ids=["fig_graph", "exact_averaging"])
+def test_trace_message_accounting(num_instance, num_sets, fig_graph, exact):
+    # row k samples the duals of the k-th consensus round, k phi 2|E|
+    # messages; exact averaging runs on the complete graph's n(n-1)/2 edges
+    net, edges = (cb.exact_averaging_matrix(100), 4950) if exact else (fig_graph, 163)
     phi = 3
     cfg = cb.CobaddConfig(alpha=1.0, phi=phi, K=40, sets=num_sets)
-    tr = cb.cobadd_solve(num_instance, fig_graph, cfg)
-    per_round = phi * 2 * fig_graph.edge_count
+    tr = cb.cobadd_solve(num_instance, net, cfg)
+    per_round = phi * 2 * edges
     assert np.array_equal(tr.messages_cum, per_round * np.arange(1, 41))
     assert np.all(np.diff(tr.messages_cum) >= 0)
 
