@@ -9,7 +9,7 @@ inequality.
 
 from .bounds import TheoreticalBounds, default_beta0, theoretical_bounds
 from .central import CentralState, central_init, central_solve, central_step
-from .errors import ConfigurationError, MalformedInstanceError
+from .errors import ConfigurationError
 from .network import (ConsensusMatrix, Graph, check_consensus_conditions,
                       consensus_round, exact_averaging_matrix, metropolis_weights,
                       min_consensus_steps, random_connected_graph)
@@ -23,7 +23,7 @@ from .problem import (DualPoint, DualSetSpec, NodeSpec, ProblemInstance,
                       oracle_sweep, slater_certificate, subgradient_bounds)
 from .solver import (CobaddConfig, CobaddState, NodeState, cobadd_init,
                      cobadd_solve, cobadd_step, record_run)
-from .spectral import project_G, project_mu, project_psd
+from .spectral import project_psd_ball_stack
 from .trace import TRACE_COLUMNS, RunTrace, read_csv
 
 __version__ = "0.1.0"

@@ -5,9 +5,10 @@ constant stepsize; the primal estimate is the running ergodic mean of
 the local Lagrangian minimizers.  The very first oracle pass, taken at
 the zero initial duals, only feeds the first dual update: the
 ergodic mean starts with the sample taken at the first *updated* duals.
-Projections go onto the nonnegative orthant / PSD cone (unbounded mode,
-``sets=None``) or onto the compact sets [0, Lambda] and
-{G PSD : ||G||_F <= Gamma} (bounded mode).
+Projections go onto the compact sets [0, Lambda] and
+{G PSD : ||G||_F <= Gamma} (bounded mode), or onto the same sets with
+infinite radii, the nonnegative orthant and the PSD cone (unbounded
+mode, ``sets=None``).
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import (DualPoint, DualSetSpec, ProblemInstance,
-                      constraint_values, oracle_sweep, subgradient_bounds)
+from .problem import (DualSetSpec, ProblemInstance, constraint_values,
+                      minimize_node_lagrangians, subgradient_bounds)
 from .solver import record_run
-from .spectral import project_G, project_mu, project_psd
+from .spectral import project_psd_ball_stack
 from .trace import RunTrace
 
 
@@ -28,40 +29,35 @@ from .trace import RunTrace
 class CentralState:
     """Master-node state after k recorded iterations.
 
-    ``dual`` is the pair the *next* iteration will sample at;
-    ``ergodic_x = tilde_sum / k`` once k >= 1 (NaN before the first
-    recorded iteration).  ``mus`` and ``Gs`` view ``dual`` as a stack of
-    one point, the m = 1 case of :func:`record_run`.
+    ``mus`` (shape (1,)) and ``Gs`` (shape (1, d, d), None when d = 0)
+    hold the one dual pair the *next* iteration samples at, the m = 1
+    case of :func:`record_run`; ``ergodic_x = tilde_sum / k`` once
+    k >= 1 (NaN before the first recorded iteration).
     """
 
-    dual: DualPoint
+    mus: np.ndarray
+    Gs: np.ndarray | None
     ergodic_x: np.ndarray
     k: int
     tilde_sum: np.ndarray
 
-    @property
-    def mus(self) -> np.ndarray:
-        return np.array([self.dual.mu])
 
-    @property
-    def Gs(self) -> np.ndarray | None:
-        return self.dual.G[None] if self.dual.d else None
+def _sample(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray | None):
+    """The local minimizers at the shared duals, broadcast to every node."""
+    n = instance.n
+    Gs = None if Gs is None else np.broadcast_to(Gs, (n,) + Gs.shape[1:])
+    return minimize_node_lagrangians(instance, np.broadcast_to(mus, (n,)), Gs)[0]
 
 
-def _updated_dual(instance: ProblemInstance, dual: DualPoint, x_tilde: np.ndarray,
-                  alpha: float, sets: DualSetSpec | None) -> DualPoint:
+def _updated_duals(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray | None,
+                   x_tilde: np.ndarray, alpha: float, sets: DualSetSpec | None):
+    """Projected subgradient step; unbounded mode is infinite radii."""
+    Lambda, Gamma = (sets.Lambda, sets.Gamma) if sets is not None else (math.inf, math.inf)
     h, _ = constraint_values(instance, x_tilde)
-    target_mu = dual.mu + alpha * float(h.sum())
-    if sets is None:
-        new_mu = max(0.0, target_mu)
-    else:
-        new_mu = project_mu(target_mu, sets.Lambda)
-    if instance.d:
-        target_G = dual.G - alpha * instance.lmi_matrix(x_tilde)
-        new_G = project_psd(target_G) if sets is None else project_G(target_G, sets.Gamma)
-    else:
-        new_G = dual.G
-    return DualPoint(new_mu, new_G)
+    mus = np.clip(mus + alpha * float(h.sum()), 0.0, Lambda)
+    if Gs is not None:
+        Gs = project_psd_ball_stack(Gs - alpha * instance.lmi_matrix(x_tilde), Gamma)
+    return mus, Gs
 
 
 def central_init(instance: ProblemInstance, alpha: float,
@@ -69,21 +65,20 @@ def central_init(instance: ProblemInstance, alpha: float,
     """Bootstrap: sample at the zero initial duals and take the first update."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    z0 = DualPoint(0.0, np.zeros((instance.d,) * 2))
-    _, x0 = oracle_sweep(instance, z0)
-    dual = _updated_dual(instance, z0, x0, alpha, sets)
-    n = instance.n
-    return CentralState(dual, np.full(n, math.nan), 0, np.zeros(n))
+    n, d = instance.n, instance.d
+    mus, Gs = np.zeros(1), (np.zeros((1, d, d)) if d else None)
+    mus, Gs = _updated_duals(instance, mus, Gs, _sample(instance, mus, Gs), alpha, sets)
+    return CentralState(mus, Gs, np.full(n, math.nan), 0, np.zeros(n))
 
 
 def central_step(instance: ProblemInstance, state: CentralState, alpha: float,
                  sets: DualSetSpec | None = None) -> CentralState:
     """One recorded iteration: sample, extend the ergodic mean, update."""
-    _, x_tilde = oracle_sweep(instance, state.dual)
+    x_tilde = _sample(instance, state.mus, state.Gs)
     k = state.k + 1
     tilde_sum = state.tilde_sum + x_tilde
-    dual = _updated_dual(instance, state.dual, x_tilde, alpha, sets)
-    return CentralState(dual, tilde_sum / k, k, tilde_sum)
+    mus, Gs = _updated_duals(instance, state.mus, state.Gs, x_tilde, alpha, sets)
+    return CentralState(mus, Gs, tilde_sum / k, k, tilde_sum)
 
 
 def central_solve(instance: ProblemInstance, alpha: float, K: int,
@@ -98,17 +93,17 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
     if K < 1:
         raise ValueError("K must be at least 1")
     n = instance.n
-    state = central_init(instance, alpha, sets)
-    duals = [state.dual]  # for the realized norms; the zero initial pair adds nothing
+    lam_max = gam_max = 0.0  # realized maxima; the zero initial pair adds nothing
 
-    def step(s: CentralState) -> CentralState:
-        s = central_step(instance, s, alpha, sets)
-        duals.append(s.dual)
+    def observe(s: CentralState) -> CentralState:
+        nonlocal lam_max, gam_max
+        lam_max = max(lam_max, float(s.mus[0]))
+        gam_max = max(gam_max, 0.0 if s.Gs is None else float(np.linalg.norm(s.Gs)))
         return s
 
-    cols, state = record_run(instance, state, step, K)
-    lam_max = max(z.mu for z in duals)
-    gam_max = max(float(np.linalg.norm(z.G)) for z in duals)
+    state = observe(central_init(instance, alpha, sets))
+    cols, state = record_run(
+        instance, state, lambda s: observe(central_step(instance, s, alpha, sets)), K)
 
     sb = subgradient_bounds(instance)
     ks = np.arange(1, K + 1, dtype=float)

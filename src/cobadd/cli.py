@@ -32,7 +32,7 @@ from .problem import (DualPoint, DualSetSpec, ProblemInstance, build_dual_sets,
                       make_sample_lmi_instance, make_sample_num_instance,
                       slater_certificate)
 from .solver import CobaddConfig, cobadd_solve
-from .spectral import project_G
+from .spectral import project_psd_ball_stack
 from .trace import RunTrace
 
 
@@ -59,12 +59,21 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an experiment configuration file."""
+    """Parse and validate an experiment configuration file: unknown fields,
+    booleans for numbers, and repeated or path-like run names are errors."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+
+    def known(section, where, *fields):
+        if not isinstance(section, dict):
+            raise ConfigurationError(f"{where} must be an object")
+        unknown = sorted(set(section) - set(fields))
+        if unknown:
+            raise ConfigurationError(f"unknown field {where}.{unknown[0]}")
+        return section
 
     def need(section, key, types, where):
         if key not in section:
@@ -73,9 +82,12 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigurationError(f"field {where}.{key} has the wrong type")
         return section[key]
 
-    def number(section, key, where, default, ok, what):
-        value = section.get(key, default)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and ok(value)):
+    def real(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    def number(section, key, where, ok, what, default=None):
+        value = need(section, key, object, where) if default is None else section.get(key, default)
+        if not (real(value) and math.isfinite(value) and ok(value)):
             raise ConfigurationError(f"{where}.{key} must be {what}")
         return float(value)
 
@@ -85,44 +97,51 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigurationError(f"{where}.{key} must be an integer >= {minimum}")
         return value
 
-    inst = need(doc, "instance", dict, "config")
+    known(doc, "config", "instance", "graph", "runs", "output_dir", "r", "slater_xbar",
+          "probe_mu", "meta")
+    inst = known(need(doc, "instance", dict, "config"), "instance", "builtin", "path", "n", "seed")
     if "builtin" not in inst and "path" not in inst:
         raise ConfigurationError("instance needs either 'builtin' or 'path'")
-    graph = need(doc, "graph", dict, "config")
+    graph = known(need(doc, "graph", dict, "config"), "graph", "n", "avg_degree", "seed")
     integer(graph, "n", "graph", 1)
     integer(graph, "seed", "graph", 0)
-    need(graph, "avg_degree", (int, float), "graph")
-    number(graph, "avg_degree", "graph", None, lambda v: v > 0, "positive")
+    number(graph, "avg_degree", "graph", lambda v: v > 0, "positive")
     runs_doc = need(doc, "runs", list, "config")
     if not runs_doc:
         raise ConfigurationError("runs must be a nonempty list")
     runs = []
     for i, rd in enumerate(runs_doc):
         where = f"runs[{i}]"
+        known(rd, where, "solver", "alpha", "K", "phi", "bounded", "name")
         solver = need(rd, "solver", str, where)
         if solver not in ("cobadd", "centralized"):
             raise ConfigurationError(f"{where}.solver must be 'cobadd' or 'centralized'")
-        alpha = float(need(rd, "alpha", (int, float), where))
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise ConfigurationError(f"{where}.alpha must be finite and positive")
-        bounded = rd.get("bounded", True)
+        bounded, name = rd.get("bounded", True), rd.get("name", "")
         if not isinstance(bounded, bool):
             raise ConfigurationError(f"{where}.bounded must be true or false")
-        runs.append(RunSpec(solver=solver, alpha=alpha, K=integer(rd, "K", where, 1),
-                            phi=integer(rd, "phi", where, 1, default=1),
-                            bounded=bounded, name=str(rd.get("name", ""))))
+        if not isinstance(name, str) or "/" in name or "\\" in name:
+            raise ConfigurationError(f"{where}.name must be a string without path separators")
+        spec = RunSpec(solver=solver,
+                       alpha=number(rd, "alpha", where, lambda v: v > 0, "finite and positive"),
+                       K=integer(rd, "K", where, 1), phi=integer(rd, "phi", where, 1, default=1),
+                       bounded=bounded)
+        spec.name = name or (f"central_alpha{spec.alpha:g}" if solver == "centralized"
+                             else f"cobadd_phi{spec.phi}_alpha{spec.alpha:g}")
+        if any(spec.name == other.name for other in runs):
+            raise ConfigurationError(
+                f"{where} is named {spec.name!r} like an earlier run; names must be unique")
+        runs.append(spec)
     output_dir = need(doc, "output_dir", str, "config")
-    r = None if doc.get("r") is None else number(doc, "r", "config", None,
-                                                 lambda v: v > 0, "positive")
+    r = None if doc.get("r") is None else number(doc, "r", "config", lambda v: v > 0,
+                                                 "positive")
     xbar = doc.get("slater_xbar")
-    if xbar is not None and not (isinstance(xbar, list)
-                                 and all(isinstance(v, (int, float)) for v in xbar)):
+    if xbar is not None and not (isinstance(xbar, list) and all(map(real, xbar))):
         raise ConfigurationError("config.slater_xbar must be a list of numbers")
     return ExperimentConfig(instance=inst, graph=graph, runs=runs,
                             output_dir=output_dir, r=r, slater_xbar=xbar,
-                            probe_mu=number(doc, "probe_mu", "config", 0.0,
-                                            lambda v: v >= 0, ">= 0"),
-                            meta=dict(doc.get("meta", {})))
+                            probe_mu=number(doc, "probe_mu", "config", lambda v: v >= 0,
+                                            ">= 0", default=0.0),
+                            meta=dict(need(doc, "meta", dict, "config") if "meta" in doc else {}))
 
 
 def build_instance(spec: dict, seed_override: int | None = None) -> ProblemInstance:
@@ -208,14 +227,6 @@ def build_setup(cfg: ExperimentConfig, seed_override: int | None = None,
                  ground_truth(instance, cache_path))
 
 
-def run_name(spec: RunSpec) -> str:
-    if spec.name:
-        return spec.name
-    if spec.solver == "centralized":
-        return f"central_alpha{spec.alpha:g}"
-    return f"cobadd_phi{spec.phi}_alpha{spec.alpha:g}"
-
-
 def _solve(spec: RunSpec, setup: Setup, K: int) -> RunTrace:
     """One configured run, recording K rows."""
     if spec.solver == "centralized":
@@ -254,9 +265,8 @@ def cmd_run(config_path: str, seed_override: int | None = None,
     f_star = setup.oracle.f_star
     summary_runs = []
     for spec in cfg.runs:
-        name = run_name(spec)
         trace = _solve(spec, setup, spec.K)
-        csv_path = os.path.join(out_dir, name + ".csv")
+        csv_path = os.path.join(out_dir, spec.name + ".csv")
         trace.write_csv(csv_path)
         err = np.abs(f_star - trace.f_ergodic)
         tail = max(1, spec.K // 10)
@@ -264,7 +274,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
         cross = _first_crossing(rel)
         violations = _bound_violations(trace, f_star)
         summary_runs.append({
-            "name": name, "solver": spec.solver, "alpha": spec.alpha,
+            "name": spec.name, "solver": spec.solver, "alpha": spec.alpha,
             "phi": spec.phi if spec.solver == "cobadd" else None,
             "K": spec.K, "csv": os.path.basename(csv_path),
             "final_error": float(err[-1]),
@@ -384,12 +394,12 @@ def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
         gams = np.array([Gam for A, Gam in draws if len(A) == d])
         refs = dykstra_project(mats, gams, 2000)
         for A, Gam, ref in zip(mats, gams, refs):
-            worst = max(worst, float(np.linalg.norm(project_G(A, Gam) - ref)))
+            worst = max(worst, float(np.linalg.norm(project_psd_ball_stack(A, Gam) - ref)))
     report("projection equals Dykstra oracle", worst < 1e-7, f"max dev {worst:.2e}")
 
     # weak duality and theorem inequalities on shortened config runs
     for spec in cfg.runs:
-        name = run_name(spec)
+        name = spec.name
         trace = _solve(spec, setup, min(spec.K, 300))
         v = _bound_violations(trace, f_star)
         sandwich_ok = v["primal_upper"] == v["primal_lower"] == 0

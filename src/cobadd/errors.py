@@ -1,19 +1,12 @@
-"""Exception types shared across the package."""
-
-
-class MalformedInstanceError(ValueError):
-    """A problem instance violates its construction contract.
-
-    Raised when a cost or constraint function evaluates to a non-finite
-    value inside its box, a matrix has the wrong shape or is asymmetric
-    beyond tolerance, or a box is empty/unbounded.
-    """
+"""The exception type shared across the package."""
 
 
 class ConfigurationError(ValueError):
-    """A run-time configuration is inconsistent or infeasible.
+    """A malformed, inconsistent or infeasible instance or configuration.
 
-    Raised for instance for a projection radius below the admissible
-    threshold, a Slater vector that is not strictly feasible, or a graph
-    sampler that cannot produce a connected graph.
+    Raised for instance for a function that is non-finite inside its box,
+    an asymmetric or misshapen matrix, an empty or unbounded box, a
+    projection radius below the admissible threshold, a Slater vector
+    that is not strictly feasible, or a graph sampler that cannot produce
+    a connected graph.
     """

@@ -17,27 +17,30 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph on nodes {0, ..., n-1}."""
+    """Undirected simple graph on nodes {0, ..., n-1}.
+
+    ``edges`` is read-only, shape (E, 2): each edge once as (i, j) with
+    i < j, in lexicographic order, whatever the order and orientation
+    it was given in.
+    """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        canon = []
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range")
-            e = (min(i, j), max(i, j))
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        e = np.sort(np.array(self.edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        if np.any(e[:, 0] == e[:, 1]):
+            raise ValueError("self-loops are not allowed")
+        outside = (e[:, 0] < 0) | (e[:, 1] >= self.n)
+        if outside.any():
+            raise ValueError(f"edge {e[outside][0].tolist()} out of range")
+        edges, counts = np.unique(e, axis=0, return_counts=True)
+        if np.any(counts > 1):
+            raise ValueError(f"duplicate edge {edges[counts > 1][0].tolist()}")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -48,32 +51,23 @@ class Graph:
         return 2.0 * self.edge_count / self.n
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def neighbors(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return [sorted(v) for v in nbrs]
+        return np.bincount(self.edges.reshape(-1), minlength=self.n)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        nbrs = self.neighbors()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in nbrs[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        """Label propagation: each node takes the smallest label among
+        itself and its neighbours, and follows that label's own label,
+        until nothing changes; connected iff every label reaches 0."""
+        labels = np.arange(self.n)
+        i, j = self.edges.T
+        while True:
+            low = np.minimum(labels[i], labels[j])
+            new = labels.copy()
+            np.minimum.at(new, i, low)
+            np.minimum.at(new, j, low)
+            new = new[new]
+            if np.array_equal(new, labels):
+                return bool(np.all(labels == 0))
+            labels = new
 
 
 @dataclass(frozen=True)
@@ -129,8 +123,7 @@ def random_connected_graph(n: int, target_avg_degree: float, seed: int,
     iu, ju = np.triu_indices(n, k=1)
     for _ in range(max_attempts):
         mask = rng.random(iu.size) < p
-        edges = tuple((int(i), int(j)) for i, j in zip(iu[mask], ju[mask]))
-        g = Graph(n, edges)
+        g = Graph(n, np.stack([iu[mask], ju[mask]], axis=1))
         if g.is_connected():
             return g
     raise ConfigurationError(
@@ -147,11 +140,9 @@ def metropolis_weights(g: Graph) -> ConsensusMatrix:
     if not g.is_connected():
         raise ConfigurationError("graph is disconnected; nu would be 1")
     deg = g.degrees()
+    i, j = g.edges.T
     W = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = w
-        W[j, i] = w
+    W[i, j] = W[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     eigs = np.linalg.eigvalsh(W)
     nu = float(max(abs(eigs[0]), abs(eigs[-2]))) if g.n > 1 else 0.0
@@ -215,8 +206,8 @@ def check_consensus_conditions(W: np.ndarray, g: Graph,
     if W.shape != (g.n, g.n):
         return [f"shape {W.shape} does not match n={g.n}"]
     allowed = np.eye(g.n, dtype=bool)
-    for i, j in g.edges:
-        allowed[i, j] = allowed[j, i] = True
+    i, j = g.edges.T
+    allowed[i, j] = allowed[j, i] = True
     if np.any(np.abs(W[~allowed]) > atol):
         problems.append("nonzero weight on a non-edge")
     if np.max(np.abs(W - W.T)) > atol:

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, MalformedInstanceError
+from .errors import ConfigurationError
 
 # Numerical tolerance for "positive semidefinite" checks on dual matrices.
 PSD_TOL = 1e-9
@@ -110,9 +110,9 @@ class ScalarFunction:
 def _as_symmetric(A: np.ndarray, what: str) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise MalformedInstanceError(f"{what} must be a square matrix, got shape {A.shape}")
+        raise ConfigurationError(f"{what} must be a square matrix, got shape {A.shape}")
     if A.size and np.max(np.abs(A - A.T)) > 1e-12:
-        raise MalformedInstanceError(f"{what} is not symmetric")
+        raise ConfigurationError(f"{what} is not symmetric")
     A = (A + A.T) / 2.0
     A.flags.writeable = False
     return A
@@ -131,14 +131,14 @@ class NodeSpec:
         object.__setattr__(self, "A", _as_symmetric(self.A, "node matrix A"))
         lo, hi = float(self.box[0]), float(self.box[1])
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-            raise MalformedInstanceError(f"box [{lo}, {hi}] must be nonempty and bounded")
+            raise ConfigurationError(f"box [{lo}, {hi}] must be nonempty and bounded")
         object.__setattr__(self, "box", (lo, hi))
         with np.errstate(divide="ignore", invalid="ignore"):
             for name, fun in (("f", self.f), ("g", self.g)):
                 for x in (lo, (lo + hi) / 2.0, hi):
                     v = fun(x)
                     if not np.isfinite(v):
-                        raise MalformedInstanceError(
+                        raise ConfigurationError(
                             f"{name} evaluates to {v} at x={x} inside the box")
 
     @property
@@ -189,15 +189,15 @@ class ProblemInstance:
     def __post_init__(self):
         self.nodes = tuple(self.nodes)
         if len(self.nodes) < 1:
-            raise MalformedInstanceError("an instance needs at least one node")
+            raise ConfigurationError("an instance needs at least one node")
         d = int(self.d)
         A0 = np.zeros((d, d)) if self.A0 is None else self.A0
         A0 = _as_symmetric(A0, "A0")
         if A0.shape != (d, d):
-            raise MalformedInstanceError(f"A0 has shape {A0.shape}, expected ({d}, {d})")
+            raise ConfigurationError(f"A0 has shape {A0.shape}, expected ({d}, {d})")
         for i, node in enumerate(self.nodes):
             if node.A.shape != (d, d):
-                raise MalformedInstanceError(
+                raise ConfigurationError(
                     f"node {i} matrix has shape {node.A.shape}, expected ({d}, {d})")
         self.A0 = A0
         self.d = d
@@ -414,7 +414,7 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
     x, q = _closed_form_minimize(instance._closed, lo, hi, mus, lin, const,
                                  *_scratch(lo.shape))
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
-        raise MalformedInstanceError("non-finite Lagrangian evaluation inside a box")
+        raise ConfigurationError("non-finite Lagrangian evaluation inside a box")
     return x, q
 
 
@@ -587,14 +587,15 @@ def subgradient_bounds(instance: ProblemInstance) -> SubgradientBounds:
     maximized at box endpoints: every g_i is monotone in x, and a norm
     is convex along an affine path.
     """
-    L = 0.0
-    Q = 0.0
-    for node in instance.nodes:
-        lo, hi = node.box
-        L = max(L, abs(float(node.g(lo))), abs(float(node.g(hi))))
+    L = Q = 0.0
+    for end in instance.boxes:
+        _, g = _node_values(instance, end)
+        L = max(L, float(np.abs(g).max()))
         if instance.d:
-            for x in (lo, hi):
-                Q = max(Q, float(np.linalg.norm(-instance.A0 / instance.n - node.A * x)))
+            # one dot product per matrix: summed as np.linalg.norm sums one
+            # matrix, unlike norm(axis=(1, 2)), so M keeps its last bits
+            flat = constraint_values(instance, end)[1].reshape(instance.n, 1, -1)
+            Q = max(Q, float(np.sqrt(flat @ np.swapaxes(flat, 1, 2)).max()))
     return SubgradientBounds(L, Q)
 
 

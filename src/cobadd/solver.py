@@ -67,8 +67,8 @@ class CobaddState:
     """Every node's duals and ergodic sum after k recorded iterations.
 
     ``mus`` has shape (n,), ``Gs`` shape (n, d, d) (None when d = 0);
-    ``x_tilde`` holds the minimizers of the last oracle pass.  Indexing
-    or iterating yields per-node :class:`NodeState` views, built on read.
+    ``x_tilde`` holds the minimizers of the last oracle pass.  Iterating
+    yields per-node :class:`NodeState` views, built on read.
     """
 
     mus: np.ndarray
@@ -84,17 +84,11 @@ class CobaddState:
             return np.full(len(self.mus), math.nan)
         return self.tilde_sum / self.k
 
-    def __len__(self) -> int:
-        return len(self.mus)
-
-    def __getitem__(self, i: int) -> NodeState:
-        G = self.Gs[i] if self.Gs is not None else np.zeros((0, 0))
-        erg = self.tilde_sum[i] / self.k if self.k >= 1 else math.nan
-        return NodeState(DualPoint(self.mus[i], G), float(self.x_tilde[i]), erg,
-                         float(self.tilde_sum[i]), self.k)
-
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        erg = self.ergodic_x
+        for i, mu in enumerate(self.mus):
+            yield NodeState(DualPoint(mu, None if self.Gs is None else self.Gs[i]),
+                            float(self.x_tilde[i]), float(erg[i]), float(self.tilde_sum[i]), self.k)
 
 
 def _advance(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig,

@@ -175,7 +175,7 @@ def test_criterion_5_exact_averaging_equivalence(num_instance, num_sets):
     central = cb.central_init(num_instance, 1.0 / n, num_sets)
     dev = 0.0
     for _ in range(500):
-        dev = max(dev, float(np.max(np.abs(state.mus - central.dual.mu))))
+        dev = max(dev, float(np.max(np.abs(state.mus - central.mus[0]))))
         state = cb.cobadd_step(num_instance, state, W, cfg)
         central = cb.central_step(num_instance, central, 1.0 / n, num_sets)
         f_c = cb.evaluate_primal(num_instance, state.ergodic_x)[0]
@@ -200,7 +200,7 @@ def test_criterion_6_projection_against_dykstra():
         gams = np.array([Gam for dd, _, Gam in draws if dd == d])
         refs = dykstra_project(mats, gams, 10_000)
         for A, Gam, ref in zip(mats, gams, refs):
-            worst = max(worst, float(np.linalg.norm(cb.project_G(A, Gam) - ref)))
+            worst = max(worst, float(np.linalg.norm(cb.project_psd_ball_stack(A, Gam) - ref)))
     _report(6, worst <= 1e-7,
             f"200 random matrices d in 2..4: max Frobenius gap {worst:.2e} <= 1e-7")
 

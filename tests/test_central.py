@@ -6,8 +6,19 @@ import numpy as np
 import pytest
 
 import cobadd as cb
+from cobadd.problem import minimize_node_lagrangians
 
 NUM_SIGMA_SUM_PIN = 48.671845826578874
+
+
+def scalar_state(mu, n=2):
+    """A master-node state that samples at (mu, no G) next."""
+    return cb.CentralState(np.array([mu]), None, np.full(n, math.nan), 0, np.zeros(n))
+
+
+def dual_of(state):
+    """The state's dual pair as a DualPoint."""
+    return cb.DualPoint(state.mus[0], None if state.Gs is None else state.Gs[0])
 
 
 def test_init_single_step_hand_computation(num_instance, num_sets):
@@ -15,9 +26,9 @@ def test_init_single_step_hand_computation(num_instance, num_sets):
     # mu^1 = P[alpha * (sum sigma - 10)]
     s0 = NUM_SIGMA_SUM_PIN - 10.0
     state = cb.central_init(num_instance, alpha=1.0, sets=None)
-    assert state.dual.mu == pytest.approx(s0, abs=1e-9)
+    assert state.mus[0] == pytest.approx(s0, abs=1e-9)
     state_b = cb.central_init(num_instance, alpha=1.0, sets=num_sets)
-    assert state_b.dual.mu == pytest.approx(num_sets.Lambda)
+    assert state_b.mus[0] == pytest.approx(num_sets.Lambda)
     assert state_b.k == 0
     assert np.all(np.isnan(state_b.ergodic_x))
 
@@ -29,9 +40,8 @@ def test_step_zero_subgradient_is_fixed_point():
     node = cb.NodeSpec(f, g, np.zeros((0, 0)), (0.0, 1.0))
     inst = cb.ProblemInstance((node, node), np.zeros((0, 0)), 0)
     mu = 2.0 / 3.0  # stationary point 1/mu - 1 = 0.5
-    state = cb.CentralState(cb.DualPoint(mu), np.full(2, math.nan), 0, np.zeros(2))
-    out = cb.central_step(inst, state, alpha=0.7)
-    assert out.dual.mu == pytest.approx(mu, abs=1e-12)
+    out = cb.central_step(inst, scalar_state(mu), alpha=0.7)
+    assert out.mus[0] == pytest.approx(mu, abs=1e-12)
     assert np.allclose(out.ergodic_x, [0.5, 0.5])
 
 
@@ -43,10 +53,9 @@ def test_ergodic_mean_two_steps():
     n2 = cb.NodeSpec(cb.ScalarFunction.linear(-1.0),
                      cb.ScalarFunction.affine(0.0, -0.25), np.zeros((0, 0)), (0.0, 1.0))
     inst = cb.ProblemInstance((n1, n2), np.zeros((0, 0)), 0)
-    state = cb.CentralState(cb.DualPoint(2.0), np.full(2, math.nan), 0, np.zeros(2))
-    state = cb.central_step(inst, state, alpha=4.0)
+    state = cb.central_step(inst, scalar_state(2.0), alpha=4.0)
     assert np.allclose(state.ergodic_x, [0.0, 1.0])
-    assert state.dual.mu == 0.0  # 2 + 4*(-0.5) clipped at zero
+    assert state.mus[0] == 0.0  # 2 + 4*(-0.5) clipped at zero
     state = cb.central_step(inst, state, alpha=4.0)
     assert np.allclose(state.ergodic_x, [0.5, 1.0])
     assert state.k == 2
@@ -58,18 +67,18 @@ def test_solve_single_iteration_is_first_sample(num_instance):
     trace = cb.central_solve(num_instance, alpha=1.0, K=K)
     assert trace.iterations == K
     state = cb.central_init(num_instance, alpha=1.0)
-    _, x1 = cb.oracle_sweep(num_instance, state.dual)
+    _, x1 = cb.oracle_sweep(num_instance, dual_of(state))
     f1, _, _ = cb.evaluate_primal(num_instance, x1)
     assert trace.f_ergodic[0] == pytest.approx(f1, abs=1e-12)
     # every row is one central_step from the previous state
     for k in range(K):
-        q = cb.dual_function_value(num_instance, state.dual)
+        q = cb.dual_function_value(num_instance, dual_of(state))
         state = cb.central_step(num_instance, state, alpha=1.0)
         row = (trace.f_ergodic[k], trace.viol_ineq[k], trace.viol_lmi[k])
         assert cb.evaluate_primal(num_instance, state.ergodic_x) == row
         assert trace.q_best_node[k] == trace.q_mean[k]
         assert trace.q_best_node[k] == pytest.approx(q, rel=1e-12, abs=0.0)
-    assert trace.final_mus[0] == state.dual.mu
+    assert np.array_equal(trace.final_mus, state.mus)
 
 
 def test_solve_records_the_single_dual_point_lmi(lmi_instance, lmi_sets):
@@ -83,10 +92,10 @@ def test_solve_records_the_single_dual_point_lmi(lmi_instance, lmi_sets):
     assert np.array_equal(trace.messages_cum, np.zeros(K))
     state = cb.central_init(lmi_instance, 0.5, lmi_sets)
     for k in range(K):
-        q = cb.dual_function_value(lmi_instance, state.dual)
+        q = cb.dual_function_value(lmi_instance, dual_of(state))
         assert trace.q_best_node[k] == pytest.approx(q, rel=1e-12, abs=0.0)
         state = cb.central_step(lmi_instance, state, 0.5, lmi_sets)
-    assert np.array_equal(trace.final_Gs[0], state.dual.G)
+    assert np.array_equal(trace.final_Gs, state.Gs)
 
 
 def test_solve_baseline_sandwich_num(num_instance, num_f_star):
@@ -110,8 +119,35 @@ def test_solve_baseline_sandwich_lmi(lmi_instance, lmi_f_star):
 def test_bounded_mode_keeps_duals_inside_sets(num_instance, num_sets):
     state = cb.central_init(num_instance, alpha=1.0, sets=num_sets)
     for _ in range(40):
-        assert 0.0 <= state.dual.mu <= num_sets.Lambda + 1e-12
+        assert 0.0 <= state.mus[0] <= num_sets.Lambda + 1e-12
         state = cb.central_step(num_instance, state, alpha=1.0, sets=num_sets)
+
+
+def test_unbounded_lmi_update_projects_onto_psd_cone():
+    # without sets the matrix dual moves to the PSD part of
+    # G - alpha (A0 + sum A_i x_i), and mu to the nonnegative part of
+    # mu + alpha sum g_i, with no radius; the LMI cuts off x = (1, 1)
+    c, s = math.cos(0.3), math.sin(0.3)
+    Q = np.array([[c, -s], [s, c]])
+    f, g = cb.ScalarFunction.linear(-1.0), cb.ScalarFunction.affine(1.0, -0.9)
+    inst = cb.ProblemInstance(
+        [cb.NodeSpec(f, g, Q @ np.diag(a) @ Q.T, (0.0, 1.0)) for a in ([-1, 0.5], [-1, -0.25])],
+        Q @ np.eye(2) @ Q.T, 2)
+    alpha = 0.4
+    state = cb.central_init(inst, alpha)
+    clipped = 0
+    for _ in range(40):
+        x, _ = minimize_node_lagrangians(inst, np.repeat(state.mus, 2),
+                                         np.repeat(state.Gs, 2, axis=0))
+        w, U = np.linalg.eigh(state.Gs[0] - alpha * inst.lmi_matrix(x))
+        clipped += bool(w[0] < 0.0 < w[1])
+        expected_G = (U * np.maximum(w, 0.0)) @ U.T
+        h, _ = cb.constraint_values(inst, x)
+        expected_mu = max(0.0, state.mus[0] + alpha * h.sum())
+        state = cb.central_step(inst, state, alpha)
+        assert state.mus[0] == pytest.approx(expected_mu, abs=1e-12)
+        assert np.allclose(state.Gs[0], expected_G, atol=1e-12)
+    assert clipped  # some updates keep one eigenvalue and clip the other
 
 
 def test_smaller_alpha_shrinks_floor_term(num_instance, num_f_star):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -82,10 +83,23 @@ def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
     (("runs", 0, "K"), True),
     (("runs", 0, "phi"), True),
     (("instance", "seed"), True),
+    (("runs", 0, "alpha"), True),
+    (("probe_mu",), True),
+    (("r",), True),
+    (("graph", "avg_degree"), True),
+    (("slater_xbar",), [False] * 24),
+    (("runs", 0, "phii"), 3),
+    (("output_dri",), "x"),
+    (("graph", "degree"), 5.0),
+    (("meta",), 5),
 ], ids=["probe_mu", "r", "avg_degree", "slater_xbar", "phi", "n_text", "n_one",
         "bounded_text", "graph_n_float", "graph_seed_float", "K_bool", "phi_bool",
-        "seed_bool"])
+        "seed_bool", "alpha_bool", "probe_mu_bool", "r_bool", "avg_degree_bool",
+        "slater_xbar_bool", "unknown_run_key", "unknown_top_key", "unknown_graph_key",
+        "meta_not_object"])
 def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
+    # a bad config value or a field nothing reads exits 2 before any run;
+    # the instance's own fields are checked when it is built, and exit 1
     path, cfg = small_config(tmp_path, K=5)
     *parents, last = keys
     section = cfg
@@ -94,9 +108,44 @@ def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
     section[last] = value
     with open(path, "w") as fh:
         json.dump(cfg, fh)
-    assert main(["run", path]) != 0
+    assert main(["run", path]) == (1 if keys[0] == "instance" else 2)
     err = capsys.readouterr().err
     assert err.startswith("error:") and keys[-1] in err
+
+
+@pytest.mark.parametrize("runs, message", [
+    ([{"solver": "centralized", "alpha": 0.5, "K": 5},
+      {"solver": "centralized", "alpha": 0.5, "K": 5, "bounded": False}],
+     "runs[1] is named 'central_alpha0.5'"),
+    ([{"solver": "cobadd", "alpha": 1.0, "K": 5, "name": "a"},
+      {"solver": "centralized", "alpha": 1.0, "K": 5, "name": "a"}], "runs[1] is named 'a'"),
+    ([{"solver": "cobadd", "alpha": 1.0, "K": 5, "name": "cobadd_phi1_alpha1"},
+      {"solver": "cobadd", "alpha": 1.0, "K": 5}], "runs[1] is named 'cobadd_phi1_alpha1'"),
+    ([{"solver": "cobadd", "alpha": 1.0, "K": 5, "name": "sub/x"}], "runs[0].name"),
+    ([{"solver": "cobadd", "alpha": 1.0, "K": 5, "name": "../x"}], "runs[0].name"),
+    ([{"solver": "cobadd", "alpha": 1.0, "K": 5, "name": "a\\b"}], "runs[0].name"),
+    ([{"solver": "cobadd", "alpha": 1.0, "K": 5, "name": 7}], "runs[0].name"),
+], ids=["same_default", "same_given", "given_as_default", "separator", "parent_dir",
+        "backslash", "not_text"])
+def test_run_names_unique_and_plain(tmp_path, capsys, runs, message):
+    # each run writes <name>.csv inside output_dir: a repeated name would
+    # overwrite a trace, and a path separator would leave the directory
+    path, _ = small_config(tmp_path, out_name="o", runs=runs)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_config(path)
+    assert cmd_run(path) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists() and not (tmp_path / "x.csv").exists()
+
+
+def test_unique_run_names_write_one_trace_each(tmp_path):
+    runs = [{"solver": "centralized", "alpha": 0.5, "K": 5, "name": "bounded"},
+            {"solver": "centralized", "alpha": 0.5, "K": 5, "bounded": False}]
+    path, _ = small_config(tmp_path, out_name="o", runs=runs)
+    assert [spec.name for spec in load_config(path).runs] == ["bounded", "central_alpha0.5"]
+    assert cmd_run(path) == 0
+    assert sorted(os.listdir(tmp_path / "o")) == [
+        "bounded.csv", "central_alpha0.5.csv", "oracle_cache.json", "summary.json"]
 
 
 @pytest.mark.parametrize("command", [cmd_run, cmd_verify])
@@ -333,6 +382,17 @@ def test_verify_dense_config_applies_every_theorem(capsys):
     assert out.count("PASS               primal sandwich") == 2
 
 
+def test_verify_lmi_config_passes_every_check(capsys):
+    # the d = 2 config reaches every projection on the matrix path and
+    # keeps phi >= phibar, so no check is skipped
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    assert cmd_verify(os.path.join(root, "verify_lmi.json")) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "SKIP" not in out
+    assert out.count("PASS               agreement bound") == 2
+    assert out.count("PASS               baseline sandwich") == 2
+
+
 def test_cmd_verify_passes_on_good_config(tmp_path, capsys):
     path, _ = small_config(tmp_path, K=30)
     assert cmd_verify(path) == 0
@@ -397,7 +457,7 @@ def test_bundled_fig_configs_parse_to_figure_curve_set():
     combos = {(r.alpha, r.phi) for r in cfg.runs}
     assert combos == {(1.0, 1), (1.0, 2), (1.0, 4), (1.0, 26), (0.1, 1)}
     assert all(r.K == 2000 and r.solver == "cobadd" for r in cfg.runs)
-    assert sorted(os.listdir(root)) == ["fig1.json", "verify_dense.json"]
+    assert sorted(os.listdir(root)) == ["fig1.json", "verify_dense.json", "verify_lmi.json"]
 
 
 def test_corrupted_weights_fail_conditions_check(fig_graph):

@@ -16,12 +16,12 @@ from cobadd.errors import ConfigurationError
 
 def test_two_nodes_single_edge():
     g = cb.random_connected_graph(2, 1.0, seed=0)
-    assert g.edges == ((0, 1),)
+    assert np.array_equal(g.edges, [[0, 1]])
 
 
 def test_graph_determinism_and_degree(fig_graph):
     again = cb.random_connected_graph(100, 3.12, 7)
-    assert again.edges == fig_graph.edges
+    assert np.array_equal(again.edges, fig_graph.edges)
     assert fig_graph.is_connected()
     assert abs(fig_graph.average_degree - 3.12) <= 0.8
 
@@ -29,7 +29,7 @@ def test_graph_determinism_and_degree(fig_graph):
 def test_graph_seed_changes_edges():
     a = cb.random_connected_graph(30, 4.0, 1)
     b = cb.random_connected_graph(30, 4.0, 2)
-    assert a.edges != b.edges
+    assert not np.array_equal(a.edges, b.edges)
 
 
 def test_graph_rejects_malformed_edges():
@@ -39,6 +39,43 @@ def test_graph_rejects_malformed_edges():
         cb.Graph(3, ((0, 5),))
     with pytest.raises(ValueError):
         cb.Graph(3, ((0, 1), (1, 0)))
+
+
+def bfs_connected(n, pairs):
+    """Reference connectivity: a breadth-first search from node 0."""
+    nbrs = [[] for _ in range(n)]
+    for i, j in pairs:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [v for u in frontier for v in nbrs[u] if v not in seen]
+        seen.update(frontier)
+    return len(seen) == n
+
+
+@given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+def test_graph_canonical_edges_and_connectivity(n, p, seed):
+    # any random edge set: connectivity agrees with BFS, the edge array
+    # is the sorted (i < j) list whatever the order and orientation given,
+    # and a duplicate given reversed is rejected
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < p
+    pairs = list(zip(iu[keep].tolist(), ju[keep].tolist()))
+    g = cb.Graph(n, pairs)
+    assert g.is_connected() == bfs_connected(n, pairs)
+    assert np.array_equal(g.edges, np.array(pairs, dtype=int).reshape(-1, 2))
+    assert not g.edges.flags.writeable
+    assert np.array_equal(g.degrees(), [sum(v in e for e in pairs) for v in range(n)])
+    given_as = [(j, i) if flip else (i, j)
+                for (i, j), flip in zip(pairs, rng.random(len(pairs)) < 0.5)]
+    shuffled = [given_as[k] for k in rng.permutation(len(pairs))]
+    assert np.array_equal(cb.Graph(n, shuffled).edges, g.edges)
+    if pairs:
+        i, j = pairs[int(rng.integers(len(pairs)))]
+        with pytest.raises(ValueError, match="duplicate"):
+            cb.Graph(n, shuffled + [(j, i)])
 
 
 def test_unreachable_degree_raises():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import cobadd as cb
-from cobadd.errors import ConfigurationError, MalformedInstanceError
+from cobadd.errors import ConfigurationError
 from cobadd.problem import minimize_node_lagrangians
 
 # regression constants for the seeded 100-node sample instance
@@ -57,22 +57,22 @@ def test_neg_log_requires_nonnegative_coefficient():
 
 
 def test_node_spec_rejects_asymmetric_matrix():
-    with pytest.raises(MalformedInstanceError):
+    with pytest.raises(ConfigurationError):
         cb.NodeSpec(cb.ScalarFunction.linear(1.0), cb.ScalarFunction.linear(1.0),
                     np.array([[0.0, 1.0], [0.0, 0.0]]), (0.0, 1.0))
 
 
 def test_node_spec_rejects_unbounded_or_empty_box():
     f = cb.ScalarFunction.linear(1.0)
-    with pytest.raises(MalformedInstanceError):
+    with pytest.raises(ConfigurationError):
         cb.NodeSpec(f, f, np.zeros((0, 0)), (0.0, math.inf))
-    with pytest.raises(MalformedInstanceError):
+    with pytest.raises(ConfigurationError):
         cb.NodeSpec(f, f, np.zeros((0, 0)), (1.0, 0.0))
 
 
 def test_node_spec_rejects_nonfinite_evaluation():
     # -log(1+x) blows up at the lower endpoint -1
-    with pytest.raises(MalformedInstanceError):
+    with pytest.raises(ConfigurationError):
         cb.NodeSpec(cb.ScalarFunction.neg_log(1.0), cb.ScalarFunction.linear(1.0),
                     np.zeros((0, 0)), (-1.0, 1.0))
 

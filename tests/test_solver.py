@@ -35,11 +35,11 @@ def test_step_complete_graph_hand_evaluation():
     states = manual_states([0.2, 0.4])
     out = cb.cobadd_step(inst, states, W, cfg)
     expected = 0.5 * (0.2 + 0.75) + 0.5 * (0.4 + 0.75)
-    assert out[0].dual.mu == pytest.approx(expected, abs=1e-12)
-    assert out[1].dual.mu == pytest.approx(expected, abs=1e-12)
-    assert out[0].tilde_x == 1.0
-    assert out[0].k == 1
-    assert out[0].ergodic_x == 1.0
+    assert out.mus[0] == pytest.approx(expected, abs=1e-12)
+    assert out.mus[1] == pytest.approx(expected, abs=1e-12)
+    assert out.x_tilde[0] == 1.0
+    assert out.k == 1
+    assert out.ergodic_x[0] == 1.0
 
 
 def test_step_projects_mixed_payload_onto_sets():
@@ -48,7 +48,7 @@ def test_step_projects_mixed_payload_onto_sets():
     cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=10, sets=sets)
     W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))
     out = cb.cobadd_step(inst, manual_states([0.2, 0.4]), W, cfg)
-    assert out[0].dual.mu == pytest.approx(0.8)  # clipped at Lambda
+    assert out.mus[0] == pytest.approx(0.8)  # clipped at Lambda
 
 
 def test_step_zero_subgradient_fixed_point():
@@ -61,23 +61,38 @@ def test_step_zero_subgradient_fixed_point():
     W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))
     mu = 2.0 / 3.0
     out = cb.cobadd_step(inst, manual_states([mu, mu]), W, cfg)
-    assert out[0].dual.mu == pytest.approx(mu, abs=1e-12)
-    assert out[1].dual.mu == pytest.approx(mu, abs=1e-12)
-    assert out[0].tilde_x == pytest.approx(0.5)
+    assert out.mus[0] == pytest.approx(mu, abs=1e-12)
+    assert out.mus[1] == pytest.approx(mu, abs=1e-12)
+    assert out.x_tilde[0] == pytest.approx(0.5)
+
+
+def test_state_iterates_node_views(lmi_instance, lmi_sets):
+    # per-node views read the state's arrays, k and ergodic point
+    cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=3, sets=lmi_sets)
+    W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))
+    state = cb.cobadd_init(lmi_instance, W, cfg)
+    assert all(math.isnan(v.ergodic_x) for v in state)
+    state = cb.cobadd_step(lmi_instance, state, W, cfg)
+    views = list(state)
+    assert len(views) == 2 and all(v.k == 1 for v in views)
+    for i, v in enumerate(views):
+        assert v.dual.mu == state.mus[i] and np.array_equal(v.dual.G, state.Gs[i])
+        assert (v.tilde_x, v.ergodic_x) == (state.x_tilde[i], state.ergodic_x[i])
+        assert v.tilde_sum == state.tilde_sum[i]
 
 
 def test_init_does_not_feed_ergodic(num_instance, num_sets, fig_graph):
     cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=5, sets=num_sets)
     W = cb.metropolis_weights(fig_graph)
     states = cb.cobadd_init(num_instance, W, cfg)
-    assert states[0].k == 0
-    assert states[0].tilde_sum == 0.0
-    assert math.isnan(states[0].ergodic_x)
+    assert states.k == 0
+    assert np.all(states.tilde_sum == 0.0)
+    assert np.all(np.isnan(states.ergodic_x))
     # the bootstrap evaluated at mu = 0, where every minimizer is 1
-    assert states[0].tilde_x == 1.0
+    assert np.all(states.x_tilde == 1.0)
     after = cb.cobadd_step(num_instance, states, W, cfg)
-    assert after[0].k == 1
-    assert after[0].ergodic_x == after[0].tilde_sum
+    assert after.k == 1
+    assert np.array_equal(after.ergodic_x, after.tilde_sum)
 
 
 def cobadd_states(instance, network, cfg):
@@ -103,7 +118,7 @@ def exact_averaging_rows(instance, sets, alpha, K):
 
 def test_exact_averaging_matches_centralized_bounded(num_instance, num_sets):
     for state, central in exact_averaging_rows(num_instance, num_sets, 1.0, 300):
-        assert np.max(np.abs(state.mus - central.dual.mu)) <= 1e-9
+        assert np.max(np.abs(state.mus - central.mus[0])) <= 1e-9
         # every node holds the same dual when averaging is exact
         assert np.max(np.abs(state.mus - state.mus[0])) == 0.0
         if state.k:
@@ -114,8 +129,8 @@ def test_exact_averaging_matches_centralized_bounded(num_instance, num_sets):
 
 def test_exact_averaging_matches_centralized_bounded_lmi(lmi_instance, lmi_sets):
     for state, central in exact_averaging_rows(lmi_instance, lmi_sets, 0.5, 200):
-        assert np.max(np.abs(state.mus - central.dual.mu)) <= 1e-9
-        assert np.max(np.abs(state.Gs - central.dual.G)) <= 1e-9
+        assert np.max(np.abs(state.mus - central.mus[0])) <= 1e-9
+        assert np.max(np.abs(state.Gs - central.Gs[0])) <= 1e-9
 
 
 def test_duals_and_ergodic_stay_feasible(num_instance, num_sets, fig_graph):
@@ -201,7 +216,7 @@ def test_step_and_solve_agree(name, request):
         row = (tr.f_ergodic[k], tr.viol_ineq[k], tr.viol_lmi[k])
         assert cb.evaluate_primal(instance, state.ergodic_x) == row
         assert np.array_equal(state.ergodic_x, [s.ergodic_x for s in state])
-    assert state[0].k == K
+    assert state.k == K
     assert np.array_equal(state.mus, tr.final_mus)
     if instance.d:
         assert np.array_equal(state.Gs, tr.final_Gs)
