@@ -18,7 +18,7 @@ from .problem import (DualPoint, DualSetSpec, NodeSpec, ProblemInstance,
                       ScalarFunction, SlaterCertificate, SubgradientBounds,
                       build_dual_sets, constraint_values, dual_function_value,
                       dual_function_values, dual_set_threshold, evaluate_primal,
-                      instance_from_json, instance_hash, instance_to_json,
+                      instance_from_json, instance_to_json,
                       make_sample_lmi_instance, make_sample_num_instance,
                       oracle_sweep, slater_certificate, subgradient_bounds)
 from .solver import (CobaddConfig, CobaddState, NodeState, cobadd_init,

@@ -25,8 +25,7 @@ from .central import central_solve
 from .errors import ConfigurationError
 from .network import (ConsensusMatrix, Graph, check_consensus_conditions, consensus_round,
                       metropolis_weights, random_connected_graph)
-from .oracles import (dual_bisection, dykstra_project, grid_search_lmi,
-                      load_cached_result, store_cached_result, OracleResult)
+from .oracles import OracleResult, dual_bisection, dykstra_project, grid_search_lmi
 from .problem import (DualPoint, DualSetSpec, ProblemInstance, build_dual_sets,
                       dual_set_threshold, instance_from_json,
                       make_sample_lmi_instance, make_sample_num_instance,
@@ -100,8 +99,12 @@ def load_config(path: str) -> ExperimentConfig:
     known(doc, "config", "instance", "graph", "runs", "output_dir", "r", "slater_xbar",
           "probe_mu", "meta")
     inst = known(need(doc, "instance", dict, "config"), "instance", "builtin", "path", "n", "seed")
-    if "builtin" not in inst and "path" not in inst:
-        raise ConfigurationError("instance needs either 'builtin' or 'path'")
+    if ("builtin" in inst) == ("path" in inst):
+        raise ConfigurationError("instance needs exactly one of 'builtin' and 'path'")
+    need(inst, "builtin" if "builtin" in inst else "path", str, "instance")
+    extra = sorted({"n", "seed"} & set(inst)) if inst.get("builtin") != "num" else []
+    if extra:
+        raise ConfigurationError(f"instance.{extra[0]} is read only by the builtin 'num'")
     graph = known(need(doc, "graph", dict, "config"), "graph", "n", "avg_degree", "seed")
     integer(graph, "n", "graph", 1)
     integer(graph, "seed", "graph", 0)
@@ -166,23 +169,13 @@ def build_instance(spec: dict, seed_override: int | None = None) -> ProblemInsta
     raise ConfigurationError(f"unknown builtin instance {builtin!r}")
 
 
-def ground_truth(instance: ProblemInstance, cache_path: str | None = None) -> OracleResult:
-    """f* for an instance from the applicable independent oracle; a cached
-    entry counts only if stored for the same oracle method and setting."""
+def ground_truth(instance: ProblemInstance) -> OracleResult:
+    """f* for an instance from the applicable independent oracle."""
     if instance.d == 0:
-        oracle, key = dual_bisection, {"method": "dual_bisection", "setting": 1e-10}
-    elif instance.n <= 3:
-        oracle, key = grid_search_lmi, {"method": "grid_search_lmi", "setting": 1e-3}
-    else:
-        raise ConfigurationError("no oracle covers this instance shape")
-    if cache_path:
-        cached = load_cached_result(cache_path, instance, **key)
-        if cached is not None:
-            return cached
-    result = oracle(instance, key["setting"])
-    if cache_path:
-        store_cached_result(cache_path, instance, result, **key)
-    return result
+        return dual_bisection(instance, 1e-10)
+    if instance.n <= 3:
+        return grid_search_lmi(instance, 1e-3)
+    raise ConfigurationError("no oracle covers this instance shape")
 
 
 @dataclass
@@ -198,8 +191,7 @@ class Setup:
     oracle: OracleResult
 
 
-def build_setup(cfg: ExperimentConfig, seed_override: int | None = None,
-                cache_path: str | None = None) -> Setup:
+def build_setup(cfg: ExperimentConfig, seed_override: int | None = None) -> Setup:
     """Instance, graph, weights, Slater point, dual sets and f* of a config.
 
     ``seed_override`` replaces both the instance seed and the graph seed.
@@ -223,8 +215,7 @@ def build_setup(cfg: ExperimentConfig, seed_override: int | None = None,
     threshold = dual_set_threshold(instance, slater, probe)
     r = cfg.r if cfg.r is not None else (threshold if threshold > 0 else 1.0)
     sets = build_dual_sets(instance, slater, probe, r)
-    return Setup(instance, graph, graph_seed, W, threshold, sets,
-                 ground_truth(instance, cache_path))
+    return Setup(instance, graph, graph_seed, W, threshold, sets, ground_truth(instance))
 
 
 def _solve(spec: RunSpec, setup: Setup, K: int) -> RunTrace:
@@ -254,13 +245,13 @@ def cmd_run(config_path: str, seed_override: int | None = None,
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = out_override or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     try:
-        setup = build_setup(cfg, seed_override, os.path.join(out_dir, "oracle_cache.json"))
+        setup = build_setup(cfg, seed_override)
     except SETUP_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out_dir = out_override or cfg.output_dir
+    os.makedirs(out_dir, exist_ok=True)
     instance, sets = setup.instance, setup.sets
     f_star = setup.oracle.f_star
     summary_runs = []
@@ -293,7 +284,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
                   "seed": setup.graph_seed},
         "dual_sets": {"radius": sets.Lambda, "r": sets.r, "threshold": setup.threshold},
         "f_star": f_star,
-        "f_star_oracle": setup.oracle.certificate.get("method", "unknown"),
+        "f_star_oracle": setup.oracle.certificate["method"],
         "runs": summary_runs,
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:

@@ -12,16 +12,13 @@ against.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .problem import (DualPoint, ProblemInstance, evaluate_primal,
-                      instance_hash, oracle_sweep)
+from .problem import DualPoint, ProblemInstance, evaluate_primal, oracle_sweep
 
 
 @dataclass(frozen=True)
@@ -225,54 +222,3 @@ def _psd_clip(A: np.ndarray) -> np.ndarray:
 def _ball_clip(A: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(A, axis=(-2, -1), keepdims=True)
     return A * (Gamma / np.maximum(nrm, Gamma))
-
-
-# ---------------------------------------------------------------------------
-# JSON cache keyed by instance hash, oracle method and its setting
-# ---------------------------------------------------------------------------
-
-def _cache_key(instance: ProblemInstance, method: str, setting: float) -> str:
-    """Entry key: the instance, the oracle, and its tol or step."""
-    return f"{instance_hash(instance)}:{method}:{setting!r}"
-
-
-def _read_cache(path: str) -> dict:
-    """The cache document, or an empty one when the file is missing or
-    unreadable (a corrupt cache is a miss, and the next store rewrites it)."""
-    try:
-        with open(path) as fh:
-            cache = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    return cache if isinstance(cache, dict) else {}
-
-
-def load_cached_result(path: str, instance: ProblemInstance, *, method: str,
-                       setting: float) -> OracleResult | None:
-    """The entry stored for this instance, method and setting, if any."""
-    cache = _read_cache(path)
-    entry = cache.get(_cache_key(instance, method, setting)) if cache else None
-    if not isinstance(entry, dict):
-        return None
-    return OracleResult(entry["f_star"], np.array(entry["x_star"]),
-                        entry.get("mu_star"), dict(entry.get("certificate", {})))
-
-
-def store_cached_result(path: str, instance: ProblemInstance, result: OracleResult,
-                        *, method: str, setting: float) -> None:
-    """Add the result to the cache, replacing the file atomically."""
-    cache = _read_cache(path)
-    cache[_cache_key(instance, method, setting)] = {
-        "f_star": result.f_star,
-        "x_star": result.x_star.tolist(),
-        "mu_star": result.mu_star,
-        "certificate": result.certificate,
-    }
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(cache, fh, sort_keys=True, indent=1)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)

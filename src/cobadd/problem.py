@@ -29,8 +29,6 @@ every node at every point.  That kernel also serves the oracle and
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,7 +61,7 @@ class ScalarFunction:
     ==========  ===============================  ============
 
     A nonzero coefficient the kind does not take is rejected: the JSON
-    form of the kind would drop it, and with it the instance hash.
+    form of the kind would drop it.
     """
 
     kind: str
@@ -505,8 +503,9 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
                          Gs: np.ndarray | None = None) -> np.ndarray:
     """q evaluated at m dual points at once.
 
-    ``mus`` has shape (m,) and ``Gs`` shape (m, d, d) (None when d = 0).
-    With d = 0 and every mu >= 0, q is read off the breakpoints of
+    ``mus`` has shape (m,) and ``Gs`` shape (m, d, d) (None when d = 0);
+    every mu must be >= 0, the dual domain, and a negative one raises
+    ``ValueError``.  With d = 0, q is read off the breakpoints of
     :func:`_dual_breakpoints`: one ``searchsorted`` and a four-term sum
     per point instead of n node evaluations.  That sums in
     another order than :func:`dual_function_value`, so the two agree to
@@ -514,13 +513,14 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     ``tr[A_i G_j]`` couples each node with each dual, the m points go in
     row blocks of about ``_BLOCK_ELEMENTS`` node evaluations through
     :func:`_closed_form_minimize`, in scratch shared by all blocks, and
-    each row is summed in the same order as a single point (as is every
-    row at d = 0 when some mu < 0).
+    each row is summed in the same order as a single point.
     """
     mus = np.asarray(mus, dtype=float)
+    if np.any(mus < 0.0):
+        raise ValueError("dual_function_values needs every mu >= 0")
     m, n = mus.shape[0], instance.n
     table = instance._breakpoints
-    if table is not None and mus.min(initial=0.0) >= 0.0:
+    if table is not None:
         t, cum = table
         k = cum[np.searchsorted(t, mus, side="right")]
         mu = mus.astype(np.longdouble)
@@ -771,11 +771,3 @@ def _fun_from_json(doc: dict) -> ScalarFunction:
         raise ValueError(f"a {kind} function has keys kind, {', '.join(names)}; "
                          f"got {', '.join(sorted(doc))}")
     return ScalarFunction(kind, **{name: float(doc[name]) for name in names})
-
-
-def instance_hash(instance: ProblemInstance) -> str:
-    """Stable content hash, used to key cached oracle results."""
-    doc = instance_to_json(instance)
-    doc.pop("meta", None)
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()

@@ -1,6 +1,7 @@
 """Experiment CLI: config validation, runs, determinism, verification."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -113,6 +114,36 @@ def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
     assert err.startswith("error:") and keys[-1] in err
 
 
+@pytest.mark.parametrize("instance, message", [
+    ({"path": 5}, "instance.path"),
+    ({"path": 0}, "instance.path"),
+    ({"builtin": 5}, "instance.builtin"),
+    ({"builtin": "lmi", "n": 7, "seed": 3}, "instance.n"),
+    ({"builtin": "lmi", "seed": 7}, "instance.seed"),
+    ({"builtin": "num", "n": 24, "seed": 4, "path": "instance.json"}, "exactly one"),
+    ({"path": "instance.json", "n": 24}, "instance.n"),
+], ids=["path_fd", "path_stdin", "builtin_number", "lmi_n_seed", "lmi_seed", "both",
+        "path_n"])
+def test_instance_section_is_checked_on_load(tmp_path, capsys, instance, message):
+    # an integer path would open that file descriptor, n and seed would be
+    # ignored by everything but the builtin num, and path would win over
+    # builtin: each is a config error that exits 2 before anything is built
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(cb.instance_to_json(cb.make_sample_num_instance(24, 4))))
+    path, cfg = small_config(tmp_path, out_name="o", K=5)
+    cfg["instance"] = {key: str(inst_path) if value == "instance.json" else value
+                       for key, value in instance.items()}
+    if instance.get("builtin") == "lmi":
+        cfg["graph"] = {"n": 2, "avg_degree": 1.0, "seed": 0}
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_config(path)
+    assert cmd_run(path) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("runs, message", [
     ([{"solver": "centralized", "alpha": 0.5, "K": 5},
       {"solver": "centralized", "alpha": 0.5, "K": 5, "bounded": False}],
@@ -145,7 +176,7 @@ def test_unique_run_names_write_one_trace_each(tmp_path):
     assert [spec.name for spec in load_config(path).runs] == ["bounded", "central_alpha0.5"]
     assert cmd_run(path) == 0
     assert sorted(os.listdir(tmp_path / "o")) == [
-        "bounded.csv", "central_alpha0.5.csv", "oracle_cache.json", "summary.json"]
+        "bounded.csv", "central_alpha0.5.csv", "summary.json"]
 
 
 @pytest.mark.parametrize("command", [cmd_run, cmd_verify])
@@ -325,29 +356,26 @@ def test_malformed_instance_file_is_a_config_error(tmp_path, capsys, command, co
     assert err.startswith("error: malformed instance file") and str(inst_path) in err
 
 
-def test_oracle_cache_reused(tmp_path):
-    path, cfg = small_config(tmp_path, K=5)
-    out = str(tmp_path / "cache_run")
-    assert cmd_run(path, out_override=out) == 0
-    cache_file = os.path.join(out, "oracle_cache.json")
-    assert os.path.exists(cache_file)
-    with open(cache_file) as fh:
-        before = fh.read()
-    assert cmd_run(path, out_override=out) == 0
-    with open(cache_file) as fh:
-        assert fh.read() == before
-
-
-def test_corrupt_oracle_cache_is_a_miss_and_rewritten(tmp_path):
-    path, cfg = small_config(tmp_path, K=5)
-    out = tmp_path / "garbage_cache"
-    out.mkdir()
-    cache_file = out / "oracle_cache.json"
-    cache_file.write_text('{"truncated": [1, 2')
-    assert cmd_run(path, out_override=str(out)) == 0
-    cache = json.loads(cache_file.read_text())
+def test_planted_oracle_cache_is_not_read(tmp_path):
+    # f* comes from the oracle on every run: an oracle_cache.json in the
+    # output directory, keyed as earlier versions keyed their cache, is
+    # neither read nor rewritten
+    path, _ = small_config(tmp_path, K=5)
     instance = cb.make_sample_num_instance(24, 4)
-    assert list(cache) == [cb.instance_hash(instance) + ":dual_bisection:1e-10"]
+    doc = cb.instance_to_json(instance)
+    del doc["meta"]
+    key = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+    out = tmp_path / "planted"
+    out.mkdir()
+    planted = out / "oracle_cache.json"
+    planted.write_text(json.dumps({key.hexdigest() + ":dual_bisection:1e-10": {
+        "f_star": 123.0, "x_star": [0.0] * 24, "mu_star": None, "certificate": {}}}))
+    before = planted.read_bytes()
+    assert cmd_run(path, out_override=str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["f_star"] == cb.dual_bisection(instance, 1e-10).f_star
+    assert summary["f_star_oracle"] == "dual_bisection"
+    assert planted.read_bytes() == before
     assert sorted(os.listdir(out)) == sorted(
         ["oracle_cache.json", "summary.json", "cobadd_phi1_alpha1.csv",
          "cobadd_phi4_alpha1.csv", "central_alpha1.csv"])

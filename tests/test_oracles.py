@@ -1,7 +1,5 @@
 """Ground-truth oracles: bisection, grid search, Dykstra projections."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -135,36 +133,3 @@ def test_dykstra_agrees_with_projection_batch():
     refs = cb.dykstra_project(np.stack(mats), 1.2, 10_000)
     gaps = np.linalg.norm(cb.project_psd_ball_stack(np.stack(mats), 1.2) - refs, axis=(1, 2))
     assert np.all(gaps < 1e-7)
-
-
-# ---------------------------------------------------------------------------
-# result cache
-# ---------------------------------------------------------------------------
-
-def test_oracle_cache_round_trip(tmp_path, num_instance):
-    from cobadd.cli import ground_truth
-    from cobadd.oracles import load_cached_result, store_cached_result
-    path = str(tmp_path / "cache.json")
-    key = {"method": "dual_bisection", "setting": 1e-10}
-    assert load_cached_result(path, num_instance, **key) is None
-    res = cb.dual_bisection(num_instance)
-    store_cached_result(path, num_instance, res, **key)
-    back = load_cached_result(path, num_instance, **key)
-    assert back.f_star == res.f_star
-    assert back.mu_star == res.mu_star
-    assert np.allclose(back.x_star, res.x_star)
-    other = cb.make_sample_num_instance(10, 1)
-    assert load_cached_result(path, other, **key) is None
-    # an entry from another method or setting is a miss
-    assert load_cached_result(path, num_instance, method="dual_bisection",
-                              setting=1e-6) is None
-    assert load_cached_result(path, num_instance, method="grid_search_lmi",
-                              setting=1e-10) is None
-    # so is one keyed by the instance alone: ground_truth recomputes f*
-    stale = str(tmp_path / "stale.json")
-    with open(stale, "w") as fh:
-        json.dump({cb.instance_hash(num_instance): {
-            "f_star": 0.0, "x_star": [0.0] * num_instance.n, "mu_star": None,
-            "certificate": {"method": "grid_search_lmi", "step": 0.5}}}, fh)
-    assert ground_truth(num_instance, stale).f_star == res.f_star
-    assert load_cached_result(stale, num_instance, **key).f_star == res.f_star

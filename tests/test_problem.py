@@ -361,7 +361,7 @@ def test_instance_json_round_trip(num_instance):
     z = cb.DualPoint(0.7)
     assert np.isclose(cb.dual_function_value(back, z),
                       cb.dual_function_value(num_instance, z))
-    assert cb.instance_hash(back) == cb.instance_hash(num_instance)
+    assert cb.instance_to_json(back) == doc
 
 
 def test_lmi_json_round_trip(lmi_instance):
@@ -465,6 +465,25 @@ def test_dual_function_values_matches_single(lmi_instance):
     for i in range(4):
         single = cb.dual_function_value(lmi_instance, cb.DualPoint(mus[i], Gs[i]))
         assert vals[i] == single
+
+
+def test_dual_function_values_rejects_negative_mu(lmi_instance):
+    # q is defined for mu >= 0, and the closed-form minimizers assume a
+    # convex Lagrangian.  At mu = -1 this node's -x + log(1 + x) is
+    # concave (minimum log 2 - 1 at x = 1), so a negative mu is an error
+    # at any d, and mu >= 0 reads the breakpoints
+    node = cb.NodeSpec(cb.ScalarFunction.linear(-1.0), cb.ScalarFunction.neg_log(1.0),
+                       np.zeros((0, 0)), (0.0, 1.0))
+    inst = cb.ProblemInstance([node])
+    with pytest.raises(ValueError, match="mu >= 0"):
+        cb.dual_function_values(inst, np.array([1.0, -1.0]))
+    Gs = np.zeros((2, 2, 2))
+    with pytest.raises(ValueError, match="mu >= 0"):
+        cb.dual_function_values(lmi_instance, np.array([0.5, -1.0]), Gs)
+    mus = np.array([0.0, 0.5, 1.0])
+    vals = cb.dual_function_values(inst, mus)
+    assert np.allclose(vals, [-1.0, -1.0 - 0.5 * math.log(2.0), -1.0 - math.log(2.0)],
+                       rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
