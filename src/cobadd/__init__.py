@@ -24,6 +24,6 @@ from .problem import (DualPoint, DualSetSpec, NodeSpec, ProblemInstance,
 from .solver import (CobaddConfig, CobaddState, NodeState, cobadd_init,
                      cobadd_solve, cobadd_step, record_run)
 from .spectral import project_psd_ball_stack
-from .trace import TRACE_COLUMNS, RunTrace, read_csv
+from .trace import TRACE_COLUMNS, RunTrace
 
 __version__ = "0.1.0"

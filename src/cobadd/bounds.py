@@ -31,14 +31,15 @@ class TheoreticalBounds:
     and dual-floor quantities (p, beta_k, beta_inf, dual_gap_floor) are
     then NaN because the theorems are conditional on phi >= phibar,
     while tau, zeta and e_k remain valid formulas of beta0 alone.
+    ``radius`` bounds both dual sets, so the analysis's Lambda^2 + Gamma^2
+    and Lambda + Gamma read R^2 + R^2 and R + R.
     """
 
     n: int
     alpha: float
     phi: int
     K: int
-    Lambda: float
-    Gamma: float
+    radius: float
     M: float
     nu: float
     beta0: float
@@ -64,12 +65,12 @@ class TheoreticalBounds:
     def primal_upper_deviation(self, ks: np.ndarray) -> np.ndarray:
         """f(x^k) - f* is at most this at every k >= 1."""
         ks = np.asarray(ks, dtype=float)
-        return self.n * (self.Lambda**2 + self.Gamma**2) / (2.0 * ks * self.alpha) + self.e_k
+        return self.n * (self.radius**2 + self.radius**2) / (2.0 * ks * self.alpha) + self.e_k
 
     def primal_lower_deviation(self, ks: np.ndarray) -> np.ndarray:
         """f* - f(x^k) is at most this at every k >= 1."""
         ks = np.asarray(ks, dtype=float)
-        return 9.0 * self.n * (self.Lambda**2 + self.Gamma**2) / (2.0 * ks * self.alpha) + self.e_k
+        return 9.0 * self.n * (self.radius**2 + self.radius**2) / (2.0 * ks * self.alpha) + self.e_k
 
 
 def default_beta0(alpha: float, M: float) -> float:
@@ -100,15 +101,15 @@ def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, nu: float,
     n, d = instance.n, instance.d
     alpha, phi, K = config.alpha, config.phi, config.K
     M = subgradient_bounds(instance).M
-    Lam, Gam = sets.Lambda, sets.Gamma
+    R = sets.radius
     phibar = min_consensus_steps(beta0, alpha, M, n, d, nu)
     applicable = phi >= phibar
     ks = np.arange(1, K + 1, dtype=float)
 
     tau = beta0 / alpha
-    zeta = 2.0 * tau * math.sqrt(Lam**2 + Gam**2)
+    zeta = 2.0 * tau * math.sqrt(R**2 + R**2)
     e_k = (alpha * n * (M + tau) ** 2 / 2.0
-           + n * tau * (Lam + Gam)
+           + n * tau * (R + R)
            + n * (beta0 * (6.0 * M + 3.0 * tau) + zeta))
 
     if applicable:
@@ -136,7 +137,7 @@ def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, nu: float,
         dual_gap_floor = math.nan
 
     return TheoreticalBounds(
-        n=n, alpha=alpha, phi=phi, K=K, Lambda=Lam, Gamma=Gam, M=M, nu=nu,
+        n=n, alpha=alpha, phi=phi, K=K, radius=R, M=M, nu=nu,
         beta0=beta0, phibar=phibar, agreement_applicable=applicable,
         delta=delta, p=p, beta_k=beta_k, beta_inf=beta_inf, tau=tau,
         zeta=zeta, epsilon_k=epsilon_k, e_k=e_k, dual_gap_floor=dual_gap_floor)

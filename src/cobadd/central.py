@@ -5,9 +5,9 @@ constant stepsize; the primal estimate is the running ergodic mean of
 the local Lagrangian minimizers.  The very first oracle pass, taken at
 the zero initial duals, only feeds the first dual update: the
 ergodic mean starts with the sample taken at the first *updated* duals.
-Projections go onto the compact sets [0, Lambda] and
-{G PSD : ||G||_F <= Gamma} (bounded mode), or onto the same sets with
-infinite radii, the nonnegative orthant and the PSD cone (unbounded
+Projections go onto the compact sets [0, radius] and
+{G PSD : ||G||_F <= radius} (bounded mode), or onto the same sets with
+an infinite radius, the nonnegative orthant and the PSD cone (unbounded
 mode, ``sets=None``).
 """
 
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import (DualSetSpec, ProblemInstance, constraint_values,
-                      minimize_node_lagrangians, subgradient_bounds)
+from .problem import (DualPoint, DualSetSpec, ProblemInstance, constraint_values,
+                      oracle_sweep, subgradient_bounds)
 from .solver import record_run
 from .spectral import project_psd_ball_stack
 from .trace import RunTrace
@@ -42,21 +42,14 @@ class CentralState:
     tilde_sum: np.ndarray
 
 
-def _sample(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray | None):
-    """The local minimizers at the shared duals, broadcast to every node."""
-    n = instance.n
-    Gs = None if Gs is None else np.broadcast_to(Gs, (n,) + Gs.shape[1:])
-    return minimize_node_lagrangians(instance, np.broadcast_to(mus, (n,)), Gs)[0]
-
-
 def _updated_duals(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray | None,
                    x_tilde: np.ndarray, alpha: float, sets: DualSetSpec | None):
-    """Projected subgradient step; unbounded mode is infinite radii."""
-    Lambda, Gamma = (sets.Lambda, sets.Gamma) if sets is not None else (math.inf, math.inf)
+    """Projected subgradient step; unbounded mode is an infinite radius."""
+    radius = sets.radius if sets is not None else math.inf
     h, _ = constraint_values(instance, x_tilde)
-    mus = np.clip(mus + alpha * float(h.sum()), 0.0, Lambda)
+    mus = np.clip(mus + alpha * float(h.sum()), 0.0, radius)
     if Gs is not None:
-        Gs = project_psd_ball_stack(Gs - alpha * instance.lmi_matrix(x_tilde), Gamma)
+        Gs = project_psd_ball_stack(Gs - alpha * instance.lmi_matrix(x_tilde), radius)
     return mus, Gs
 
 
@@ -66,15 +59,17 @@ def central_init(instance: ProblemInstance, alpha: float,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     n, d = instance.n, instance.d
+    _, x_tilde = oracle_sweep(instance, DualPoint(0.0, np.zeros((d, d))))
     mus, Gs = np.zeros(1), (np.zeros((1, d, d)) if d else None)
-    mus, Gs = _updated_duals(instance, mus, Gs, _sample(instance, mus, Gs), alpha, sets)
+    mus, Gs = _updated_duals(instance, mus, Gs, x_tilde, alpha, sets)
     return CentralState(mus, Gs, np.full(n, math.nan), 0, np.zeros(n))
 
 
 def central_step(instance: ProblemInstance, state: CentralState, alpha: float,
                  sets: DualSetSpec | None = None) -> CentralState:
     """One recorded iteration: sample, extend the ergodic mean, update."""
-    x_tilde = _sample(instance, state.mus, state.Gs)
+    _, x_tilde = oracle_sweep(
+        instance, DualPoint(state.mus[0], None if state.Gs is None else state.Gs[0]))
     k = state.k + 1
     tilde_sum = state.tilde_sum + x_tilde
     mus, Gs = _updated_duals(instance, state.mus, state.Gs, x_tilde, alpha, sets)
@@ -110,12 +105,7 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
     radius2 = lam_max**2 + gam_max**2
     bound_upper = radius2 / (2.0 * alpha * ks) + alpha * n**2 * (sb.L**2 + sb.Q**2) / 2.0
     bound_lower = radius2 / (alpha * ks)
-
-    config = {"solver": "centralized", "alpha": alpha, "K": K,
-              "bounded": sets is not None,
-              "radius": sets.Lambda if sets is not None else None,
-              "instance": dict(instance.meta)}
-    return RunTrace(config=config, k=np.arange(1, K + 1), **cols,
+    return RunTrace(k=np.arange(1, K + 1), **cols,
                     messages_cum=np.zeros(K, dtype=int),
                     bound_upper=bound_upper, bound_lower=bound_lower,
                     beta_k=np.full(K, math.nan),

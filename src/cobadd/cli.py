@@ -119,6 +119,9 @@ def load_config(path: str) -> ExperimentConfig:
         solver = need(rd, "solver", str, where)
         if solver not in ("cobadd", "centralized"):
             raise ConfigurationError(f"{where}.solver must be 'cobadd' or 'centralized'")
+        for key, reader in (("phi", "cobadd"), ("bounded", "centralized")):
+            if key in rd and solver != reader:
+                raise ConfigurationError(f"{where}.{key} is read only by the solver {reader!r}")
         bounded, name = rd.get("bounded", True), rd.get("name", "")
         if not isinstance(bounded, bool):
             raise ConfigurationError(f"{where}.bounded must be true or false")
@@ -223,8 +226,7 @@ def _solve(spec: RunSpec, setup: Setup, K: int) -> RunTrace:
     if spec.solver == "centralized":
         return central_solve(setup.instance, spec.alpha, K,
                              sets=setup.sets if spec.bounded else None)
-    rc = CobaddConfig(alpha=spec.alpha, phi=spec.phi, K=K, sets=setup.sets,
-                      seed=setup.graph_seed)
+    rc = CobaddConfig(alpha=spec.alpha, phi=spec.phi, K=K, sets=setup.sets)
     return cobadd_solve(setup.instance, setup.W, rc)
 
 
@@ -282,7 +284,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
         "graph": {"n": setup.graph.n, "edges": setup.graph.edge_count,
                   "avg_degree": setup.graph.average_degree, "nu": setup.W.nu,
                   "seed": setup.graph_seed},
-        "dual_sets": {"radius": sets.Lambda, "r": sets.r, "threshold": setup.threshold},
+        "dual_sets": {"radius": sets.radius, "r": sets.r, "threshold": setup.threshold},
         "f_star": f_star,
         "f_star_oracle": setup.oracle.certificate["method"],
         "runs": summary_runs,
@@ -296,16 +298,14 @@ def cmd_run(config_path: str, seed_override: int | None = None,
 def _bound_violations(trace: RunTrace, f_star: float) -> dict:
     """Count per-row violations of the applicable theorem inequalities."""
     out = {"primal_upper": 0, "primal_lower": 0, "disagreement": 0,
-           "weak_duality": 0, "applicable": True}
+           "weak_duality": int(np.sum(trace.q_best_node > f_star + 1e-7)), "applicable": True}
     slack = 1e-9
     b = trace.bounds
     if b is not None and not b.agreement_applicable:
         out["applicable"] = False
-        out["weak_duality"] = int(np.sum(trace.q_best_node > f_star + 1e-7))
         return out
     out["primal_upper"] = int(np.sum(trace.f_ergodic > f_star + trace.bound_upper + slack))
     out["primal_lower"] = int(np.sum(trace.f_ergodic < f_star - trace.bound_lower - slack))
-    out["weak_duality"] = int(np.sum(trace.q_best_node > f_star + 1e-7))
     if b is not None and trace.mu_disagreement is not None:
         env = b.disagreement_envelope(trace.k)
         out["disagreement"] = int(
@@ -319,13 +319,13 @@ def _bound_violations(trace: RunTrace, f_star: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def _inside_sets(trace: RunTrace, sets: DualSetSpec) -> bool:
-    """Whether the final duals lie in [0, Lambda] and {G PSD : ||G||_F <= Gamma},
+    """Whether the final duals lie in [0, radius] and {G PSD : ||G||_F <= radius},
     up to 1e-12."""
     mus, Gs = trace.final_mus, trace.final_Gs
-    ok = np.all((mus >= -1e-12) & (mus <= sets.Lambda + 1e-12))
+    ok = np.all((mus >= -1e-12) & (mus <= sets.radius + 1e-12))
     if Gs is not None:
         ok = ok and np.all(np.linalg.eigvalsh(Gs) >= -1e-12) and \
-            np.all(np.linalg.norm(Gs, axis=(1, 2)) <= sets.Gamma + 1e-12)
+            np.all(np.linalg.norm(Gs, axis=(1, 2)) <= sets.radius + 1e-12)
     return bool(ok)
 
 

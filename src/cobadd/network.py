@@ -86,17 +86,11 @@ class ConsensusMatrix:
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
-        n = W.shape[0]
-        if W.shape != (n, n):
-            raise ValueError("W must be square")
-        if np.max(np.abs(W - W.T)) > 1e-12:
-            raise ValueError("W must be symmetric")
-        if np.max(np.abs(W.sum(axis=1) - 1.0)) > 1e-10:
-            raise ValueError("rows of W must sum to 1")
-        if np.min(W) < -1e-12:
-            raise ValueError("W must be entrywise nonnegative")
+        problems = _weight_problems(W, W.shape[0])
         if not (0.0 <= self.nu < 1.0):
-            raise ValueError(f"nu={self.nu} must lie in [0, 1)")
+            problems.append(f"nu={self.nu} must lie in [0, 1)")
+        if problems:
+            raise ValueError("not a consensus matrix: " + "; ".join(problems))
         W = W.copy()
         W.flags.writeable = False
         object.__setattr__(self, "W", W)
@@ -194,29 +188,38 @@ def min_consensus_steps(beta0: float, alpha: float, M: float, n: int, d: int,
     return float((np.log(beta0) - np.log(denom)) / np.log(nu))
 
 
-def check_consensus_conditions(W: np.ndarray, g: Graph,
-                               atol: float = 1e-10) -> list[str]:
+def _weight_problems(W: np.ndarray, n: int) -> list[str]:
+    """Violations of the weight conditions that need no eigensolve: shape
+    (n, n), symmetry (1e-12), unit row sums (1e-10), nonnegativity (1e-12)."""
+    if W.shape != (n, n):
+        return [f"shape {W.shape} is not ({n}, {n})"]
+    problems = []
+    if np.max(np.abs(W - W.T)) > 1e-12:
+        problems.append("not symmetric")
+    row_err = float(np.max(np.abs(W.sum(axis=1) - 1.0)))
+    if row_err > 1e-10:
+        problems.append(f"row sums deviate from 1 by {row_err:.3e}")
+    if np.min(W) < -1e-12:
+        problems.append("negative entries")
+    return problems
+
+
+def check_consensus_conditions(W: np.ndarray, g: Graph) -> list[str]:
     """Violation messages for the consensus-matrix conditions.
 
-    Checks graph sparsity, symmetry, row sums, nonnegativity, and the
-    spectral gap; an empty list means the matrix is admissible.
+    Adds to the checks :class:`ConsensusMatrix` makes the graph sparsity
+    and a spectral gap from an independent ``eigvals``; an empty list
+    means the matrix is admissible.
     """
     W = np.asarray(W, dtype=float)
-    problems = []
+    problems = _weight_problems(W, g.n)
     if W.shape != (g.n, g.n):
-        return [f"shape {W.shape} does not match n={g.n}"]
+        return problems
     allowed = np.eye(g.n, dtype=bool)
     i, j = g.edges.T
     allowed[i, j] = allowed[j, i] = True
-    if np.any(np.abs(W[~allowed]) > atol):
+    if np.any(np.abs(W[~allowed]) > 1e-10):
         problems.append("nonzero weight on a non-edge")
-    if np.max(np.abs(W - W.T)) > atol:
-        problems.append("not symmetric")
-    row_err = float(np.max(np.abs(W.sum(axis=1) - 1.0)))
-    if row_err > atol:
-        problems.append(f"row sums deviate from 1 by {row_err:.3e}")
-    if np.min(W) < -atol:
-        problems.append("negative entries")
     dev = W - np.full((g.n, g.n), 1.0 / g.n)
     rho = float(np.max(np.abs(np.linalg.eigvals(dev))))
     if rho >= 1.0 - 1e-12:

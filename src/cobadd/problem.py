@@ -265,26 +265,23 @@ class SlaterCertificate:
 
 @dataclass(frozen=True)
 class DualSetSpec:
-    """Radii of the compact dual projection sets.
+    """The radius shared by the compact dual projection sets.
 
-    Both sets share the radius ``(fxbar - q(probe))/gamma + r``; the
-    scalar dual is projected onto [0, Lambda] and the matrix dual onto
-    {G PSD : ||G||_F <= Gamma}.
+    The radius is ``(fxbar - q(probe))/gamma + r``; the scalar dual is
+    projected onto [0, radius] and the matrix dual onto
+    {G PSD : ||G||_F <= radius}.
     """
 
-    Lambda: float
-    Gamma: float
+    radius: float
     r: float
 
     def __post_init__(self):
         if not (self.r > 0.0):
             raise ConfigurationError("r must be positive")
-        if not (self.Lambda > 0.0 and self.Gamma > 0.0):
-            raise ConfigurationError("projection radii must be positive")
-        if self.Lambda != self.Gamma:
-            raise ConfigurationError("the two radii are equal by construction")
+        if not (self.radius > 0.0):
+            raise ConfigurationError("the projection radius must be positive")
         # radius = threshold + r with r >= threshold implies radius <= 2 r
-        if self.Lambda > 2.0 * self.r * (1.0 + 1e-12):
+        if self.radius > 2.0 * self.r * (1.0 + 1e-12):
             raise ConfigurationError(
                 "r below the admissible threshold implied by the radius")
 
@@ -396,7 +393,8 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
     ----------
     instance : ProblemInstance
     mus : ndarray, shape (n,)
-        Per-node scalar duals.
+        Per-node scalar duals, each >= 0 (a negative one raises
+        ``ValueError``: the closed form assumes C = c_f + mu c_g >= 0).
     Gs : ndarray, shape (n, d, d), optional
         Per-node matrix duals; ignored when d = 0.
 
@@ -407,6 +405,8 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
         q_i = min_x L_i(x, mu_i, G_i).
     """
     mus = np.asarray(mus, dtype=float)
+    if mus.min() < 0.0:
+        raise ValueError("minimize_node_lagrangians needs every mu >= 0")
     lin, const = _lmi_terms(instance, Gs)
     lo, hi = instance.boxes
     x, q = _closed_form_minimize(instance._closed, lo, hi, mus, lin, const,
@@ -638,8 +638,7 @@ def build_dual_sets(instance: ProblemInstance, slater: SlaterCertificate,
     if r < threshold - 1e-12:
         raise ConfigurationError(
             f"r={r} below the minimum admissible value {threshold}")
-    radius = threshold + r
-    return DualSetSpec(radius, radius, r)
+    return DualSetSpec(threshold + r, r)
 
 
 def dual_set_threshold(instance: ProblemInstance, slater: SlaterCertificate,

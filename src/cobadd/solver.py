@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import default_beta0, theoretical_bounds
-from .network import ConsensusMatrix, Graph, consensus_round, metropolis_weights
+from .network import ConsensusMatrix, consensus_round
 from .problem import (DualPoint, DualSetSpec, ProblemInstance,
                       constraint_values, dual_function_values, evaluate_primal,
                       minimize_node_lagrangians, subgradient_bounds)
@@ -33,8 +33,8 @@ from .trace import RunTrace
 
 @dataclass(frozen=True)
 class CobaddConfig:
-    """Run parameters: stepsize, consensus steps per iteration, budget,
-    projection sets, and a seed echoed into the trace."""
+    """Run parameters: stepsize, consensus steps per iteration, budget and
+    projection sets.  ``seed`` is accepted and not read."""
 
     alpha: float
     phi: int
@@ -103,10 +103,10 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig
         payload_G = Gs + config.alpha * Qm
         payload = np.concatenate([payload, payload_G.reshape(n, d * d)], axis=1)
     mixed = consensus_round(W, payload, config.phi)
-    new_mus = np.clip(mixed[:, 0], 0.0, config.sets.Lambda)
+    new_mus = np.clip(mixed[:, 0], 0.0, config.sets.radius)
     new_Gs = None
     if d:
-        new_Gs = project_psd_ball_stack(mixed[:, 1:].reshape(n, d, d), config.sets.Gamma)
+        new_Gs = project_psd_ball_stack(mixed[:, 1:].reshape(n, d, d), config.sets.radius)
     return x_tilde, new_mus, new_Gs
 
 
@@ -178,22 +178,19 @@ def record_run(instance: ProblemInstance, state, step, K: int):
     return cols, state
 
 
-def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
+def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
                  config: CobaddConfig) -> RunTrace:
-    """Full CoBa-DD run over a simulated synchronous network.
-
-    ``network`` is either a Graph (Metropolis-Hastings weights are built
-    and certified) or a ready ConsensusMatrix (e.g. the exact averaging
-    matrix for equivalence experiments).  The trace carries one row per
+    """Full CoBa-DD run over a simulated synchronous network with weights W
+    (Metropolis-Hastings weights, or the exact averaging matrix for
+    equivalence experiments).  The trace carries one row per
     recorded iteration plus the theoretical bound curves, anchored at
     beta0 = 10 alpha M, which dominates the initial payload disagreement
     c0 on every doubly stochastic W (see :func:`default_beta0`).  Row k
     samples the duals of the k-th consensus round, the bootstrap's being
     the first, and each round sends phi * 2|E| messages.
     """
-    W = metropolis_weights(network) if isinstance(network, Graph) else network
-    K, alpha = config.K, config.alpha
-    beta0 = default_beta0(alpha, subgradient_bounds(instance).M)
+    K = config.K
+    beta0 = default_beta0(config.alpha, subgradient_bounds(instance).M)
     bounds = theoretical_bounds(instance, config.sets, W.nu, config, beta0)
 
     # the bootstrap's consensus round produces the duals used at row 1
@@ -201,11 +198,7 @@ def cobadd_solve(instance: ProblemInstance, network: "Graph | ConsensusMatrix",
     cols, state = record_run(instance, state,
                              lambda s: cobadd_step(instance, s, W, config), K)
     ks = np.arange(1, K + 1)
-    config_echo = {"solver": "cobadd", "alpha": alpha, "phi": config.phi,
-                   "K": K, "radius": config.sets.Lambda, "seed": config.seed,
-                   "beta0": bounds.beta0, "nu": W.nu,
-                   "instance": dict(instance.meta)}
-    return RunTrace(config=config_echo, k=ks, **cols,
+    return RunTrace(k=ks, **cols,
                     messages_cum=ks * (config.phi * 2 * W.edge_count),
                     bound_upper=bounds.primal_upper_deviation(ks),
                     bound_lower=bounds.primal_lower_deviation(ks),

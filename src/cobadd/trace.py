@@ -43,9 +43,8 @@ _INT_COLUMNS = {"k", "messages_cum"}
 
 @dataclass
 class RunTrace:
-    """One solver run: config echo, per-iteration columns, final duals."""
+    """One solver run: per-iteration columns, bounds and final duals."""
 
-    config: dict
     k: np.ndarray
     f_ergodic: np.ndarray
     viol_ineq: np.ndarray
@@ -73,10 +72,6 @@ class RunTrace:
         if np.any(np.diff(self.messages_cum) < 0):
             raise ValueError("messages_cum must be nondecreasing")
 
-    @property
-    def iterations(self) -> int:
-        return len(self.k)
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv_text())
@@ -92,20 +87,3 @@ class RunTrace:
                 cells.append(str(int(v)) if name in _INT_COLUMNS else repr(float(v)))
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
-
-
-def read_csv(path) -> dict[str, np.ndarray]:
-    """Read a trace CSV back into column arrays (schema-checked)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != TRACE_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    out: dict[str, np.ndarray] = {}
-    for j, name in enumerate(TRACE_COLUMNS):
-        vals = [row[j] for row in rows]
-        if name in _INT_COLUMNS:
-            out[name] = np.array([int(v) for v in vals])
-        else:
-            out[name] = np.array([float(v) for v in vals])
-    return out

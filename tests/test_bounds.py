@@ -85,10 +85,10 @@ def test_bounds_formulas_by_hand(num_instance, num_sets):
         beta = p * beta + p * alpha * M
     assert b.beta_inf == pytest.approx(p * alpha * M / (1 - p))
     tau = beta0 / alpha
-    zeta = 2.0 * tau * math.sqrt(num_sets.Lambda**2 + num_sets.Gamma**2)
+    zeta = 2.0 * tau * math.sqrt(num_sets.radius**2 + num_sets.radius**2)
     assert b.tau == pytest.approx(tau)
     assert b.zeta == pytest.approx(zeta)
-    e_k = (alpha * n * (M + tau)**2 / 2.0 + n * tau * (num_sets.Lambda + num_sets.Gamma)
+    e_k = (alpha * n * (M + tau)**2 / 2.0 + n * tau * (num_sets.radius + num_sets.radius)
            + n * (beta0 * (6 * M + 3 * tau) + zeta))
     assert b.e_k == pytest.approx(e_k)
     floor = (alpha * n * (M + tau)**2 / 2.0
@@ -126,7 +126,7 @@ def test_primal_deviation_curves(num_instance, num_sets):
                               config=_Cfg(2.0, 8, 10), beta0=5.0)
     ks = np.array([1, 10])
     n = num_instance.n
-    R2 = num_sets.Lambda**2 + num_sets.Gamma**2
+    R2 = num_sets.radius**2 + num_sets.radius**2
     up = b.primal_upper_deviation(ks)
     lo = b.primal_lower_deviation(ks)
     assert up[0] == pytest.approx(n * R2 / (2 * 1 * 2.0) + b.e_k)

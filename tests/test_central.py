@@ -28,7 +28,7 @@ def test_init_single_step_hand_computation(num_instance, num_sets):
     state = cb.central_init(num_instance, alpha=1.0, sets=None)
     assert state.mus[0] == pytest.approx(s0, abs=1e-9)
     state_b = cb.central_init(num_instance, alpha=1.0, sets=num_sets)
-    assert state_b.mus[0] == pytest.approx(num_sets.Lambda)
+    assert state_b.mus[0] == pytest.approx(num_sets.radius)
     assert state_b.k == 0
     assert np.all(np.isnan(state_b.ergodic_x))
 
@@ -65,7 +65,7 @@ def test_ergodic_mean_two_steps():
 def test_solve_single_iteration_is_first_sample(num_instance):
     K = 50
     trace = cb.central_solve(num_instance, alpha=1.0, K=K)
-    assert trace.iterations == K
+    assert len(trace.k) == K
     state = cb.central_init(num_instance, alpha=1.0)
     _, x1 = cb.oracle_sweep(num_instance, dual_of(state))
     f1, _, _ = cb.evaluate_primal(num_instance, x1)
@@ -119,7 +119,7 @@ def test_solve_baseline_sandwich_lmi(lmi_instance, lmi_f_star):
 def test_bounded_mode_keeps_duals_inside_sets(num_instance, num_sets):
     state = cb.central_init(num_instance, alpha=1.0, sets=num_sets)
     for _ in range(40):
-        assert 0.0 <= state.mus[0] <= num_sets.Lambda + 1e-12
+        assert 0.0 <= state.mus[0] <= num_sets.radius + 1e-12
         state = cb.central_step(num_instance, state, alpha=1.0, sets=num_sets)
 
 

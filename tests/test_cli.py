@@ -13,7 +13,7 @@ import cobadd as cb
 import cobadd.cli as cli
 from cobadd.cli import cmd_run, cmd_verify, load_config, main
 from cobadd.errors import ConfigurationError
-from cobadd.trace import TRACE_COLUMNS, read_csv
+from cobadd.trace import TRACE_COLUMNS
 
 
 def small_config(tmp_path, out_name="out", runs=None, K=60):
@@ -169,6 +169,25 @@ def test_run_names_unique_and_plain(tmp_path, capsys, runs, message):
     assert not (tmp_path / "o").exists() and not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("run, message", [
+    ({"solver": "cobadd", "alpha": 1.0, "K": 5, "bounded": False},
+     "runs[0].bounded is read only by the solver 'centralized'"),
+    ({"solver": "cobadd", "alpha": 1.0, "K": 5, "bounded": True},
+     "runs[0].bounded is read only by the solver 'centralized'"),
+    ({"solver": "centralized", "alpha": 1.0, "K": 5, "phi": 9},
+     "runs[0].phi is read only by the solver 'cobadd'"),
+], ids=["cobadd_unbounded", "cobadd_bounded", "centralized_phi"])
+def test_run_field_of_the_other_solver_is_an_error(tmp_path, capsys, run, message):
+    # the consensus solver always projects onto the dual sets and the
+    # master node runs no consensus steps, so the field would change nothing
+    path, _ = small_config(tmp_path, out_name="o", runs=[run])
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_config(path)
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
 def test_unique_run_names_write_one_trace_each(tmp_path):
     runs = [{"solver": "centralized", "alpha": 0.5, "K": 5, "name": "bounded"},
             {"solver": "centralized", "alpha": 0.5, "K": 5, "bounded": False}]
@@ -217,7 +236,7 @@ def test_cmd_run_writes_traces_and_summary(tmp_path):
         assert run["bound_violations"]["weak_duality"] == 0
         assert run["bound_violations"]["primal_upper"] == 0
         assert run["bound_violations"]["primal_lower"] == 0
-    cols = read_csv(os.path.join(out, "cobadd_phi1_alpha1.csv"))
+    cols = np.genfromtxt(os.path.join(out, "cobadd_phi1_alpha1.csv"), delimiter=",", names=True)
     assert len(cols["k"]) == 60
     assert np.all(np.diff(cols["messages_cum"]) >= 0)
 
@@ -397,7 +416,7 @@ def test_first_crossing_uses_absolute_relative_error(tmp_path):
         run = json.load(fh)["runs"][0]
     assert run["rel_error_1pct_k"] == 169
     assert run["messages_at_1pct"] == 55094
-    cols = read_csv(str(tmp_path / "o" / "cobadd_phi1_alpha1.csv"))
+    cols = np.genfromtxt(tmp_path / "o" / "cobadd_phi1_alpha1.csv", delimiter=",", names=True)
     assert run["viol_ineq_at_1pct"] == cols["viol_ineq"][168]
 
 
@@ -445,7 +464,7 @@ def test_cmd_verify_reports_conditional_skips(tmp_path, capsys):
 
 
 def _outside_ball(trace, sets):
-    return dataclasses.replace(trace, final_Gs=trace.final_Gs + 2.0 * sets.Gamma * np.eye(2))
+    return dataclasses.replace(trace, final_Gs=trace.final_Gs + 2.0 * sets.radius * np.eye(2))
 
 
 def _not_psd(trace, sets):
@@ -458,8 +477,8 @@ def _mu_negative(trace, sets):
 
 @pytest.mark.parametrize("corrupt", [_outside_ball, _not_psd, _mu_negative])
 def test_cmd_verify_fails_on_duals_outside_the_sets(tmp_path, capsys, monkeypatch, corrupt):
-    # the set-membership check reads mu >= 0, PSD and ||G_i||_F <= Gamma,
-    # not only mu <= Lambda
+    # the set-membership check reads mu >= 0, PSD and ||G_i||_F <= radius,
+    # not only mu <= radius
     cfg = {
         "instance": {"builtin": "lmi"},
         "graph": {"n": 2, "avg_degree": 1.0, "seed": 0},

@@ -1,6 +1,7 @@
 """Graphs, Metropolis-Hastings weights, consensus rounds, step bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,26 @@ def test_conditions_checker_flags_corrupted_row(fig_graph):
     problems = cb.check_consensus_conditions(bad, fig_graph)
     assert any("row sums" in p for p in problems)
     assert not cb.check_consensus_conditions(W.W, fig_graph)
+
+
+_TRIANGLE = cb.Graph(3, ((0, 1), (1, 2), (0, 2)))
+
+
+@pytest.mark.parametrize("W, nu, message, reported", [
+    (np.full((3, 2), 0.5), 0.5, "shape (3, 2)", "shape (3, 2)"),
+    ([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.25, 0.0, 0.75]], 0.5, "not symmetric",
+     "not symmetric"),
+    (np.full((3, 3), 1.0 / 3.0) + 0.1 * np.eye(3), 0.1, "row sums", "row sums"),
+    ([[0.5, 0.6, -0.1], [0.6, 0.5, -0.1], [-0.1, -0.1, 1.2]], 0.5, "negative entries",
+     "negative entries"),
+    (np.eye(3), 1.0, "nu=1.0", "spectral radius"),
+], ids=["not_square", "asymmetric", "rows_off_one", "negative", "no_gap"])
+def test_bad_consensus_matrix_is_rejected(W, nu, message, reported):
+    # the constructor and the verify checker share the weight conditions,
+    # so both name the same fault; nu outside [0, 1) has no gap to certify
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cb.ConsensusMatrix(np.array(W), nu, 3)
+    assert any(reported in p for p in cb.check_consensus_conditions(np.array(W), _TRIANGLE))
 
 
 # ---------------------------------------------------------------------------

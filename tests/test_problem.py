@@ -237,8 +237,7 @@ def test_build_dual_sets_threshold_pin(num_instance):
     thr = cb.dual_set_threshold(num_instance, sl, cb.DualPoint(0.0))
     assert abs(thr - NUM_THRESHOLD_PIN) < 1e-9
     sets = cb.build_dual_sets(num_instance, sl, cb.DualPoint(0.0), thr)
-    assert np.isclose(sets.Lambda, 2.0 * thr)
-    assert sets.Lambda == sets.Gamma
+    assert np.isclose(sets.radius, 2.0 * thr)
 
 
 def test_build_dual_sets_rejects_small_r(num_instance):
@@ -467,6 +466,17 @@ def test_dual_function_values_matches_single(lmi_instance):
         assert vals[i] == single
 
 
+def test_node_oracle_rejects_negative_mu():
+    # at mu = -1 the Lagrangian -x + log(1 + x) is concave on [0, 1]; the
+    # closed form would read C = -1 as affine and return x = 1 with
+    # q = -1, below the true minimum log 2 - 1
+    node = cb.NodeSpec(cb.ScalarFunction.linear(-1.0), cb.ScalarFunction.neg_log(1.0),
+                       np.zeros((0, 0)), (0.0, 1.0))
+    inst = cb.ProblemInstance([node])
+    with pytest.raises(ValueError, match="mu >= 0"):
+        minimize_node_lagrangians(inst, np.array([-1.0]))
+
+
 def test_dual_function_values_rejects_negative_mu(lmi_instance):
     # q is defined for mu >= 0, and the closed-form minimizers assume a
     # convex Lagrangian.  At mu = -1 this node's -x + log(1 + x) is
@@ -652,11 +662,11 @@ def test_breakpoint_dual_values_match_kernel(n, seed):
     t = t[np.isfinite(t) & (t > 0)]
     beyond = 2.0 * (t.max() if t.size else 1.0)
     mus = [0.0, beyond, *rng.choice(t, size=min(t.size, 8)), *rng.uniform(0.0, beyond, 4)]
-    try:    # mu at Lambda, when the box midpoint is a Slater point
+    try:    # mu at the radius, when the box midpoint is a Slater point
         slater = cb.slater_certificate(inst, (lo + hi) / 2.0)
         threshold = cb.dual_set_threshold(inst, slater, cb.DualPoint(0.0))
         r = threshold if threshold > 0 else 1.0
-        mus.append(cb.build_dual_sets(inst, slater, cb.DualPoint(0.0), r).Lambda)
+        mus.append(cb.build_dual_sets(inst, slater, cb.DualPoint(0.0), r).radius)
     except ConfigurationError:
         pass
     vals = cb.dual_function_values(inst, np.array(mus))

@@ -29,7 +29,7 @@ def test_step_complete_graph_hand_evaluation():
     # payloads are mu_i + alpha * 0.75; exact averaging then projects
     # their mean, identically at both nodes
     inst = two_node_toy()
-    sets = cb.DualSetSpec(5.0, 5.0, 5.0)
+    sets = cb.DualSetSpec(5.0, 5.0)
     cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=10, sets=sets)
     W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))  # equals exact averaging
     states = manual_states([0.2, 0.4])
@@ -44,11 +44,11 @@ def test_step_complete_graph_hand_evaluation():
 
 def test_step_projects_mixed_payload_onto_sets():
     inst = two_node_toy()
-    sets = cb.DualSetSpec(0.8, 0.8, 0.8)
+    sets = cb.DualSetSpec(0.8, 0.8)
     cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=10, sets=sets)
     W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))
     out = cb.cobadd_step(inst, manual_states([0.2, 0.4]), W, cfg)
-    assert out.mus[0] == pytest.approx(0.8)  # clipped at Lambda
+    assert out.mus[0] == pytest.approx(0.8)  # clipped at the radius
 
 
 def test_step_zero_subgradient_fixed_point():
@@ -56,7 +56,7 @@ def test_step_zero_subgradient_fixed_point():
     g = cb.ScalarFunction.affine(1.0, -0.5)
     node = cb.NodeSpec(f, g, np.zeros((0, 0)), (0.0, 1.0))
     inst = cb.ProblemInstance((node, node), np.zeros((0, 0)), 0)
-    sets = cb.DualSetSpec(5.0, 5.0, 5.0)
+    sets = cb.DualSetSpec(5.0, 5.0)
     cfg = cb.CobaddConfig(alpha=0.9, phi=3, K=10, sets=sets)
     W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))
     mu = 2.0 / 3.0
@@ -137,7 +137,7 @@ def test_duals_and_ergodic_stay_feasible(num_instance, num_sets, fig_graph):
     cfg = cb.CobaddConfig(alpha=1.0, phi=2, K=150, sets=num_sets)
     for state in cobadd_states(num_instance, fig_graph, cfg):
         assert np.all(state.mus >= 0.0)
-        assert np.all(state.mus <= num_sets.Lambda + 1e-12)
+        assert np.all(state.mus <= num_sets.radius + 1e-12)
         if state.k:
             assert cb.evaluate_primal(num_instance, state.ergodic_x)[2] == 0.0
 
@@ -147,14 +147,14 @@ def test_lmi_duals_stay_in_sets(lmi_instance, lmi_sets):
     for state in cobadd_states(lmi_instance, cb.Graph(2, ((0, 1),)), cfg):
         for Gk in state.Gs:
             assert np.linalg.eigvalsh(Gk)[0] >= -1e-9
-            assert np.linalg.norm(Gk) <= lmi_sets.Gamma * (1.0 + 1e-12)
+            assert np.linalg.norm(Gk) <= lmi_sets.radius * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["fig_graph", "exact_averaging"])
 def test_trace_message_accounting(num_instance, num_sets, fig_graph, exact):
     # row k samples the duals of the k-th consensus round, k phi 2|E|
     # messages; exact averaging runs on the complete graph's n(n-1)/2 edges
-    net, edges = (cb.exact_averaging_matrix(100), 4950) if exact else (fig_graph, 163)
+    net, edges = (cb.exact_averaging_matrix(100), 4950) if exact else (cb.metropolis_weights(fig_graph), 163)
     phi = 3
     cfg = cb.CobaddConfig(alpha=1.0, phi=phi, K=40, sets=num_sets)
     tr = cb.cobadd_solve(num_instance, net, cfg)
@@ -174,7 +174,7 @@ def test_alpha_tradeoff_floor_and_decay():
     errs = {}
     for alpha in (1.0, 0.1):
         cfg = cb.CobaddConfig(alpha=alpha, phi=1, K=8000, sets=sets)
-        tr = cb.cobadd_solve(inst, g, cfg)
+        tr = cb.cobadd_solve(inst, cb.metropolis_weights(g), cfg)
         errs[alpha] = np.abs(f_star - tr.f_ergodic)
     assert errs[0.1][-800:].mean() < errs[1.0][-800:].mean()
     assert errs[0.1][19] > errs[1.0][19]
@@ -185,7 +185,7 @@ def test_higher_phi_lowers_floor(num_instance, num_sets, fig_graph, num_f_star):
     floors = {}
     for phi in (1, 4):
         cfg = cb.CobaddConfig(alpha=1.0, phi=phi, K=800, sets=num_sets)
-        tr = cb.cobadd_solve(num_instance, fig_graph, cfg)
+        tr = cb.cobadd_solve(num_instance, cb.metropolis_weights(fig_graph), cfg)
         err = np.abs(num_f_star - tr.f_ergodic)
         floors[phi] = err[-80:].mean()
     assert floors[4] < floors[1]
@@ -255,7 +255,7 @@ def test_blocked_recorder_matches_per_row_loop(name, solver, offset, request):
     instance = request.getfixturevalue(f"{name}_instance")
     n = instance.n
     sets = (request.getfixturevalue(f"{name}_sets") if name != "lmi200"
-            else cb.DualSetSpec(3.0, 3.0, 1.5))
+            else cb.DualSetSpec(3.0, 1.5))
     # rows per block as record_run sizes them; max(m, n) = n for m = n and m = 1
     B = max(1, solver_module._RECORD_ELEMENTS // (n * (1 + instance.d ** 2)))
     K = {"1": 1, "B-1": max(1, B - 1), "B": B, "B+1": B + 1, "2B+3": 2 * B + 3}[offset]
@@ -303,20 +303,20 @@ def test_oracle_optimum_below_feasible_trace_points(
     assert feasible.any()
     assert np.all(tr.f_ergodic[feasible] >= num_f_star - 1e-9)
     cfg = cb.CobaddConfig(alpha=0.5, phi=1, K=200, sets=lmi_sets)
-    tr2 = cb.cobadd_solve(lmi_instance, cb.Graph(2, ((0, 1),)), cfg)
+    tr2 = cb.cobadd_solve(lmi_instance, cb.metropolis_weights(cb.Graph(2, ((0, 1),))), cfg)
     feas2 = (tr2.viol_ineq == 0.0) & (tr2.viol_lmi == 0.0)
     assert feas2.any()
     assert np.all(tr2.f_ergodic[feas2] >= lmi_f_star - 1e-9)
     # consensus runs may hover marginally infeasible; the claim still
     # applies to whatever feasible rows they produce
     cfg3 = cb.CobaddConfig(alpha=1.0, phi=4, K=300, sets=num_sets)
-    tr3 = cb.cobadd_solve(num_instance, fig_graph, cfg3)
+    tr3 = cb.cobadd_solve(num_instance, cb.metropolis_weights(fig_graph), cfg3)
     feas3 = (tr3.viol_ineq == 0.0) & (tr3.viol_lmi == 0.0)
     assert np.all(tr3.f_ergodic[feas3] >= num_f_star - 1e-9)
 
 
 def test_config_validation():
-    sets = cb.DualSetSpec(1.0, 1.0, 1.0)
+    sets = cb.DualSetSpec(1.0, 1.0)
     for alpha in (0.0, math.nan):
         with pytest.raises(ValueError):
             cb.CobaddConfig(alpha=alpha, phi=1, K=10, sets=sets)
