@@ -8,7 +8,7 @@ inequality.
 """
 
 from .bounds import TheoreticalBounds, default_beta0, theoretical_bounds
-from .central import CentralState, central_init, central_solve, central_step
+from .central import central_init, central_solve, central_step
 from .errors import ConfigurationError
 from .network import (ConsensusMatrix, Graph, check_consensus_conditions,
                       consensus_round, exact_averaging_matrix, metropolis_weights,
@@ -21,7 +21,7 @@ from .problem import (DualPoint, DualSetSpec, NodeSpec, ProblemInstance,
                       instance_from_json, instance_to_json,
                       make_sample_lmi_instance, make_sample_num_instance,
                       oracle_sweep, slater_certificate, subgradient_bounds)
-from .solver import (CobaddConfig, CobaddState, NodeState, cobadd_init,
+from .solver import (CobaddConfig, NodeState, SolverState, cobadd_init,
                      cobadd_solve, cobadd_step, record_run)
 from .spectral import project_psd_ball_stack
 from .trace import TRACE_COLUMNS, RunTrace

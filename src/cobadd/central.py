@@ -14,66 +14,42 @@ mode, ``sets=None``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import (DualPoint, DualSetSpec, ProblemInstance, constraint_values,
                       oracle_sweep, subgradient_bounds)
-from .solver import record_run
+from .solver import SolverState, record_run
 from .spectral import project_psd_ball_stack
 from .trace import RunTrace
 
 
-@dataclass
-class CentralState:
-    """Master-node state after k recorded iterations.
-
-    ``mus`` (shape (1,)) and ``Gs`` (shape (1, d, d), None when d = 0)
-    hold the one dual pair the *next* iteration samples at, the m = 1
-    case of :func:`record_run`; ``ergodic_x = tilde_sum / k`` once
-    k >= 1 (NaN before the first recorded iteration).
-    """
-
-    mus: np.ndarray
-    Gs: np.ndarray | None
-    ergodic_x: np.ndarray
-    k: int
-    tilde_sum: np.ndarray
-
-
-def _updated_duals(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray | None,
+def _updated_duals(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray,
                    x_tilde: np.ndarray, alpha: float, sets: DualSetSpec | None):
     """Projected subgradient step; unbounded mode is an infinite radius."""
     radius = sets.radius if sets is not None else math.inf
     h, _ = constraint_values(instance, x_tilde)
     mus = np.clip(mus + alpha * float(h.sum()), 0.0, radius)
-    if Gs is not None:
-        Gs = project_psd_ball_stack(Gs - alpha * instance.lmi_matrix(x_tilde), radius)
-    return mus, Gs
+    return mus, project_psd_ball_stack(Gs - alpha * instance.lmi_matrix(x_tilde), radius)
 
 
 def central_init(instance: ProblemInstance, alpha: float,
-                 sets: DualSetSpec | None = None) -> CentralState:
+                 sets: DualSetSpec | None = None) -> SolverState:
     """Bootstrap: sample at the zero initial duals and take the first update."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     n, d = instance.n, instance.d
     _, x_tilde = oracle_sweep(instance, DualPoint(0.0, np.zeros((d, d))))
-    mus, Gs = np.zeros(1), (np.zeros((1, d, d)) if d else None)
-    mus, Gs = _updated_duals(instance, mus, Gs, x_tilde, alpha, sets)
-    return CentralState(mus, Gs, np.full(n, math.nan), 0, np.zeros(n))
+    mus, Gs = _updated_duals(instance, np.zeros(1), np.zeros((1, d, d)), x_tilde, alpha, sets)
+    return SolverState(mus, Gs, x_tilde, np.zeros(n), 0)
 
 
-def central_step(instance: ProblemInstance, state: CentralState, alpha: float,
-                 sets: DualSetSpec | None = None) -> CentralState:
-    """One recorded iteration: sample, extend the ergodic mean, update."""
-    _, x_tilde = oracle_sweep(
-        instance, DualPoint(state.mus[0], None if state.Gs is None else state.Gs[0]))
-    k = state.k + 1
-    tilde_sum = state.tilde_sum + x_tilde
+def central_step(instance: ProblemInstance, state: SolverState, alpha: float,
+                 sets: DualSetSpec | None = None) -> SolverState:
+    """One recorded iteration: sample, extend the ergodic sum, update."""
+    _, x_tilde = oracle_sweep(instance, DualPoint(state.mus[0], state.Gs[0]))
     mus, Gs = _updated_duals(instance, state.mus, state.Gs, x_tilde, alpha, sets)
-    return CentralState(mus, Gs, tilde_sum / k, k, tilde_sum)
+    return SolverState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
 
 
 def central_solve(instance: ProblemInstance, alpha: float, K: int,
@@ -90,10 +66,10 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
     n = instance.n
     lam_max = gam_max = 0.0  # realized maxima; the zero initial pair adds nothing
 
-    def observe(s: CentralState) -> CentralState:
+    def observe(s: SolverState) -> SolverState:
         nonlocal lam_max, gam_max
         lam_max = max(lam_max, float(s.mus[0]))
-        gam_max = max(gam_max, 0.0 if s.Gs is None else float(np.linalg.norm(s.Gs)))
+        gam_max = max(gam_max, float(np.linalg.norm(s.Gs)))
         return s
 
     state = observe(central_init(instance, alpha, sets))

@@ -164,8 +164,8 @@ def build_instance(spec: dict, seed_override: int | None = None) -> ProblemInsta
         n, seed = spec.get("n", 100), spec.get("seed", 0)
         if not (isinstance(n, int) and n >= 2):
             raise ConfigurationError("instance.n must be an integer >= 2")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigurationError("instance.seed must be an integer")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigurationError("instance.seed must be an integer >= 0")
         return make_sample_num_instance(n, seed if seed_override is None else seed_override)
     if builtin == "lmi":
         return make_sample_lmi_instance()
@@ -199,6 +199,8 @@ def build_setup(cfg: ExperimentConfig, seed_override: int | None = None) -> Setu
 
     ``seed_override`` replaces both the instance seed and the graph seed.
     """
+    if seed_override is not None and seed_override < 0:
+        raise ConfigurationError("--seed-override must be an integer >= 0")
     instance = build_instance(cfg.instance, seed_override)
     n = cfg.graph["n"]
     if n != instance.n:
@@ -263,7 +265,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
         trace.write_csv(csv_path)
         err = np.abs(f_star - trace.f_ergodic)
         tail = max(1, spec.K // 10)
-        rel = err / abs(f_star) if f_star != 0 else np.zeros(spec.K)
+        rel = err / abs(f_star) if f_star != 0 else err
         cross = _first_crossing(rel)
         violations = _bound_violations(trace, f_star)
         summary_runs.append({
@@ -322,11 +324,9 @@ def _inside_sets(trace: RunTrace, sets: DualSetSpec) -> bool:
     """Whether the final duals lie in [0, radius] and {G PSD : ||G||_F <= radius},
     up to 1e-12."""
     mus, Gs = trace.final_mus, trace.final_Gs
-    ok = np.all((mus >= -1e-12) & (mus <= sets.radius + 1e-12))
-    if Gs is not None:
-        ok = ok and np.all(np.linalg.eigvalsh(Gs) >= -1e-12) and \
-            np.all(np.linalg.norm(Gs, axis=(1, 2)) <= sets.radius + 1e-12)
-    return bool(ok)
+    return bool(np.all((mus >= -1e-12) & (mus <= sets.radius + 1e-12))
+                and np.all(np.linalg.eigvalsh(Gs) >= -1e-12)
+                and np.all(np.linalg.norm(Gs, axis=(1, 2)) <= sets.radius + 1e-12))
 
 
 def cmd_verify(config_path: str, seed_override: int | None = None) -> int:

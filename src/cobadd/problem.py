@@ -109,6 +109,8 @@ def _as_symmetric(A: np.ndarray, what: str) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ConfigurationError(f"{what} must be a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ConfigurationError(f"{what} has non-finite entries")
     if A.size and np.max(np.abs(A - A.T)) > 1e-12:
         raise ConfigurationError(f"{what} is not symmetric")
     A = (A + A.T) / 2.0
@@ -214,7 +216,7 @@ class ProblemInstance:
 
     @cached_property
     def A_stack(self) -> np.ndarray:
-        A = np.stack([nd.A for nd in self.nodes]) if self.d else np.zeros((self.n, 0, 0))
+        A = np.stack([nd.A for nd in self.nodes])
         A.flags.writeable = False
         return A
 
@@ -424,8 +426,8 @@ def oracle_sweep(instance: ProblemInstance, dual: DualPoint):
     function value.
     """
     n = instance.n
-    Gs = np.broadcast_to(dual.G, (n,) + dual.G.shape) if instance.d else None
-    x, q = minimize_node_lagrangians(instance, np.full(n, dual.mu), Gs)
+    x, q = minimize_node_lagrangians(instance, np.full(n, dual.mu),
+                                     np.broadcast_to(dual.G, (n,) + dual.G.shape))
     return q, x
 
 
@@ -503,7 +505,7 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
                          Gs: np.ndarray | None = None) -> np.ndarray:
     """q evaluated at m dual points at once.
 
-    ``mus`` has shape (m,) and ``Gs`` shape (m, d, d) (None when d = 0);
+    ``mus`` has shape (m,) and ``Gs`` shape (m, d, d) (ignored when d = 0);
     every mu must be >= 0, the dual domain, and a negative one raises
     ``ValueError``.  With d = 0, q is read off the breakpoints of
     :func:`_dual_breakpoints`: one ``searchsorted`` and a four-term sum
@@ -535,7 +537,7 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         r = block.stop - start
-        if instance.d and Gs is not None:
+        if Gs is not None:
             lin = -np.einsum("jkl,ikl->ij", instance.A_stack, Gs[block])
             const = (-np.sum(instance.A0 * Gs[block], axis=(1, 2)) / n)[:, None]
         _, vals = _closed_form_minimize(cf, lo, hi, mus[block, None], lin, const,

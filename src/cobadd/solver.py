@@ -63,16 +63,20 @@ class NodeState:
 
 
 @dataclass
-class CobaddState:
-    """Every node's duals and ergodic sum after k recorded iterations.
+class SolverState:
+    """The dual pairs and the ergodic sum after k recorded iterations.
 
-    ``mus`` has shape (n,), ``Gs`` shape (n, d, d) (None when d = 0);
-    ``x_tilde`` holds the minimizers of the last oracle pass.  Iterating
-    yields per-node :class:`NodeState` views, built on read.
+    ``mus`` (shape (m,)) and ``Gs`` (shape (m, d, d), empty when d = 0)
+    hold the dual pairs the *next* iteration samples at: one per node
+    for CoBa-DD (m = n), the one master-node pair for the centralized
+    baseline (m = 1).  ``x_tilde`` holds the minimizers of the last
+    oracle pass and ``tilde_sum`` their sum over the recorded
+    iterations.  Iterating yields per-node :class:`NodeState` views of
+    the m = n case, built on read.
     """
 
     mus: np.ndarray
-    Gs: np.ndarray | None
+    Gs: np.ndarray
     x_tilde: np.ndarray
     tilde_sum: np.ndarray
     k: int
@@ -81,52 +85,46 @@ class CobaddState:
     def ergodic_x(self) -> np.ndarray:
         """tilde_sum / k (NaN before the first recorded iteration)."""
         if self.k < 1:
-            return np.full(len(self.mus), math.nan)
+            return np.full(len(self.tilde_sum), math.nan)
         return self.tilde_sum / self.k
 
     def __iter__(self):
         erg = self.ergodic_x
         for i, mu in enumerate(self.mus):
-            yield NodeState(DualPoint(mu, None if self.Gs is None else self.Gs[i]),
-                            float(self.x_tilde[i]), float(erg[i]), float(self.tilde_sum[i]), self.k)
+            yield NodeState(DualPoint(mu, self.Gs[i]), float(self.x_tilde[i]),
+                            float(erg[i]), float(self.tilde_sum[i]), self.k)
 
 
 def _advance(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig,
-             mus: np.ndarray, Gs: np.ndarray | None):
+             mus: np.ndarray, Gs: np.ndarray):
     """Oracle pass at the current duals followed by the projected
     consensus update; returns the minimizers and the new duals."""
     n, d = instance.n, instance.d
     x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
     h, Qm = constraint_values(instance, x_tilde)
-    payload = (mus + config.alpha * h)[:, None]
-    if d:
-        payload_G = Gs + config.alpha * Qm
-        payload = np.concatenate([payload, payload_G.reshape(n, d * d)], axis=1)
+    payload = np.concatenate([(mus + config.alpha * h)[:, None],
+                              (Gs + config.alpha * Qm).reshape(n, d * d)], axis=1)
     mixed = consensus_round(W, payload, config.phi)
-    new_mus = np.clip(mixed[:, 0], 0.0, config.sets.radius)
-    new_Gs = None
-    if d:
-        new_Gs = project_psd_ball_stack(mixed[:, 1:].reshape(n, d, d), config.sets.radius)
-    return x_tilde, new_mus, new_Gs
+    return (x_tilde, np.clip(mixed[:, 0], 0.0, config.sets.radius),
+            project_psd_ball_stack(mixed[:, 1:].reshape(n, d, d), config.sets.radius))
 
 
 def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix,
-                config: CobaddConfig) -> CobaddState:
+                config: CobaddConfig) -> SolverState:
     """Bootstrap: sample at the zero initial duals, run the first
     consensus update, and return the state holding the updated duals
     with an empty ergodic sum."""
     n, d = instance.n, instance.d
-    Gs = np.zeros((n, d, d)) if d else None
-    x_tilde, mus, Gs = _advance(instance, W, config, np.zeros(n), Gs)
-    return CobaddState(mus, Gs, x_tilde, np.zeros(n), 0)
+    x_tilde, mus, Gs = _advance(instance, W, config, np.zeros(n), np.zeros((n, d, d)))
+    return SolverState(mus, Gs, x_tilde, np.zeros(n), 0)
 
 
-def cobadd_step(instance: ProblemInstance, state: CobaddState,
-                W: ConsensusMatrix, config: CobaddConfig) -> CobaddState:
+def cobadd_step(instance: ProblemInstance, state: SolverState,
+                W: ConsensusMatrix, config: CobaddConfig) -> SolverState:
     """One recorded iteration: sample at the state's duals, extend the
     ergodic sum, and mix and project the duals."""
     x_tilde, mus, Gs = _advance(instance, W, config, state.mus, state.Gs)
-    return CobaddState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
+    return SolverState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
 
 
 # Buffered elements per block of trace rows.  Larger blocks only grow the
@@ -138,8 +136,8 @@ def record_run(instance: ProblemInstance, state, step, K: int):
     """Run ``state = step(state)`` K times and record one trace row per step.
 
     Before each step the loop reads the m dual points that step samples,
-    ``state.mus`` (shape (m,)) and ``state.Gs`` (shape (m, d, d), or
-    None), and records the max and mean of q over them and their largest
+    ``state.mus`` (shape (m,)) and ``state.Gs`` (shape (m, d, d)), and
+    records the max and mean of q over them and their largest
     deviations from their mean; after it, the cost and violations of
     ``state.ergodic_x``.  CoBa-DD is the case m = n and the master node
     the case m = 1.  Rows are evaluated once per block of about
@@ -157,16 +155,14 @@ def record_run(instance: ProblemInstance, state, step, K: int):
     mus, Gs, xs = np.empty((B, m)), np.empty((B, m, d, d)), np.empty((B, n))
     for k in range(K):
         j = k % B
-        mus[j] = state.mus
-        if d:
-            Gs[j] = state.Gs
+        mus[j], Gs[j] = state.mus, state.Gs
         state = step(state)
         xs[j] = state.ergodic_x
         if j + 1 < B and k + 1 < K:
             continue
         r, rows = j + 1, slice(k - j, k + 1)
         q = dual_function_values(instance, mus[:r].reshape(-1),
-                                 Gs[:r].reshape(-1, d, d) if d else None).reshape(r, m)
+                                 Gs[:r].reshape(r * m, d, d)).reshape(r, m)
         dev_mu = np.abs(mus[:r] - mus[:r].mean(axis=1, keepdims=True))
         dev_G = np.linalg.norm(Gs[:r] - Gs[:r].mean(axis=1, keepdims=True), axis=(2, 3))
         cols["q_best_node"][rows], cols["q_mean"][rows] = q.max(axis=1), q.mean(axis=1)

@@ -43,7 +43,9 @@ _INT_COLUMNS = {"k", "messages_cum"}
 
 @dataclass
 class RunTrace:
-    """One solver run: per-iteration columns, bounds and final duals."""
+    """One solver run: per-iteration columns, bounds and the final duals
+    ``final_mus`` and ``final_Gs``, the last state's m dual pairs, of
+    shapes (m,) and (m, d, d); the latter is (m, 0, 0) when d = 0."""
 
     k: np.ndarray
     f_ergodic: np.ndarray

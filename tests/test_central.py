@@ -12,13 +12,14 @@ NUM_SIGMA_SUM_PIN = 48.671845826578874
 
 
 def scalar_state(mu, n=2):
-    """A master-node state that samples at (mu, no G) next."""
-    return cb.CentralState(np.array([mu]), None, np.full(n, math.nan), 0, np.zeros(n))
+    """A master-node state that samples at (mu, the empty d = 0 G) next."""
+    return cb.SolverState(np.array([mu]), np.zeros((1, 0, 0)), np.full(n, math.nan),
+                          np.zeros(n), 0)
 
 
 def dual_of(state):
     """The state's dual pair as a DualPoint."""
-    return cb.DualPoint(state.mus[0], None if state.Gs is None else state.Gs[0])
+    return cb.DualPoint(state.mus[0], state.Gs[0])
 
 
 def test_init_single_step_hand_computation(num_instance, num_sets):

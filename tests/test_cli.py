@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -84,6 +85,7 @@ def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
     (("runs", 0, "K"), True),
     (("runs", 0, "phi"), True),
     (("instance", "seed"), True),
+    (("instance", "seed"), -1),
     (("runs", 0, "alpha"), True),
     (("probe_mu",), True),
     (("r",), True),
@@ -95,9 +97,9 @@ def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
     (("meta",), 5),
 ], ids=["probe_mu", "r", "avg_degree", "slater_xbar", "phi", "n_text", "n_one",
         "bounded_text", "graph_n_float", "graph_seed_float", "K_bool", "phi_bool",
-        "seed_bool", "alpha_bool", "probe_mu_bool", "r_bool", "avg_degree_bool",
-        "slater_xbar_bool", "unknown_run_key", "unknown_top_key", "unknown_graph_key",
-        "meta_not_object"])
+        "seed_bool", "seed_negative", "alpha_bool", "probe_mu_bool", "r_bool",
+        "avg_degree_bool", "slater_xbar_bool", "unknown_run_key", "unknown_top_key",
+        "unknown_graph_key", "meta_not_object"])
 def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
     # a bad config value or a field nothing reads exits 2 before any run;
     # the instance's own fields are checked when it is built, and exit 1
@@ -286,6 +288,67 @@ def test_verify_seed_override_changes_graph(tmp_path, capsys):
     assert f"consensus conditions (config graph)  [nu={nu:.4f}]" in out
     base = cb.metropolis_weights(cb.random_connected_graph(24, 5.0, 3)).nu
     assert f"{base:.4f}" != f"{nu:.4f}"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_negative_seed_override_is_an_error(tmp_path, capsys, command):
+    # numpy's generators raise "expected non-negative integer" on it
+    path, _ = small_config(tmp_path, K=5)
+    assert main([command, path, "--seed-override", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed-override must be an integer >= 0" in err
+
+
+def zero_f_star_config(tmp_path, K):
+    """Two nodes with f = x - 1/2 and g = 1/2 - x on [0, 1]: f* = 0, and the
+    first oracle pass, at mu = 0, costs -1."""
+    f, g = cb.ScalarFunction.affine(1.0, -0.5), cb.ScalarFunction.affine(-1.0, 0.5)
+    node = cb.NodeSpec(f, g, np.zeros((0, 0)), (0.0, 1.0))
+    inst_path = tmp_path / "zero.json"
+    inst_path.write_text(json.dumps(cb.instance_to_json(cb.ProblemInstance((node, node)))))
+    cfg = {"instance": {"path": str(inst_path)},
+           "graph": {"n": 2, "avg_degree": 1.0, "seed": 0},
+           "runs": [{"solver": "cobadd", "alpha": 0.5, "phi": 1, "K": K},
+                    {"solver": "centralized", "alpha": 0.5, "K": K}],
+           "output_dir": str(tmp_path / "zero_out"), "slater_xbar": [0.75, 0.75]}
+    path = tmp_path / "zero_cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_zero_f_star_crossing_reads_the_absolute_error(tmp_path):
+    # at f* = 0 the relative error is undefined and the 1% crossing is
+    # read off the absolute error, not off zeros that put it at row 1
+    assert cmd_run(zero_f_star_config(tmp_path, 400)) == 0
+    summary = json.loads((tmp_path / "zero_out" / "summary.json").read_text())
+    assert summary["f_star"] == 0.0
+    for run in summary["runs"]:
+        f = np.genfromtxt(tmp_path / "zero_out" / run["csv"], delimiter=",",
+                          names=True)["f_ergodic"]
+        assert abs(f[0]) > 0.01
+        hits = np.nonzero(np.abs(f) <= 0.01)[0]
+        assert hits.size and run["rel_error_1pct_k"] == hits[0] + 1, run["name"]
+
+
+@pytest.mark.parametrize("corrupt, what", [
+    (lambda doc: doc.update(A0=[math.nan, 0.0, 0.0, 1.5]), "A0"),
+    (lambda doc: doc["nodes"][1].update(A=[0.0, 0.0, 0.0, math.inf]), "node matrix A"),
+], ids=["A0_nan", "A_inf"])
+def test_non_finite_instance_matrix_is_named(tmp_path, capsys, corrupt, what):
+    # a NaN A0 used to end in "Slater vector is not strictly feasible"
+    doc = cb.instance_to_json(cb.make_sample_lmi_instance())
+    corrupt(doc)
+    inst_path = tmp_path / "lmi.json"
+    inst_path.write_text(json.dumps(doc))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "instance": {"path": str(inst_path)}, "graph": {"n": 2, "avg_degree": 1.0, "seed": 0},
+        "runs": [{"solver": "cobadd", "alpha": 0.5, "phi": 1, "K": 5}],
+        "output_dir": str(tmp_path / "o"), "slater_xbar": [0.0, 0.0]}))
+    assert cmd_run(str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed instance file") and \
+        f"{what} has non-finite entries" in err
 
 
 def test_cmd_run_lmi_instance(tmp_path):

@@ -87,6 +87,22 @@ def test_dual_point_contracts():
     assert cb.DualPoint(0.0).d == 0
 
 
+@pytest.mark.parametrize("build, what", [
+    (lambda M: cb.DualPoint(0.0, M), "dual matrix G"),
+    (lambda M: cb.NodeSpec(cb.ScalarFunction.linear(1.0), cb.ScalarFunction.linear(1.0),
+                           M, (0.0, 1.0)), "node matrix A"),
+    (lambda M: cb.ProblemInstance((_node(cb.ScalarFunction.linear(1.0),
+                                         cb.ScalarFunction.linear(1.0), np.zeros((2, 2))),),
+                                  M, 2), "A0"),
+], ids=["G", "A", "A0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_matrices_are_rejected_by_name(build, what, bad):
+    # a NaN in A - A^T compares False with 1e-12, so NaN and inf used to
+    # pass the symmetry check
+    with pytest.raises(ConfigurationError, match=f"^{what} has non-finite entries$"):
+        build(np.array([[bad, 0.0], [0.0, 1.5]]))
+
+
 # ---------------------------------------------------------------------------
 # local dual oracle
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ def two_node_toy():
 
 def manual_states(mus, k=0):
     n = len(mus)
-    return cb.CobaddState(np.array(mus, dtype=float), None, np.full(n, math.nan),
-                          np.zeros(n), k)
+    return cb.SolverState(np.array(mus, dtype=float), np.zeros((n, 0, 0)),
+                          np.full(n, math.nan), np.zeros(n), k)
 
 
 def test_step_complete_graph_hand_evaluation():
@@ -64,6 +64,26 @@ def test_step_zero_subgradient_fixed_point():
     assert out.mus[0] == pytest.approx(mu, abs=1e-12)
     assert out.mus[1] == pytest.approx(mu, abs=1e-12)
     assert out.x_tilde[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("name", ["num", "lmi"])
+def test_both_solvers_step_one_state_record(name, request):
+    # every G stack is an (m, d, d) array, the empty (m, 0, 0) one when
+    # d = 0, and both solvers' steps return the same record type
+    instance = request.getfixturevalue(f"{name}_instance")
+    sets = request.getfixturevalue(f"{name}_sets")
+    n, d = instance.n, instance.d
+    W = cb.metropolis_weights(cb.random_connected_graph(n, 8.0, 1) if n > 2
+                              else cb.Graph(2, ((0, 1),)))
+    cfg = cb.CobaddConfig(alpha=0.5, phi=1, K=3, sets=sets)
+    first = cb.cobadd_init(instance, W, cfg)
+    central = cb.central_init(instance, 0.5 / n, sets)
+    for state, m in ((first, n), (cb.cobadd_step(instance, first, W, cfg), n),
+                     (central, 1), (cb.central_step(instance, central, 0.5 / n, sets), 1)):
+        assert type(state) is cb.SolverState
+        assert isinstance(state.Gs, np.ndarray) and state.Gs.shape == (m, d, d)
+    assert cb.cobadd_solve(instance, W, cfg).final_Gs.shape == (n, d, d)
+    assert cb.central_solve(instance, 0.5 / n, 3).final_Gs.shape == (1, d, d)
 
 
 def test_state_iterates_node_views(lmi_instance, lmi_sets):
@@ -207,9 +227,8 @@ def test_step_and_solve_agree(name, request):
     state = cb.cobadd_init(instance, W, cfg)
     for k in range(K):
         q = cb.dual_function_values(instance, state.mus, state.Gs)
-        dev = np.abs(state.mus - state.mus.mean())
-        if instance.d:
-            dev = dev + np.linalg.norm(state.Gs - state.Gs.mean(axis=0), axis=(1, 2))
+        dev = np.abs(state.mus - state.mus.mean()) + \
+            np.linalg.norm(state.Gs - state.Gs.mean(axis=0), axis=(1, 2))
         assert (tr.q_best_node[k], tr.q_mean[k]) == (q.max(), q.mean())
         assert tr.disagreement[k] == dev.max()
         state = cb.cobadd_step(instance, state, W, cfg)
@@ -218,8 +237,7 @@ def test_step_and_solve_agree(name, request):
         assert np.array_equal(state.ergodic_x, [s.ergodic_x for s in state])
     assert state.k == K
     assert np.array_equal(state.mus, tr.final_mus)
-    if instance.d:
-        assert np.array_equal(state.Gs, tr.final_Gs)
+    assert np.array_equal(state.Gs, tr.final_Gs)
 
 
 COLUMNS = ("f_ergodic", "viol_ineq", "viol_lmi", "q_best_node", "q_mean",
@@ -234,8 +252,7 @@ def record_rows_reference(instance, state, step, K):
         mus, Gs = state.mus, state.Gs
         q = cb.dual_function_values(instance, mus, Gs)
         dev_mu = np.abs(mus - mus.mean())
-        dev_G = (np.linalg.norm(Gs - Gs.mean(axis=0), axis=(1, 2)) if Gs is not None
-                 else np.zeros(len(mus)))
+        dev_G = np.linalg.norm(Gs - Gs.mean(axis=0), axis=(1, 2))
         cols["q_best_node"][k], cols["q_mean"][k] = q.max(), q.mean()
         cols["mu_disagreement"][k], cols["G_disagreement"][k] = dev_mu.max(), dev_G.max()
         cols["disagreement"][k] = (dev_mu + dev_G).max()
@@ -277,9 +294,7 @@ def test_blocked_recorder_matches_per_row_loop(name, solver, offset, request):
     for col in COLUMNS:
         assert np.array_equal(getattr(tr, col), ref[col]), col
     assert np.array_equal(tr.final_mus, state.mus)
-    assert (tr.final_Gs is None) == (state.Gs is None)
-    if state.Gs is not None:
-        assert np.array_equal(tr.final_Gs, state.Gs)
+    assert np.array_equal(tr.final_Gs, state.Gs)
 
 
 def test_subgradient_bounds_cover_realized_values(lmi_instance, lmi_sets):
