@@ -1,11 +1,12 @@
 """Centralized dual decomposition with primal recovery (master-node baseline).
 
-One shared dual pair is updated by projected subgradient ascent with a
-constant stepsize; the primal estimate is the running ergodic mean of
-the local Lagrangian minimizers.  The very first oracle pass, taken at
-the zero initial duals, only feeds the first dual update: the
-ergodic mean starts with the sample taken at the first *updated* duals.
-Projections go onto the compact sets [0, radius] and
+One shared dual pair, the m = 1 stack of a :class:`SolverState`, is
+updated by projected subgradient ascent with a constant stepsize; the
+primal estimate is the running ergodic mean of the local Lagrangian
+minimizers.  ``_advance`` samples the oracle at the pair and updates it,
+in the bootstrap at the zero initial duals as in every step; that first
+pass only feeds the first update, so the ergodic mean starts at the
+first *updated* duals.  Projections go onto [0, radius] and
 {G PSD : ||G||_F <= radius} (bounded mode), or onto the same sets with
 an infinite radius, the nonnegative orthant and the PSD cone (unbounded
 mode, ``sets=None``).
@@ -24,13 +25,15 @@ from .spectral import project_psd_ball_stack
 from .trace import RunTrace
 
 
-def _updated_duals(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray,
-                   x_tilde: np.ndarray, alpha: float, sets: DualSetSpec | None):
-    """Projected subgradient step; unbounded mode is an infinite radius."""
+def _advance(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray,
+             alpha: float, sets: DualSetSpec | None):
+    """Oracle pass at the master node's duals, then the projected subgradient
+    step (unbounded: an infinite radius); returns the minimizers and new duals."""
+    _, x_tilde = oracle_sweep(instance, DualPoint(mus[0], Gs[0]))
     radius = sets.radius if sets is not None else math.inf
     h, _ = constraint_values(instance, x_tilde)
     mus = np.clip(mus + alpha * float(h.sum()), 0.0, radius)
-    return mus, project_psd_ball_stack(Gs - alpha * instance.lmi_matrix(x_tilde), radius)
+    return x_tilde, mus, project_psd_ball_stack(Gs - alpha * instance.lmi_matrix(x_tilde), radius)
 
 
 def central_init(instance: ProblemInstance, alpha: float,
@@ -39,16 +42,14 @@ def central_init(instance: ProblemInstance, alpha: float,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     n, d = instance.n, instance.d
-    _, x_tilde = oracle_sweep(instance, DualPoint(0.0, np.zeros((d, d))))
-    mus, Gs = _updated_duals(instance, np.zeros(1), np.zeros((1, d, d)), x_tilde, alpha, sets)
+    x_tilde, mus, Gs = _advance(instance, np.zeros(1), np.zeros((1, d, d)), alpha, sets)
     return SolverState(mus, Gs, x_tilde, np.zeros(n), 0)
 
 
 def central_step(instance: ProblemInstance, state: SolverState, alpha: float,
                  sets: DualSetSpec | None = None) -> SolverState:
     """One recorded iteration: sample, extend the ergodic sum, update."""
-    _, x_tilde = oracle_sweep(instance, DualPoint(state.mus[0], state.Gs[0]))
-    mus, Gs = _updated_duals(instance, state.mus, state.Gs, x_tilde, alpha, sets)
+    x_tilde, mus, Gs = _advance(instance, state.mus, state.Gs, alpha, sets)
     return SolverState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
 
 

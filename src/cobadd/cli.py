@@ -189,7 +189,6 @@ class Setup:
     graph: Graph
     graph_seed: int
     W: ConsensusMatrix
-    threshold: float
     sets: DualSetSpec
     oracle: OracleResult
 
@@ -220,7 +219,7 @@ def build_setup(cfg: ExperimentConfig, seed_override: int | None = None) -> Setu
     threshold = dual_set_threshold(instance, slater, probe)
     r = cfg.r if cfg.r is not None else (threshold if threshold > 0 else 1.0)
     sets = build_dual_sets(instance, slater, probe, r)
-    return Setup(instance, graph, graph_seed, W, threshold, sets, ground_truth(instance))
+    return Setup(instance, graph, graph_seed, W, sets, ground_truth(instance))
 
 
 def _solve(spec: RunSpec, setup: Setup, K: int) -> RunTrace:
@@ -286,7 +285,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
         "graph": {"n": setup.graph.n, "edges": setup.graph.edge_count,
                   "avg_degree": setup.graph.average_degree, "nu": setup.W.nu,
                   "seed": setup.graph_seed},
-        "dual_sets": {"radius": sets.radius, "r": sets.r, "threshold": setup.threshold},
+        "dual_sets": {"radius": sets.radius, "r": sets.r, "threshold": sets.threshold},
         "f_star": f_star,
         "f_star_oracle": setup.oracle.certificate["method"],
         "runs": summary_runs,
@@ -308,7 +307,7 @@ def _bound_violations(trace: RunTrace, f_star: float) -> dict:
         return out
     out["primal_upper"] = int(np.sum(trace.f_ergodic > f_star + trace.bound_upper + slack))
     out["primal_lower"] = int(np.sum(trace.f_ergodic < f_star - trace.bound_lower - slack))
-    if b is not None and trace.mu_disagreement is not None:
+    if b is not None:
         env = b.disagreement_envelope(trace.k)
         out["disagreement"] = int(
             np.sum(trace.mu_disagreement > env + slack)

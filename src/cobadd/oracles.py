@@ -131,10 +131,10 @@ def _assemble_primal(instance: ProblemInstance, x_lo: np.ndarray,
 def _invert_g(node, target: float) -> float:
     """Solve g(x) = target for a non-constant g: affine (c == 0, a != 0)
     or negative-log (c != 0, a == 0)."""
-    c, a, b = node.g.coefficients()
-    if c == 0.0:
-        return (target - b) / a
-    return math.expm1((b - target) / c)
+    g = node.g
+    if g.c == 0.0:
+        return (target - g.b) / g.a
+    return math.expm1((g.b - target) / g.c)
 
 
 def grid_search_lmi(instance: ProblemInstance, step: float,

@@ -96,10 +96,6 @@ class ScalarFunction:
             return self.a * x + self.b - self.c * np.log1p(x)
         return self.a * x + self.b
 
-    def coefficients(self) -> tuple[float, float, float]:
-        """(C, a, b) such that value(x) = -C*log(1+x) + a*x + b."""
-        return self.c, self.a, self.b
-
 
 # ---------------------------------------------------------------------------
 # instance types
@@ -221,12 +217,11 @@ class ProblemInstance:
         return A
 
     @cached_property
-    def _closed(self) -> "_ClosedFormArrays":
-        cf, af, bf = zip(*(nd.f.coefficients() for nd in self.nodes))
-        cg, ag, bg = zip(*(nd.g.coefficients() for nd in self.nodes))
-        return _ClosedFormArrays(
-            np.array(cf), np.array(af), np.array(bf),
-            np.array(cg), np.array(ag), np.array(bg))
+    def _closed(self) -> tuple[np.ndarray, ...]:
+        """``(c_f, a_f, b_f, c_g, a_g, b_g)``, one (n,) array per coefficient."""
+        f, g = [nd.f for nd in self.nodes], [nd.g for nd in self.nodes]
+        return (np.array([s.c for s in f]), np.array([s.a for s in f]), np.array([s.b for s in f]),
+                np.array([s.c for s in g]), np.array([s.a for s in g]), np.array([s.b for s in g]))
 
     @cached_property
     def _breakpoints(self) -> "tuple[np.ndarray, np.ndarray] | None":
@@ -240,16 +235,6 @@ class ProblemInstance:
         if self.d == 0:
             return self.A0
         return self.A0 + np.tensordot(np.asarray(x, dtype=float), self.A_stack, axes=1)
-
-
-@dataclass(frozen=True)
-class _ClosedFormArrays:
-    c_f: np.ndarray
-    a_f: np.ndarray
-    b_f: np.ndarray
-    c_g: np.ndarray
-    a_g: np.ndarray
-    b_g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -267,25 +252,26 @@ class SlaterCertificate:
 
 @dataclass(frozen=True)
 class DualSetSpec:
-    """The radius shared by the compact dual projection sets.
+    """The dual sets [0, radius] and {G PSD : ||G||_F <= radius}, with
+    ``radius = threshold + r`` and ``threshold = (fxbar - q(probe))/gamma``.
+    The theory needs ``r >= threshold``; an r below it by more than 1e-12
+    is a ConfigurationError naming the minimum admissible value."""
 
-    The radius is ``(fxbar - q(probe))/gamma + r``; the scalar dual is
-    projected onto [0, radius] and the matrix dual onto
-    {G PSD : ||G||_F <= radius}.
-    """
-
-    radius: float
+    threshold: float
     r: float
 
     def __post_init__(self):
         if not (self.r > 0.0):
             raise ConfigurationError("r must be positive")
+        if self.r < self.threshold - 1e-12:
+            raise ConfigurationError(
+                f"r={self.r} below the minimum admissible value {self.threshold}")
         if not (self.radius > 0.0):
             raise ConfigurationError("the projection radius must be positive")
-        # radius = threshold + r with r >= threshold implies radius <= 2 r
-        if self.radius > 2.0 * self.r * (1.0 + 1e-12):
-            raise ConfigurationError(
-                "r below the admissible threshold implied by the radius")
+
+    @property
+    def radius(self) -> float:
+        return self.threshold + self.r
 
 
 @dataclass(frozen=True)
@@ -315,7 +301,7 @@ def _scratch(shape) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((4,) + shape), np.empty((2,) + shape, dtype=bool)
 
 
-def _closed_form_minimize(cf: "_ClosedFormArrays", lo, hi, mu, lin, const,
+def _closed_form_minimize(cf: tuple[np.ndarray, ...], lo, hi, mu, lin, const,
                           work: np.ndarray, masks: np.ndarray):
     """Box minimizers and minima of -C*log(1+x) + S*x + T for a block.
 
@@ -324,13 +310,13 @@ def _closed_form_minimize(cf: "_ClosedFormArrays", lo, hi, mu, lin, const,
 
         C = c_f + mu c_g,   S = a_f + mu a_g + lin,   T = b_f + mu b_g + const,
 
-    with the (n,) coefficient arrays of ``cf`` broadcast against ``mu``,
-    ``lin`` and ``const`` (``None`` drops an LMI term): per-node duals of
-    shape (n,) for the oracle, or one dual per row, shape (r, 1), for a
-    row block of dual values.  C == 0 gives an affine objective whose
-    minimizer is an endpoint (the lower one on ties); C > 0 gives a
-    strictly convex objective minimized at the clipped stationary point
-    C/S - 1 when S > 0 and at the upper endpoint otherwise.
+    with the (n,) arrays ``cf = (c_f, a_f, b_f, c_g, a_g, b_g)`` broadcast
+    against ``mu``, ``lin`` and ``const``: (n,) or (1,) for the oracle, or
+    (r, 1), one dual per row, for a row block of dual values.  C == 0
+    gives an affine objective whose minimizer is an endpoint (the lower
+    one on ties); C > 0 gives a strictly convex objective minimized at the
+    clipped stationary point C/S - 1 when S > 0 and at the upper endpoint
+    otherwise.
 
     Everything is evaluated in place, with ``out=`` ufuncs into ``work``
     (float, shape (4,) + block) and ``where=`` masks in ``masks`` (bool,
@@ -342,14 +328,14 @@ def _closed_form_minimize(cf: "_ClosedFormArrays", lo, hi, mu, lin, const,
     ``-C*log1p(x) + S*x`` does.  Returns views ``(x, value)`` into
     ``work``.
     """
+    c_f, a_f, b_f, c_g, a_g, b_g = cf
     C, val, x, tmp = work
     convex, sel = masks
-    np.multiply(mu, cf.c_g, out=C)
-    np.add(cf.c_f, C, out=C)
-    np.multiply(mu, cf.a_g, out=val)            # val holds S until S*x
-    np.add(cf.a_f, val, out=val)
-    if lin is not None:
-        np.add(val, lin, out=val)
+    np.multiply(mu, c_g, out=C)
+    np.add(c_f, C, out=C)
+    np.multiply(mu, a_g, out=val)               # val holds S until S*x
+    np.add(a_f, val, out=val)
+    np.add(val, lin, out=val)
     np.greater(C, 0.0, out=convex)
     # affine: upper endpoint where S < 0, else lower; convex: upper endpoint
     np.less(val, 0.0, out=sel)
@@ -366,21 +352,28 @@ def _closed_form_minimize(cf: "_ClosedFormArrays", lo, hi, mu, lin, const,
     np.log1p(x, out=tmp, where=convex)
     np.multiply(C, tmp, out=tmp, where=convex)
     np.subtract(val, tmp, out=val, where=convex)
-    np.multiply(mu, cf.b_g, out=tmp)            # tmp holds T
-    np.add(cf.b_f, tmp, out=tmp)
-    if const is not None:
-        np.add(tmp, const, out=tmp)
+    np.multiply(mu, b_g, out=tmp)               # tmp holds T
+    np.add(b_f, tmp, out=tmp)
+    np.add(tmp, const, out=tmp)
     np.add(val, tmp, out=val)
     return x, val
 
 
-def _lmi_terms(instance: ProblemInstance, Gs: np.ndarray | None):
+def _check_Gs(instance: ProblemInstance, mus: np.ndarray, Gs) -> None:
+    """With an LMI, ``Gs`` must hold one (d, d) matrix per mu; d = 0 ignores it."""
+    d = instance.d
+    if d and np.shape(Gs) != (len(mus), d, d):
+        got = "no Gs" if Gs is None else f"Gs of shape {np.shape(Gs)}"
+        raise ValueError(f"{got} on a d = {d} instance; expected shape {(len(mus), d, d)}")
+
+
+def _lmi_terms(instance: ProblemInstance, Gs: np.ndarray):
     """Per-node linear and constant Lagrangian contributions of the LMI.
 
     -tr[(A0/n + A_i x) G_i] = (-tr[A_i G_i]) x + (-tr[A0 G_i]/n).
     """
     n = instance.n
-    if instance.d == 0 or Gs is None:
+    if instance.d == 0:
         return np.zeros(n), np.zeros(n)
     lin = -np.sum(instance.A_stack * Gs, axis=(1, 2))
     const = -np.sum(instance.A0 * Gs, axis=(1, 2)) / n
@@ -394,11 +387,11 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
     Parameters
     ----------
     instance : ProblemInstance
-    mus : ndarray, shape (n,)
-        Per-node scalar duals, each >= 0 (a negative one raises
-        ``ValueError``: the closed form assumes C = c_f + mu c_g >= 0).
-    Gs : ndarray, shape (n, d, d), optional
-        Per-node matrix duals; ignored when d = 0.
+    mus : ndarray, shape (n,) or (1,)
+        Per-node scalar duals or one shared one, each >= 0 (a negative
+        one raises ``ValueError``: the closed form assumes C >= 0).
+    Gs : ndarray, shape (len(mus), d, d)
+        Matrix duals, ignored when d = 0; a ValueError if missing or misshapen.
 
     Returns
     -------
@@ -409,6 +402,7 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
     mus = np.asarray(mus, dtype=float)
     if mus.min() < 0.0:
         raise ValueError("minimize_node_lagrangians needs every mu >= 0")
+    _check_Gs(instance, mus, Gs)
     lin, const = _lmi_terms(instance, Gs)
     lo, hi = instance.boxes
     x, q = _closed_form_minimize(instance._closed, lo, hi, mus, lin, const,
@@ -421,13 +415,14 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
 def oracle_sweep(instance: ProblemInstance, dual: DualPoint):
     """Run every node's local oracle at one shared dual point.
 
-    Returns ``(q, x_tilde)`` arrays of shape (n,); the q values include
-    the -tr[A0 G]/n share of the LMI constant, so ``q.sum()`` is the dual
-    function value.
+    The dual goes to the kernel as a (1,) and (1, d, d) stack; one of
+    another d than the instance's is a ``ValueError``.  Returns
+    ``(q, x_tilde)`` arrays of shape (n,); the q values include the
+    -tr[A0 G]/n share of the LMI constant, so ``q.sum()`` is q(dual).
     """
-    n = instance.n
-    x, q = minimize_node_lagrangians(instance, np.full(n, dual.mu),
-                                     np.broadcast_to(dual.G, (n,) + dual.G.shape))
+    if dual.d != instance.d:
+        raise ValueError(f"a dual point with d = {dual.d} on a d = {instance.d} instance")
+    x, q = minimize_node_lagrangians(instance, np.array([dual.mu]), dual.G[None])
     return q, x
 
 
@@ -437,7 +432,7 @@ def dual_function_value(instance: ProblemInstance, dual: DualPoint) -> float:
     return float(q.sum())
 
 
-def _dual_breakpoints(cf: "_ClosedFormArrays", lo, hi):
+def _dual_breakpoints(cf: tuple[np.ndarray, ...], lo, hi):
     """q(mu) for d = 0 as sorted breakpoints with cumulative coefficients.
 
     Node i's minimum has C = c_f + mu c_g and S = a_f + mu a_g.  Every
@@ -463,7 +458,7 @@ def _dual_breakpoints(cf: "_ClosedFormArrays", lo, hi):
     a zero jump, where a node has fewer) and q's coefficients on the 2n + 1
     intervals, shape (2n + 1, 4).
     """
-    c_f, a_f, b_f, c_g, a_g, b_g = cf.c_f, cf.a_f, cf.b_f, cf.c_g, cf.a_g, cf.b_g
+    c_f, a_f, b_f, c_g, a_g, b_g = cf
     log_f = (c_f > 0) & (a_g > 0)
     log_g = (c_g > 0) & (a_f > 0)
     flip = (c_f == 0) & (c_g == 0) & (a_f * a_g < 0)
@@ -505,21 +500,23 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
                          Gs: np.ndarray | None = None) -> np.ndarray:
     """q evaluated at m dual points at once.
 
-    ``mus`` has shape (m,) and ``Gs`` shape (m, d, d) (ignored when d = 0);
-    every mu must be >= 0, the dual domain, and a negative one raises
-    ``ValueError``.  With d = 0, q is read off the breakpoints of
-    :func:`_dual_breakpoints`: one ``searchsorted`` and a four-term sum
-    per point instead of n node evaluations.  That sums in
-    another order than :func:`dual_function_value`, so the two agree to
-    a few 1e-15 of ``sum_i |q_i|``, not bit for bit.  With d > 0, where
-    ``tr[A_i G_j]`` couples each node with each dual, the m points go in
-    row blocks of about ``_BLOCK_ELEMENTS`` node evaluations through
+    ``mus`` has shape (m,) and ``Gs`` shape (m, d, d) (ignored when d = 0,
+    else checked as in :func:`minimize_node_lagrangians`); every mu must
+    be >= 0, the dual domain, and a negative one raises ``ValueError``.
+    With d = 0, q is read off the breakpoints of :func:`_dual_breakpoints`:
+    one ``searchsorted`` and a four-term sum per point instead of n node
+    evaluations.  That sums in another order than
+    :func:`dual_function_value`, so the two agree to a few 1e-15 of
+    ``sum_i |q_i|``, not bit for bit.  With d > 0, where ``tr[A_i G_j]``
+    couples each node with each dual, the m points go in row blocks of
+    about ``_BLOCK_ELEMENTS`` node evaluations through
     :func:`_closed_form_minimize`, in scratch shared by all blocks, and
     each row is summed in the same order as a single point.
     """
     mus = np.asarray(mus, dtype=float)
     if np.any(mus < 0.0):
         raise ValueError("dual_function_values needs every mu >= 0")
+    _check_Gs(instance, mus, Gs)
     m, n = mus.shape[0], instance.n
     table = instance._breakpoints
     if table is not None:
@@ -528,20 +525,17 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
         mu = mus.astype(np.longdouble)
         log_mu = np.log(mu, out=np.zeros_like(mu), where=mu > 0)   # 0 * log 0 read as 0
         return (k[:, 0] + mu * (k[:, 1] + k[:, 3] * log_mu) + k[:, 2] * log_mu).astype(float)
-    cf = instance._closed
     out = np.empty(m)
     lo, hi = instance.boxes
     rows = max(1, _BLOCK_ELEMENTS // n)
     work, masks = _scratch((min(rows, m), n))
-    lin = const = None
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         r = block.stop - start
-        if Gs is not None:
-            lin = -np.einsum("jkl,ikl->ij", instance.A_stack, Gs[block])
-            const = (-np.sum(instance.A0 * Gs[block], axis=(1, 2)) / n)[:, None]
-        _, vals = _closed_form_minimize(cf, lo, hi, mus[block, None], lin, const,
-                                        work[:, :r], masks[:, :r])
+        lin = -np.einsum("jkl,ikl->ij", instance.A_stack, Gs[block])
+        const = (-np.sum(instance.A0 * Gs[block], axis=(1, 2)) / n)[:, None]
+        _, vals = _closed_form_minimize(instance._closed, lo, hi, mus[block, None], lin,
+                                        const, work[:, :r], masks[:, :r])
         vals.sum(axis=1, out=out[block])
     return out
 
@@ -560,9 +554,8 @@ def _node_values(instance: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
     """Per-node cost and constraint values ``(f_i(x_i), g_i(x_i))`` at x of
     shape (n,) or (r, n)."""
     x = np.asarray(x, dtype=float)
-    cf, log1p = instance._closed, _log1p(x)
-    return (_values(cf.c_f, cf.a_f, cf.b_f, x, log1p),
-            _values(cf.c_g, cf.a_g, cf.b_g, x, log1p))
+    (c_f, a_f, b_f, c_g, a_g, b_g), log1p = instance._closed, _log1p(x)
+    return _values(c_f, a_f, b_f, x, log1p), _values(c_g, a_g, b_g, x, log1p)
 
 
 def constraint_values(instance: ProblemInstance, x_tilde: np.ndarray):
@@ -572,8 +565,8 @@ def constraint_values(instance: ProblemInstance, x_tilde: np.ndarray):
     Qmats[i] = -A0/n - A_i x_i with shape (n, d, d).
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
-    cf = instance._closed
-    h = _values(cf.c_g, cf.a_g, cf.b_g, x_tilde, _log1p(x_tilde))
+    c_f, a_f, b_f, c_g, a_g, b_g = instance._closed
+    h = _values(c_g, a_g, b_g, x_tilde, _log1p(x_tilde))
     Qmats = -instance.A0 / instance.n - instance.A_stack * x_tilde[:, None, None]
     return h, Qmats
 
@@ -629,18 +622,9 @@ def slater_certificate(instance: ProblemInstance, xbar) -> SlaterCertificate:
 
 def build_dual_sets(instance: ProblemInstance, slater: SlaterCertificate,
                     probe: DualPoint, r: float) -> DualSetSpec:
-    """Compact dual projection sets from a Slater point and a probe dual.
-
-    The shared radius is ``(fxbar - q(probe))/gamma + r`` and the
-    convergence theory requires ``r >= (fxbar - q(probe))/gamma``; an r
-    below that threshold raises a ConfigurationError naming the minimum
-    admissible value.
-    """
-    threshold = dual_set_threshold(instance, slater, probe)
-    if r < threshold - 1e-12:
-        raise ConfigurationError(
-            f"r={r} below the minimum admissible value {threshold}")
-    return DualSetSpec(threshold + r, r)
+    """Compact dual projection sets from a Slater point and a probe dual:
+    :class:`DualSetSpec` on the probe's threshold and r."""
+    return DualSetSpec(dual_set_threshold(instance, slater, probe), r)
 
 
 def dual_set_threshold(instance: ProblemInstance, slater: SlaterCertificate,

@@ -71,8 +71,8 @@ class SolverState:
     for CoBa-DD (m = n), the one master-node pair for the centralized
     baseline (m = 1).  ``x_tilde`` holds the minimizers of the last
     oracle pass and ``tilde_sum`` their sum over the recorded
-    iterations.  Iterating yields per-node :class:`NodeState` views of
-    the m = n case, built on read.
+    iterations.  Iterating yields one :class:`NodeState` view per node,
+    built on read; with m = 1 every node sees the master dual.
     """
 
     mus: np.ndarray
@@ -89,9 +89,10 @@ class SolverState:
         return self.tilde_sum / self.k
 
     def __iter__(self):
-        erg = self.ergodic_x
-        for i, mu in enumerate(self.mus):
-            yield NodeState(DualPoint(mu, self.Gs[i]), float(self.x_tilde[i]),
+        erg, shared = self.ergodic_x, len(self.mus) == 1
+        for i, x in enumerate(self.x_tilde):
+            j = 0 if shared else i
+            yield NodeState(DualPoint(self.mus[j], self.Gs[j]), float(x),
                             float(erg[i]), float(self.tilde_sum[i]), self.k)
 
 

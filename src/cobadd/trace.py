@@ -43,9 +43,10 @@ _INT_COLUMNS = {"k", "messages_cum"}
 
 @dataclass
 class RunTrace:
-    """One solver run: per-iteration columns, bounds and the final duals
-    ``final_mus`` and ``final_Gs``, the last state's m dual pairs, of
-    shapes (m,) and (m, d, d); the latter is (m, 0, 0) when d = 0."""
+    """One solver run, as both solvers fill it: the CSV columns, the
+    per-row largest mu and G deviations, and the last state's m dual
+    pairs ``final_mus`` (m,) and ``final_Gs`` (m, d, d); then CoBa-DD's
+    bounds object and the baseline's realized dual norm."""
 
     k: np.ndarray
     f_ergodic: np.ndarray
@@ -58,11 +59,11 @@ class RunTrace:
     bound_upper: np.ndarray
     bound_lower: np.ndarray
     beta_k: np.ndarray
+    mu_disagreement: np.ndarray
+    G_disagreement: np.ndarray
+    final_mus: np.ndarray
+    final_Gs: np.ndarray
     bounds: object | None = None
-    mu_disagreement: np.ndarray | None = None
-    G_disagreement: np.ndarray | None = None
-    final_mus: np.ndarray | None = None
-    final_Gs: np.ndarray | None = None
     lambda_realized: float | None = None
 
     def __post_init__(self):

@@ -34,6 +34,17 @@ def test_init_single_step_hand_computation(num_instance, num_sets):
     assert np.all(np.isnan(state_b.ergodic_x))
 
 
+def test_centralized_state_yields_one_view_per_node(num_instance):
+    # every node sees the master dual; the views used to be indexed by
+    # dual pair, one view pairing it with node 0 only
+    state = cb.central_step(num_instance, cb.central_init(num_instance, 1.0), 1.0)
+    views = list(state)
+    assert len(views) == num_instance.n
+    assert all(v.dual.mu == state.mus[0] for v in views)
+    assert [v.tilde_x for v in views] == state.x_tilde.tolist()
+    assert [v.ergodic_x for v in views] == state.ergodic_x.tolist()
+
+
 def test_step_zero_subgradient_is_fixed_point():
     # both nodes at mu = 2/3: minimizer 0.5 satisfies g(0.5) = 0
     f = cb.ScalarFunction.neg_log(1.0)

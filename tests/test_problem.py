@@ -264,6 +264,17 @@ def test_build_dual_sets_rejects_small_r(num_instance):
     assert f"{thr}" in str(err.value)
 
 
+def test_dual_set_spec_has_one_r_rule():
+    # r >= threshold - 1e-12 is the one admissibility rule: a relative
+    # proxy on the radius used to reject the first pair and admit the second
+    sets = cb.DualSetSpec(1e-15, 1e-16)
+    assert sets.radius == 1e-15 + 1e-16
+    with pytest.raises(ConfigurationError, match=f"minimum admissible value {1e6}"):
+        cb.DualSetSpec(1e6, 1e6 - 1e-9)
+    with pytest.raises(ConfigurationError, match="radius must be positive"):
+        cb.DualSetSpec(-5.0, 1.0)
+
+
 def test_threshold_shrinks_at_better_probe(lmi_instance):
     # probing at the optimal duals (mu=0, G=0 here) gives threshold 0
     sl = cb.slater_certificate(lmi_instance, np.zeros(2))
@@ -512,6 +523,41 @@ def test_dual_function_values_rejects_negative_mu(lmi_instance):
                        rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("name, G", [("lmi", None), ("num", np.eye(2))])
+def test_dual_point_of_another_dimension_is_named(name, G, request):
+    # a d = 0 dual on a d = 2 instance used to fail inside numpy's
+    # broadcasting, and a d = 2 dual on a d = 0 instance was dropped
+    instance = request.getfixturevalue(f"{name}_instance")
+    with pytest.raises(ValueError, match=f"d = {2 - instance.d} on a d = {instance.d} instance"):
+        cb.dual_function_value(instance, cb.DualPoint(0.5, G))
+
+
+@pytest.mark.parametrize("Gs", [None, np.zeros((2, 3, 3)), np.zeros((1, 2, 2))],
+                         ids=["missing", "other_d", "other_count"])
+def test_missing_or_misshapen_Gs_is_an_error_with_an_lmi(lmi_instance, Gs):
+    # a missing Gs used to read as G = 0
+    mus = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match=r"d = 2 instance; expected shape \(2, 2, 2\)"):
+        minimize_node_lagrangians(lmi_instance, mus, Gs)
+    with pytest.raises(ValueError, match=r"d = 2 instance; expected shape \(2, 2, 2\)"):
+        cb.dual_function_values(lmi_instance, mus, Gs)
+
+
+@pytest.mark.parametrize("name", ["num", "lmi200"])
+def test_shared_dual_sweep_equals_the_per_node_stack(name, request):
+    # oracle_sweep hands the kernel one shared dual as a (1,) stack; its
+    # broadcast gives every node the bits of n copies
+    instance = request.getfixturevalue(f"{name}_instance")
+    n, d = instance.n, instance.d
+    B = np.random.default_rng(21).normal(size=(d, d))
+    for mu, G in ((0.0, np.zeros((d, d))), (0.7, B @ B.T), (2.5, B @ B.T / 3.0)):
+        dual = cb.DualPoint(mu, G)
+        q, x = cb.oracle_sweep(instance, dual)
+        x_ref, q_ref = minimize_node_lagrangians(instance, np.full(n, mu),
+                                                 np.broadcast_to(dual.G, (n, d, d)))
+        assert np.array_equal(x, x_ref) and np.array_equal(q, q_ref)
+
+
 # ---------------------------------------------------------------------------
 # the in-place closed-form kernel against the broadcast expression
 # ---------------------------------------------------------------------------
@@ -581,7 +627,7 @@ def test_closed_form_kernel_matches_broadcast_expression(n, m, d, seed):
     A0 = rng.normal(size=(d, d))
     inst = cb.ProblemInstance([pool[j] for j in rng.integers(len(pool), size=n)],
                               A0 + A0.T, d)
-    cf = inst._closed
+    c_f, a_f, b_f, c_g, a_g, b_g = inst._closed
     lo, hi = inst.boxes
 
     # the oracle, one dual per node: some at 0, some at MU_EXACT with G = 0
@@ -595,8 +641,8 @@ def test_closed_form_kernel_matches_broadcast_expression(n, m, d, seed):
     lin = -np.sum(inst.A_stack * Gs_n, axis=(1, 2)) if d else np.zeros(n)
     const = -np.sum(inst.A0 * Gs_n, axis=(1, 2)) / n if d else np.zeros(n)
     x_ref, q_ref = reference_minimize(
-        cf.c_f + mus_n * cf.c_g, cf.a_f + mus_n * cf.a_g + lin,
-        cf.b_f + mus_n * cf.b_g + const, lo, hi)
+        c_f + mus_n * c_g, a_f + mus_n * a_g + lin,
+        b_f + mus_n * b_g + const, lo, hi)
     assert np.array_equal(x, x_ref) and np.array_equal(q, q_ref)
 
     # dual values at m shared points: the first two at 0 and MU_EXACT, G = 0
@@ -608,8 +654,8 @@ def test_closed_form_kernel_matches_broadcast_expression(n, m, d, seed):
     lin = -np.einsum("jkl,ikl->ij", inst.A_stack, Gs) if d else 0.0
     const = (-np.sum(inst.A0 * Gs, axis=(1, 2)) / n)[:, None] if d else 0.0
     _, v_ref = reference_minimize(
-        cf.c_f + mus[:, None] * cf.c_g, cf.a_f + mus[:, None] * cf.a_g + lin,
-        cf.b_f + mus[:, None] * cf.b_g + const, lo, hi)
+        c_f + mus[:, None] * c_g, a_f + mus[:, None] * a_g + lin,
+        b_f + mus[:, None] * b_g + const, lo, hi)
     if d:
         assert np.array_equal(vals, v_ref.sum(axis=1))
     else:
@@ -670,11 +716,12 @@ def test_breakpoint_dual_values_match_kernel(n, seed):
     assert inst._breakpoints is not None
     # where a stationary point meets the box or S changes sign, from the
     # data (some candidates are no breakpoint of their node: more points)
-    cf, (lo, hi) = inst._closed, inst.boxes
+    c_f, a_f, b_f, c_g, a_g, b_g = inst._closed
+    lo, hi = inst.boxes
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.concatenate([cf.c_f / (cf.a_g * (1 + lo)), cf.c_f / (cf.a_g * (1 + hi)),
-                            cf.a_f * (1 + lo) / cf.c_g, cf.a_f * (1 + hi) / cf.c_g,
-                            -cf.a_f / cf.a_g])
+        t = np.concatenate([c_f / (a_g * (1 + lo)), c_f / (a_g * (1 + hi)),
+                            a_f * (1 + lo) / c_g, a_f * (1 + hi) / c_g,
+                            -a_f / a_g])
     t = t[np.isfinite(t) & (t > 0)]
     beyond = 2.0 * (t.max() if t.size else 1.0)
     mus = [0.0, beyond, *rng.choice(t, size=min(t.size, 8)), *rng.uniform(0.0, beyond, 4)]

@@ -29,7 +29,7 @@ def test_step_complete_graph_hand_evaluation():
     # payloads are mu_i + alpha * 0.75; exact averaging then projects
     # their mean, identically at both nodes
     inst = two_node_toy()
-    sets = cb.DualSetSpec(5.0, 5.0)
+    sets = cb.DualSetSpec(0.0, 5.0)
     cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=10, sets=sets)
     W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))  # equals exact averaging
     states = manual_states([0.2, 0.4])
@@ -44,7 +44,7 @@ def test_step_complete_graph_hand_evaluation():
 
 def test_step_projects_mixed_payload_onto_sets():
     inst = two_node_toy()
-    sets = cb.DualSetSpec(0.8, 0.8)
+    sets = cb.DualSetSpec(0.0, 0.8)
     cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=10, sets=sets)
     W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))
     out = cb.cobadd_step(inst, manual_states([0.2, 0.4]), W, cfg)
@@ -56,7 +56,7 @@ def test_step_zero_subgradient_fixed_point():
     g = cb.ScalarFunction.affine(1.0, -0.5)
     node = cb.NodeSpec(f, g, np.zeros((0, 0)), (0.0, 1.0))
     inst = cb.ProblemInstance((node, node), np.zeros((0, 0)), 0)
-    sets = cb.DualSetSpec(5.0, 5.0)
+    sets = cb.DualSetSpec(0.0, 5.0)
     cfg = cb.CobaddConfig(alpha=0.9, phi=3, K=10, sets=sets)
     W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))
     mu = 2.0 / 3.0
@@ -272,7 +272,7 @@ def test_blocked_recorder_matches_per_row_loop(name, solver, offset, request):
     instance = request.getfixturevalue(f"{name}_instance")
     n = instance.n
     sets = (request.getfixturevalue(f"{name}_sets") if name != "lmi200"
-            else cb.DualSetSpec(3.0, 1.5))
+            else cb.DualSetSpec(1.5, 1.5))
     # rows per block as record_run sizes them; max(m, n) = n for m = n and m = 1
     B = max(1, solver_module._RECORD_ELEMENTS // (n * (1 + instance.d ** 2)))
     K = {"1": 1, "B-1": max(1, B - 1), "B": B, "B+1": B + 1, "2B+3": 2 * B + 3}[offset]
@@ -331,7 +331,7 @@ def test_oracle_optimum_below_feasible_trace_points(
 
 
 def test_config_validation():
-    sets = cb.DualSetSpec(1.0, 1.0)
+    sets = cb.DualSetSpec(0.0, 1.0)
     for alpha in (0.0, math.nan):
         with pytest.raises(ValueError):
             cb.CobaddConfig(alpha=alpha, phi=1, K=10, sets=sets)
