@@ -26,10 +26,10 @@ from .errors import ConfigurationError
 from .network import (ConsensusMatrix, Graph, check_consensus_conditions, consensus_round,
                       metropolis_weights, random_connected_graph)
 from .oracles import OracleResult, dual_bisection, dykstra_project, grid_search_lmi
-from .problem import (DualPoint, DualSetSpec, ProblemInstance, build_dual_sets,
-                      dual_set_threshold, instance_from_json,
-                      make_sample_lmi_instance, make_sample_num_instance,
-                      slater_certificate)
+from .problem import (DualPoint, DualSetSpec, ProblemInstance, dual_set_threshold,
+                      instance_from_json, make_sample_lmi_instance,
+                      make_sample_num_instance, slater_certificate)
+from .problem import build_dual_sets  # noqa: F401  (kept in this module's namespace)
 from .solver import CobaddConfig, cobadd_solve
 from .spectral import project_psd_ball_stack
 from .trace import RunTrace
@@ -218,8 +218,8 @@ def build_setup(cfg: ExperimentConfig, seed_override: int | None = None) -> Setu
     probe = DualPoint(cfg.probe_mu, np.zeros((instance.d,) * 2))
     threshold = dual_set_threshold(instance, slater, probe)
     r = cfg.r if cfg.r is not None else (threshold if threshold > 0 else 1.0)
-    sets = build_dual_sets(instance, slater, probe, r)
-    return Setup(instance, graph, graph_seed, W, sets, ground_truth(instance))
+    return Setup(instance, graph, graph_seed, W, DualSetSpec(threshold, r),
+                 ground_truth(instance))
 
 
 def _solve(spec: RunSpec, setup: Setup, K: int) -> RunTrace:

@@ -10,7 +10,7 @@ One consensus step sends one payload per directed edge, so a round of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,6 +83,7 @@ class ConsensusMatrix:
     W: np.ndarray
     nu: float
     edge_count: int
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
@@ -98,6 +99,13 @@ class ConsensusMatrix:
     @property
     def n(self) -> int:
         return self.W.shape[0]
+
+    def power(self, phi: int) -> np.ndarray:
+        """W^phi, read-only, by repeated squaring on first use and kept."""
+        if phi not in self._powers:
+            self._powers[phi] = P = np.linalg.matrix_power(self.W, phi)
+            P.flags.writeable = False
+        return self._powers[phi]
 
 
 def random_connected_graph(n: int, target_avg_degree: float, seed: int,
@@ -152,17 +160,22 @@ def exact_averaging_matrix(n: int) -> ConsensusMatrix:
     return ConsensusMatrix(np.full((n, n), 1.0 / n), 0.0, n * (n - 1) // 2)
 
 
-def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int) -> np.ndarray:
-    """Apply ``v <- W v`` exactly ``phi`` times to per-node payloads.
+def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int,
+                    rounds: int = 1) -> np.ndarray:
+    """Apply ``v <- W v`` ``phi`` times to per-node payloads.
 
-    ``values`` has one row per node (any trailing payload shape).  The
-    round sends phi * 2|E| messages: one payload per directed edge per
-    step.
+    ``values`` has one row per node (any trailing payload shape, of size
+    ``width``); the round sends phi * 2|E| messages.  A caller mixing
+    ``rounds`` rounds with ``(phi - 1) * rounds * width >= ceil(log2 phi) * n``
+    saves at least the flops that squaring up W^phi costs, so each round is one
+    product with it, equal to phi products to rounding, not bit for bit.
     """
     if phi < 1:
         raise ValueError("phi must be at least 1")
     out = np.asarray(values, dtype=float)
     flat = out.reshape(out.shape[0], -1)
+    if phi > 1 and (phi - 1) * rounds * flat.shape[1] >= (phi - 1).bit_length() * W.n:
+        return (W.power(phi) @ flat).reshape(out.shape)
     for _ in range(phi):
         flat = W.W @ flat
     return flat.reshape(out.shape)

@@ -367,15 +367,24 @@ def _check_Gs(instance: ProblemInstance, mus: np.ndarray, Gs) -> None:
         raise ValueError(f"{got} on a d = {d} instance; expected shape {(len(mus), d, d)}")
 
 
+def _traces(A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """tr[A G] of symmetric (..., d*d) flattened stacks, summed in entry order (as
+    ``np.sum`` adds up to four terms): the oracle and the dual-value rows round alike."""
+    out = A[..., 0] * G[..., 0]
+    for k in range(1, A.shape[-1]):
+        out += A[..., k] * G[..., k]
+    return out
+
+
 def _lmi_terms(instance: ProblemInstance, Gs: np.ndarray):
     """Per-node linear and constant Lagrangian contributions of the LMI.
 
-    -tr[(A0/n + A_i x) G_i] = (-tr[A_i G_i]) x + (-tr[A0 G_i]/n).
+    -tr[(A0/n + A_i x) G_i] = (-tr[A_i G_i]) x + (-tr[A0 G_i]/n); both 0.0 at d = 0.
     """
     n = instance.n
     if instance.d == 0:
-        return np.zeros(n), np.zeros(n)
-    lin = -np.sum(instance.A_stack * Gs, axis=(1, 2))
+        return 0.0, 0.0
+    lin = -_traces(instance.A_stack.reshape(n, -1), np.reshape(Gs, (len(Gs), -1)))
     const = -np.sum(instance.A0 * Gs, axis=(1, 2)) / n
     return lin, const
 
@@ -407,7 +416,8 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
     lo, hi = instance.boxes
     x, q = _closed_form_minimize(instance._closed, lo, hi, mus, lin, const,
                                  *_scratch(lo.shape))
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
+    # the boxes are finite, so a NaN minimizer would make its q NaN too
+    if not np.isfinite(q).all():
         raise ConfigurationError("non-finite Lagrangian evaluation inside a box")
     return x, q
 
@@ -511,7 +521,7 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     couples each node with each dual, the m points go in row blocks of
     about ``_BLOCK_ELEMENTS`` node evaluations through
     :func:`_closed_form_minimize`, in scratch shared by all blocks, and
-    each row is summed in the same order as a single point.
+    each row's traces and sum run as a single point's, to the same bits.
     """
     mus = np.asarray(mus, dtype=float)
     if np.any(mus < 0.0):
@@ -532,7 +542,7 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         r = block.stop - start
-        lin = -np.einsum("jkl,ikl->ij", instance.A_stack, Gs[block])
+        lin = -_traces(instance.A_stack.reshape(1, n, -1), Gs[block].reshape(r, 1, -1))
         const = (-np.sum(instance.A0 * Gs[block], axis=(1, 2)) / n)[:, None]
         _, vals = _closed_form_minimize(instance._closed, lo, hi, mus[block, None], lin,
                                         const, work[:, :r], masks[:, :r])
@@ -540,22 +550,18 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     return out
 
 
-def _log1p(x: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.log1p(x)
-
-
-def _values(c, a, b, x, log1p) -> np.ndarray:
-    """-c log(1 + x) + a x + b per node, the log term dropped where c = 0."""
-    return -c * np.where(c != 0.0, log1p, 0.0) + a * x + b
+def _values(c, a, b, x) -> np.ndarray:
+    """-c log(1 + x) + a x + b per node, the log taken only where c != 0 (x > -1 there)."""
+    log1p = np.log1p(x, out=np.zeros(np.shape(x)), where=c != 0.0)
+    return -c * log1p + a * x + b
 
 
 def _node_values(instance: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
     """Per-node cost and constraint values ``(f_i(x_i), g_i(x_i))`` at x of
     shape (n,) or (r, n)."""
     x = np.asarray(x, dtype=float)
-    (c_f, a_f, b_f, c_g, a_g, b_g), log1p = instance._closed, _log1p(x)
-    return _values(c_f, a_f, b_f, x, log1p), _values(c_g, a_g, b_g, x, log1p)
+    c_f, a_f, b_f, c_g, a_g, b_g = instance._closed
+    return _values(c_f, a_f, b_f, x), _values(c_g, a_g, b_g, x)
 
 
 def constraint_values(instance: ProblemInstance, x_tilde: np.ndarray):
@@ -565,10 +571,10 @@ def constraint_values(instance: ProblemInstance, x_tilde: np.ndarray):
     Qmats[i] = -A0/n - A_i x_i with shape (n, d, d).
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
-    c_f, a_f, b_f, c_g, a_g, b_g = instance._closed
-    h = _values(c_g, a_g, b_g, x_tilde, _log1p(x_tilde))
-    Qmats = -instance.A0 / instance.n - instance.A_stack * x_tilde[:, None, None]
-    return h, Qmats
+    n, d = instance.n, instance.d
+    Qmats = (-instance.A0 / n - instance.A_stack * x_tilde[:, None, None] if d
+             else np.empty((n, 0, 0)))
+    return _values(*instance._closed[3:], x_tilde), Qmats   # g's c, a, b
 
 
 # ---------------------------------------------------------------------------

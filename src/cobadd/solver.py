@@ -100,14 +100,18 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig
              mus: np.ndarray, Gs: np.ndarray):
     """Oracle pass at the current duals followed by the projected
     consensus update; returns the minimizers and the new duals."""
-    n, d = instance.n, instance.d
+    n, d, alpha, radius = instance.n, instance.d, config.alpha, config.sets.radius
     x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
     h, Qm = constraint_values(instance, x_tilde)
-    payload = np.concatenate([(mus + config.alpha * h)[:, None],
-                              (Gs + config.alpha * Qm).reshape(n, d * d)], axis=1)
-    mixed = consensus_round(W, payload, config.phi)
-    return (x_tilde, np.clip(mixed[:, 0], 0.0, config.sets.radius),
-            project_psd_ball_stack(mixed[:, 1:].reshape(n, d, d), config.sets.radius))
+    payload = np.empty((n, 1 + d * d))
+    payload[:, 0] = mus + alpha * h
+    if d:
+        payload[:, 1:] = (Gs + alpha * Qm).reshape(n, -1)
+    mixed = consensus_round(W, payload, config.phi, config.K)
+    # minimum(maximum()) is np.clip on finite values, without its wrapper
+    mus = np.minimum(np.maximum(mixed[:, 0], 0.0), radius)
+    Gs = project_psd_ball_stack(mixed[:, 1:].reshape(n, d, d), radius) if d else Gs
+    return x_tilde, mus, Gs
 
 
 def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix,

@@ -1,6 +1,6 @@
 """Projection onto the matrix dual set.
 
-The scalar dual lives in [0, radius] (``np.clip`` in the solvers), the
+The scalar dual lives in [0, radius] (clipped in the solvers), the
 matrix dual in the PSD cone intersected with the origin-centered
 Frobenius ball of the same radius; the unbounded master-node baseline
 takes an infinite radius.  The Dykstra oracle in :mod:`cobadd.oracles`

@@ -29,8 +29,8 @@ files are byte-stable across identical runs.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -80,13 +80,10 @@ class RunTrace:
             fh.write(self.to_csv_text())
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(TRACE_COLUMNS) + "\n")
-        cols = [getattr(self, name) for name in TRACE_COLUMNS]
-        for row in range(len(self.k)):
-            cells = []
-            for name, col in zip(TRACE_COLUMNS, cols):
-                v = col[row]
-                cells.append(str(int(v)) if name in _INT_COLUMNS else repr(float(v)))
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        """The header and one line per row: ``str(int(v))`` for the integer
+        columns and ``repr(float(v))`` for the rest, built column by column."""
+        cols = [map(str, map(int, np.asarray(getattr(self, name)).tolist()))
+                if name in _INT_COLUMNS
+                else map(repr, np.asarray(getattr(self, name), dtype=float).tolist())
+                for name in TRACE_COLUMNS]
+        return "\n".join(map(",".join, chain([TRACE_COLUMNS], zip(*cols)))) + "\n"

@@ -254,6 +254,51 @@ def test_csv_schema_header_is_stable(tmp_path):
                       "disagreement,messages_cum,bound_upper,bound_lower,beta_k")
 
 
+@pytest.mark.parametrize("r", [None, 5.0])
+def test_build_setup_evaluates_the_probe_once(tmp_path, monkeypatch, r):
+    # the default r and the dual sets' threshold come from one q(probe)
+    path, cfg = small_config(tmp_path)
+    if r is not None:
+        cfg["r"] = r
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+    calls = []
+    value = cb.problem.dual_function_value
+    monkeypatch.setattr(cb.problem, "dual_function_value",
+                        lambda *args: calls.append(args) or value(*args))
+    setup = cli.build_setup(load_config(path))
+    assert len(calls) == 1
+    threshold = setup.sets.threshold
+    slater = cb.slater_certificate(setup.instance, np.zeros(setup.instance.n))
+    q_probe = value(setup.instance, cb.DualPoint(0.0))
+    assert threshold == (slater.fxbar - q_probe) / slater.gamma > 0
+    assert setup.sets.r == (threshold if r is None else r)
+
+
+def test_csv_text_matches_per_cell_writer():
+    # the column-wise writer renders every cell as the per-cell loop does:
+    # str(int(v)) for k and messages_cum, repr(float(v)) for the rest
+    K = 7
+    big = [1.7976931348623157e308, -5e-324, 2.2250738585072014e-308, 1e16, -0.0,
+           0.1, 123456789.0]
+    tr = cb.RunTrace(k=np.arange(1, K + 1), f_ergodic=np.array(big),
+                     viol_ineq=np.zeros(K), viol_lmi=np.full(K, -0.0),
+                     q_best_node=-np.array(big), q_mean=np.linspace(-1.0, 1.0, K),
+                     disagreement=np.array(big[::-1]),
+                     messages_cum=np.arange(K, dtype=np.int64) * 2**40,
+                     bound_upper=np.full(K, np.inf), bound_lower=np.array(big) / 3.0,
+                     beta_k=np.array([np.nan, 1.0, np.nan, -0.0, 3e-300, np.nan, 2.5]),
+                     mu_disagreement=np.zeros(K), G_disagreement=np.zeros(K),
+                     final_mus=np.zeros(1), final_Gs=np.zeros((1, 0, 0)))
+    lines = [",".join(TRACE_COLUMNS)]
+    for row in range(K):
+        lines.append(",".join(
+            str(int(getattr(tr, name)[row])) if name in ("k", "messages_cum")
+            else repr(float(getattr(tr, name)[row])) for name in TRACE_COLUMNS))
+    assert tr.to_csv_text() == "\n".join(lines) + "\n"
+    assert ",nan\n" in tr.to_csv_text() and ",-0.0," in tr.to_csv_text()
+
+
 def test_cmd_run_deterministic_outputs(tmp_path):
     path, cfg = small_config(tmp_path, K=40)
     assert cmd_run(path, out_override=str(tmp_path / "a")) == 0

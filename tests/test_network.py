@@ -210,6 +210,41 @@ def test_consensus_round_properties(n, p, phi, d, scale, seed):
     assert np.all(dev1 <= W.nu ** phi * dev0 + tol)
 
 
+@given(st.integers(2, 40), st.floats(0.0, 1.0), st.integers(1, 30),
+       st.sampled_from([None, 0, 1, 2, 3]), st.integers(-3, 6),
+       st.integers(0, 2**32 - 1))
+def test_power_round_matches_phi_products(n, p, phi, d, scale, seed):
+    # a run of many rounds mixes each round with one product by W^phi; it
+    # equals phi products by W to 1e-13 of each payload column's magnitude
+    rng = np.random.default_rng(seed)
+    W = cb.metropolis_weights(random_tree_plus_edges(n, p, rng))
+    shape = (n,) if d is None else (n, 1 + d * d)
+    x = rng.normal(size=shape) * 10.0 ** scale
+    ref = x.reshape(n, -1)
+    for _ in range(phi):
+        ref = W.W @ ref
+    out = cb.consensus_round(W, x, phi, rounds=10**6)
+    assert out.shape == shape
+    err = np.abs(out.reshape(n, -1) - ref).max(axis=0)
+    assert np.all(err <= 1e-13 * np.abs(x.reshape(n, -1)).max(axis=0))
+
+
+def test_round_operator_rule(monkeypatch):
+    # building W^phi costs about ceil(log2 phi) products of n x n matrices,
+    # so the n = 1000, phi = 4, K = 100 run (3 * 100 < 2 * 1000) keeps four
+    # products a round and builds no power; 667 rounds would pay for one
+    built = []
+    monkeypatch.setattr(cb.ConsensusMatrix, "power",
+                        lambda W, phi: built.append(phi) or W.W)
+    W = cb.exact_averaging_matrix(1000)
+    x = np.ones((1000, 1))
+    for rounds in (100, 666):
+        assert np.allclose(cb.consensus_round(W, x, 4, rounds), 1.0)
+    assert built == []
+    cb.consensus_round(W, x, 4, 667)
+    assert built == [4]
+
+
 def test_exact_averaging_matrix_reaches_mean_in_one_step():
     W = cb.exact_averaging_matrix(5)
     x = np.arange(5.0)[:, None]

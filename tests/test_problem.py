@@ -483,14 +483,20 @@ def test_batch_oracle_matches_scalar_path(num_instance):
         assert x_batch[i] == x_i
 
 
-def test_dual_function_values_matches_single(lmi_instance):
+def test_dual_function_values_matches_single(lmi_instance, lmi200_instance):
+    # a row of the blocked d > 0 path contracts tr[A_i G] in the oracle's
+    # order, so it equals the single-point value bit for bit, diagonal
+    # and full PSD G alike
     rng = np.random.default_rng(15)
-    mus = rng.uniform(0.0, 1.0, size=4)
-    Gs = np.stack([np.diag(rng.uniform(0, 1, size=2)) for _ in range(4)])
-    vals = cb.dual_function_values(lmi_instance, mus, Gs)
-    for i in range(4):
-        single = cb.dual_function_value(lmi_instance, cb.DualPoint(mus[i], Gs[i]))
-        assert vals[i] == single
+    mus = rng.uniform(0.0, 1.0, size=40)
+    B = rng.normal(size=(20, 2, 2))
+    Gs = np.concatenate([np.stack([np.diag(rng.uniform(0, 1, size=2)) for _ in range(20)]),
+                         B @ np.swapaxes(B, 1, 2)])
+    for instance in (lmi_instance, lmi200_instance):
+        vals = cb.dual_function_values(instance, mus, Gs)
+        for i in range(40):
+            single = cb.dual_function_value(instance, cb.DualPoint(mus[i], Gs[i]))
+            assert vals[i] == single, (instance.n, i)
 
 
 def test_node_oracle_rejects_negative_mu():
@@ -651,7 +657,7 @@ def test_closed_form_kernel_matches_broadcast_expression(n, m, d, seed):
     Gs = _psd_duals(rng, m, d)
     Gs[:2] = 0.0
     vals = cb.dual_function_values(inst, mus, Gs if d else None)
-    lin = -np.einsum("jkl,ikl->ij", inst.A_stack, Gs) if d else 0.0
+    lin = -np.sum(inst.A_stack * Gs[:, None], axis=(2, 3)) if d else 0.0
     const = (-np.sum(inst.A0 * Gs, axis=(1, 2)) / n)[:, None] if d else 0.0
     _, v_ref = reference_minimize(
         c_f + mus[:, None] * c_g, a_f + mus[:, None] * a_g + lin,

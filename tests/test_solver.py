@@ -212,32 +212,41 @@ def test_higher_phi_lowers_floor(num_instance, num_sets, fig_graph, num_f_star):
 
 
 @pytest.mark.parametrize("name", ["num", "lmi"])
-def test_step_and_solve_agree(name, request):
-    # the solve loop and the public step API run the same kernel: each
-    # row's dual values and disagreement at the duals the step samples,
-    # and the ergodic point's cost and violations, agree exactly
+def test_step_and_solve_agree(name, request, monkeypatch):
+    # the solve loop and the public step API run the same kernel and pick
+    # the same round operator: each row's dual values and disagreement at
+    # the duals the step samples, and the ergodic point's cost and
+    # violations, agree exactly, with phi products and with W^phi alike
     instance = request.getfixturevalue(f"{name}_instance")
     sets = request.getfixturevalue(f"{name}_sets")
     graph = (request.getfixturevalue("fig_graph") if name == "num"
              else cb.Graph(2, ((0, 1),)))
-    W = cb.metropolis_weights(graph)
-    K = 5
-    cfg = cb.CobaddConfig(alpha=1.0, phi=1, K=K, sets=sets)
-    tr = cb.cobadd_solve(instance, W, cfg)
-    state = cb.cobadd_init(instance, W, cfg)
-    for k in range(K):
-        q = cb.dual_function_values(instance, state.mus, state.Gs)
-        dev = np.abs(state.mus - state.mus.mean()) + \
-            np.linalg.norm(state.Gs - state.Gs.mean(axis=0), axis=(1, 2))
-        assert (tr.q_best_node[k], tr.q_mean[k]) == (q.max(), q.mean())
-        assert tr.disagreement[k] == dev.max()
-        state = cb.cobadd_step(instance, state, W, cfg)
-        row = (tr.f_ergodic[k], tr.viol_ineq[k], tr.viol_lmi[k])
-        assert cb.evaluate_primal(instance, state.ergodic_x) == row
-        assert np.array_equal(state.ergodic_x, [s.ergodic_x for s in state])
-    assert state.k == K
-    assert np.array_equal(state.mus, tr.final_mus)
-    assert np.array_equal(state.Gs, tr.final_Gs)
+    powers = []
+    power = cb.ConsensusMatrix.power
+    monkeypatch.setattr(cb.ConsensusMatrix, "power",
+                        lambda W, phi: powers.append(phi) or power(W, phi))
+    # num: (8 - 1) * 50 >= 3 * 100 mixes with W^8; phi = 1 never needs a power
+    for phi, K in ((1, 5), (8, 50)):
+        W = cb.metropolis_weights(graph)
+        cfg = cb.CobaddConfig(alpha=1.0, phi=phi, K=K, sets=sets)
+        powers.clear()
+        tr = cb.cobadd_solve(instance, W, cfg)
+        assert powers == [phi] * (K + 1) if phi > 1 else not powers
+        state = cb.cobadd_init(instance, W, cfg)
+        for k in range(K):
+            q = cb.dual_function_values(instance, state.mus, state.Gs)
+            dev = np.abs(state.mus - state.mus.mean()) + \
+                np.linalg.norm(state.Gs - state.Gs.mean(axis=0), axis=(1, 2))
+            assert (tr.q_best_node[k], tr.q_mean[k]) == (q.max(), q.mean())
+            assert tr.disagreement[k] == dev.max()
+            state = cb.cobadd_step(instance, state, W, cfg)
+            row = (tr.f_ergodic[k], tr.viol_ineq[k], tr.viol_lmi[k])
+            assert cb.evaluate_primal(instance, state.ergodic_x) == row
+            assert np.array_equal(state.ergodic_x, [s.ergodic_x for s in state])
+        assert powers == [phi] * 2 * (K + 1) if phi > 1 else not powers
+        assert state.k == K
+        assert np.array_equal(state.mus, tr.final_mus)
+        assert np.array_equal(state.Gs, tr.final_Gs)
 
 
 COLUMNS = ("f_ergodic", "viol_ineq", "viol_lmi", "q_best_node", "q_mean",
