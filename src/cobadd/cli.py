@@ -359,18 +359,8 @@ def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
            not check_consensus_conditions(W.W, setup.graph), f"nu={W.nu:.4f}")
     for seed in range(1, 6):
         g = random_connected_graph(30, 4.0, seed)
-        Wg = metropolis_weights(g)
         report(f"consensus conditions (seed {seed})",
-               not check_consensus_conditions(Wg.W, g))
-        # mean preservation and spread contraction
-        x = rng.normal(size=(30, 3))
-        y = consensus_round(Wg, x, 4)
-        mean_ok = np.max(np.abs(y.mean(axis=0) - x.mean(axis=0))) < 1e-10
-        dev0 = np.linalg.norm(x - x.mean(axis=0), axis=0)
-        dev1 = np.linalg.norm(y - y.mean(axis=0), axis=0)
-        contract_ok = np.all(dev1 <= (Wg.nu ** 4) * dev0 + 1e-12)
-        report(f"consensus contraction (seed {seed})", bool(mean_ok and contract_ok),
-               f"messages={4 * 2 * Wg.edge_count}")
+               not check_consensus_conditions(metropolis_weights(g).W, g))
 
     # projection against the alternating-projection oracle, one stack per d
     draws = []
@@ -398,6 +388,16 @@ def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
             continue
         report(f"weak duality ({name})", v["weak_duality"] == 0)
         report(f"dual iterates inside sets ({name})", _inside_sets(trace, setup.sets))
+        # the round operator this run mixes with, on the config's own W:
+        # it keeps each column mean and contracts deviations by nu^phi
+        x = rng.normal(size=(W.n, 1 + setup.instance.d ** 2))
+        y = consensus_round(W, x, spec.phi, spec.K)
+        mean_ok = np.max(np.abs(y.mean(axis=0) - x.mean(axis=0))) < 1e-10
+        dev0 = np.linalg.norm(x - x.mean(axis=0), axis=0)
+        dev1 = np.linalg.norm(y - y.mean(axis=0), axis=0)
+        contract_ok = np.all(dev1 <= W.nu ** spec.phi * dev0 + 1e-12)
+        report(f"consensus round ({name})", bool(mean_ok and contract_ok),
+               f"messages={spec.phi * 2 * W.edge_count}")
         if v["applicable"]:
             report(f"agreement bound ({name})", v["disagreement"] == 0)
             report(f"primal sandwich ({name})", sandwich_ok)

@@ -14,6 +14,7 @@ import cobadd as cb
 import cobadd.cli as cli
 from cobadd.cli import cmd_run, cmd_verify, load_config, main
 from cobadd.errors import ConfigurationError
+from cobadd.network import _round_operator
 from cobadd.trace import TRACE_COLUMNS
 
 
@@ -603,6 +604,36 @@ def test_cmd_verify_fails_on_duals_outside_the_sets(tmp_path, capsys, monkeypatc
     assert "FAIL               dual iterates inside sets" in out
 
 
+NEIGHBOURS = cb.ConsensusMatrix.neighbours.func
+
+
+def _perturbed_neighbours(W):
+    cols, starts, weights = NEIGHBOURS(W)
+    weights = weights.copy()
+    weights[1] += 1e-3
+    return cols, starts, weights
+
+
+def test_cmd_verify_fails_on_a_perturbed_neighbour_weight(tmp_path, capsys, monkeypatch):
+    # n^2 / (n + 2|E|) is about 43 on this graph, so the run mixes over
+    # W's neighbours; verify checks that operator, not a dense product
+    cfg = {
+        "instance": {"builtin": "num", "n": 300, "seed": 1},
+        "graph": {"n": 300, "avg_degree": 6.0, "seed": 2},
+        "runs": [{"solver": "cobadd", "alpha": 1.0, "phi": 3, "K": 20}],
+        "output_dir": str(tmp_path / "o"),
+    }
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(cfg))
+    graph = cb.random_connected_graph(300, 6.0, 2)
+    assert _round_operator(300, graph.edge_count, 3, 20, 1) == "edges"
+    assert cmd_verify(str(path)) == 0
+    assert "PASS               consensus round (cobadd_phi3_alpha1)" in capsys.readouterr().out
+    monkeypatch.setattr(cb.ConsensusMatrix, "neighbours", property(_perturbed_neighbours))
+    assert cmd_verify(str(path)) == 1
+    assert "FAIL               consensus round (cobadd_phi3_alpha1)" in capsys.readouterr().out
+
+
 def test_bundled_fig_configs_parse_to_figure_curve_set():
     # the bundled config reproduces the five-curve replication family
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -612,7 +643,22 @@ def test_bundled_fig_configs_parse_to_figure_curve_set():
     combos = {(r.alpha, r.phi) for r in cfg.runs}
     assert combos == {(1.0, 1), (1.0, 2), (1.0, 4), (1.0, 26), (0.1, 1)}
     assert all(r.K == 2000 and r.solver == "cobadd" for r in cfg.runs)
-    assert sorted(os.listdir(root)) == ["fig1.json", "verify_dense.json", "verify_lmi.json"]
+    assert sorted(os.listdir(root)) == ["fig1.json", "scale_n1000.json", "verify_dense.json",
+                                        "verify_lmi.json"]
+
+
+def test_bundled_scale_config_takes_edge_list_steps():
+    # the n = 1000 config holds the n1000 benchmark workload's seed-0
+    # inputs, and its run mixes over W's neighbours
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    cfg = load_config(os.path.join(root, "scale_n1000.json"))
+    assert cfg.instance == {"builtin": "num", "n": 1000, "seed": 42}
+    assert cfg.graph == {"n": 1000, "avg_degree": 8.0, "seed": 7}
+    [run] = cfg.runs
+    assert (run.solver, run.alpha, run.phi, run.K) == ("cobadd", 1.0, 4, 100)
+    graph = cb.random_connected_graph(1000, 8.0, 7)
+    assert graph.edge_count == 3947
+    assert _round_operator(1000, graph.edge_count, run.phi, run.K, 1) == "edges"
 
 
 def test_corrupted_weights_fail_conditions_check(fig_graph):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import cobadd as cb
 from cobadd.errors import ConfigurationError
+from cobadd.network import _edge_steps, _round_operator
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +146,19 @@ def test_bad_consensus_matrix_is_rejected(W, nu, message, reported):
     assert any(reported in p for p in cb.check_consensus_conditions(np.array(W), _TRIANGLE))
 
 
+def test_edge_count_must_match_the_weights():
+    # messages are counted from edge_count, so a matrix may not report
+    # edges that W does not have, or miss ones it has
+    path = np.array([[2/3, 1/3, 0.0], [1/3, 1/3, 1/3], [0.0, 1/3, 2/3]])
+    assert cb.ConsensusMatrix(path, 2/3, 2).edge_count == 2
+    for claimed in (1, 3):
+        with pytest.raises(ValueError, match=f"edge_count={claimed} but W has 2 "):
+            cb.ConsensusMatrix(path, 2/3, claimed)
+    W = cb.metropolis_weights(cb.Graph(4, ((0, 1), (1, 2), (2, 3))))
+    assert W.edge_count == 3
+    assert cb.exact_averaging_matrix(6).edge_count == 15
+
+
 # ---------------------------------------------------------------------------
 # consensus rounds
 # ---------------------------------------------------------------------------
@@ -227,6 +241,58 @@ def test_power_round_matches_phi_products(n, p, phi, d, scale, seed):
     assert out.shape == shape
     err = np.abs(out.reshape(n, -1) - ref).max(axis=0)
     assert np.all(err <= 1e-13 * np.abs(x.reshape(n, -1)).max(axis=0))
+
+
+@given(st.integers(2, 40), st.floats(0.0, 1.0), st.integers(1, 8),
+       st.sampled_from([None, 0, 1, 2, 3]), st.integers(-3, 6),
+       st.integers(0, 2**32 - 1))
+def test_edge_steps_match_phi_products(n, p, phi, d, scale, seed):
+    # phi steps over W's nonzero pattern equal phi products by W to 1e-13
+    # of each payload column's magnitude, on any connected graph
+    rng = np.random.default_rng(seed)
+    W = cb.metropolis_weights(random_tree_plus_edges(n, p, rng))
+    shape = (n,) if d is None else (n, 1 + d * d)
+    x = rng.normal(size=shape) * 10.0 ** scale
+    ref = x.reshape(n, -1)
+    for _ in range(phi):
+        ref = W.W @ ref
+    out = _edge_steps(W, x.reshape(n, -1), phi)
+    assert out.shape == ref.shape
+    err = np.abs(out - ref).max(axis=0)
+    assert np.all(err <= 1e-13 * np.abs(x.reshape(n, -1)).max(axis=0))
+    cols, starts, weights = W.neighbours
+    assert not (cols.flags.writeable or starts.flags.writeable or weights.flags.writeable)
+    assert len(cols) == n + 2 * W.edge_count
+
+
+def test_round_operator_rule_on_counts(fig_graph, monkeypatch):
+    # a step over the n + 2|E| nonzeros is charged 32 dense entries, so
+    # n1000's shape (n^2 / (n + 2|E|) = 112) takes edge-list steps and
+    # never pays for W^4, and neither does n = 3000 at K = 2000; fig1's
+    # graph (23.5) keeps dense steps, and W^phi where that pays
+    assert _round_operator(1000, 3947, 4, 100, 1) == "edges"
+    assert _round_operator(1000, 3947, 4, 100, 5) == "edges"
+    assert _round_operator(3000, 15055, 4, 2000, 1) == "edges"
+    E = fig_graph.edge_count
+    assert (E, fig_graph.n) == (163, 100)
+    assert _round_operator(100, E, 1, 2000, 1) == "dense"
+    for phi in (2, 4, 26):
+        assert _round_operator(100, E, phi, 2000, 1) == "power"
+    # a graph of lmi_d2's shape (n = 200, average degree 40) at phi = 16
+    assert _round_operator(200, 3966, 16, 500, 5) == "power"
+    assert _round_operator(200, 3966, 16, 1, 5) == "dense"
+    # fig1's rounds never build the neighbour form
+    W = cb.metropolis_weights(fig_graph)
+    for phi in (1, 2, 4, 26):
+        cb.consensus_round(W, np.ones(100), phi, 2000)
+    assert "neighbours" not in vars(W)
+    # a ring of 1000 nodes mixes over its neighbours and builds no power
+    ring = cb.metropolis_weights(cb.Graph(1000, [(i, (i + 1) % 1000) for i in range(1000)]))
+    monkeypatch.setattr(cb.ConsensusMatrix, "power", lambda W, phi: pytest.fail("power"))
+    x = np.arange(1000.0)
+    out = cb.consensus_round(ring, x, 4, 100)
+    assert "neighbours" in vars(ring)
+    assert abs(out.mean() - x.mean()) <= 1e-12 * x.mean()
 
 
 def test_round_operator_rule(monkeypatch):
