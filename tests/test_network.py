@@ -252,14 +252,14 @@ def test_edge_steps_match_phi_products(n, p, phi, d, scale, seed):
     rng = np.random.default_rng(seed)
     W = cb.metropolis_weights(random_tree_plus_edges(n, p, rng))
     shape = (n,) if d is None else (n, 1 + d * d)
-    x = rng.normal(size=shape) * 10.0 ** scale
-    ref = x.reshape(n, -1)
+    flat = (rng.normal(size=shape) * 10.0 ** scale).reshape(n, -1)
+    ref = flat
     for _ in range(phi):
         ref = W.W @ ref
-    out = _edge_steps(W, x.reshape(n, -1), phi)
+    out = _edge_steps(W, flat, phi)
     assert out.shape == ref.shape
     err = np.abs(out - ref).max(axis=0)
-    assert np.all(err <= 1e-13 * np.abs(x.reshape(n, -1)).max(axis=0))
+    assert np.all(err <= 1e-13 * np.abs(flat).max(axis=0))
     cols, starts, weights = W.neighbours
     assert not (cols.flags.writeable or starts.flags.writeable or weights.flags.writeable)
     assert len(cols) == n + 2 * W.edge_count
