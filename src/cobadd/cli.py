@@ -106,7 +106,7 @@ def load_config(path: str) -> ExperimentConfig:
     if extra:
         raise ConfigurationError(f"instance.{extra[0]} is read only by the builtin 'num'")
     graph = known(need(doc, "graph", dict, "config"), "graph", "n", "avg_degree", "seed")
-    integer(graph, "n", "graph", 1)
+    integer(graph, "n", "graph", 2)
     integer(graph, "seed", "graph", 0)
     number(graph, "avg_degree", "graph", lambda v: v > 0, "positive")
     runs_doc = need(doc, "runs", list, "config")
@@ -391,7 +391,7 @@ def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
         # the round operator this run mixes with, on the config's own W:
         # it keeps each column mean and contracts deviations by nu^phi
         x = rng.normal(size=(W.n, 1 + setup.instance.d ** 2))
-        y = consensus_round(W, x, spec.phi, spec.K)
+        y = consensus_round(W, x, spec.phi)
         mean_ok = np.max(np.abs(y.mean(axis=0) - x.mean(axis=0))) < 1e-10
         dev0 = np.linalg.norm(x - x.mean(axis=0), axis=0)
         dev1 = np.linalg.norm(y - y.mean(axis=0), axis=0)

@@ -98,8 +98,7 @@ class ConsensusMatrix:
         if not (0.0 <= self.nu < 1.0):
             problems.append(f"nu={self.nu} must lie in [0, 1)")
         if W.shape == (len(W), len(W)):
-            nonzero = W != 0
-            pairs = (np.count_nonzero(nonzero | nonzero.T)
+            pairs = (np.count_nonzero((W != 0) | (W.T != 0))
                      - np.count_nonzero(np.diagonal(W))) // 2
             if self.edge_count != pairs:
                 problems.append(f"edge_count={self.edge_count} but W has {pairs} "
@@ -115,7 +114,10 @@ class ConsensusMatrix:
         return self.W.shape[0]
 
     def power(self, phi: int) -> np.ndarray:
-        """W^phi, read-only, by repeated squaring on first use and kept."""
+        """W^phi, read-only: W itself at phi = 1, else built by repeated
+        squaring on first use and kept."""
+        if phi == 1:
+            return self.W
         if phi not in self._powers:
             self._powers[phi] = P = np.linalg.matrix_power(self.W, phi)
             P.flags.writeable = False
@@ -191,21 +193,6 @@ def exact_averaging_matrix(n: int) -> ConsensusMatrix:
 _EDGE_ENTRY_COST = 32
 
 
-def _round_operator(n: int, edge_count: int, phi: int, rounds: int, width: int) -> str:
-    """How ``consensus_round`` mixes: ``"power"``, ``"edges"`` or ``"dense"``.
-
-    A step costs ``s = min(n^2, c (n + 2|E|))`` dense-entry units, so the
-    round takes edge-list steps when ``s < n^2``.  Building W^phi costs
-    about ``ceil(log2 phi)`` products of n x n matrices, and each round
-    mixed with it saves ``phi * s - n^2`` units per payload column.
-    """
-    full = n * n
-    step = min(full, _EDGE_ENTRY_COST * (n + 2 * edge_count))
-    if phi > 1 and rounds * (phi * step - full) * width >= (phi - 1).bit_length() * full * n:
-        return "power"
-    return "edges" if step < full else "dense"
-
-
 def _edge_steps(W: ConsensusMatrix, flat: np.ndarray, phi: int) -> np.ndarray:
     """``phi`` steps ``v_i <- sum_j W_ij v_j`` over W's nonzero pattern;
     ``flat`` has one row per node."""
@@ -216,29 +203,25 @@ def _edge_steps(W: ConsensusMatrix, flat: np.ndarray, phi: int) -> np.ndarray:
     return flat
 
 
-def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int,
-                    rounds: int = 1) -> np.ndarray:
+def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int) -> np.ndarray:
     """Apply ``v <- W v`` ``phi`` times to per-node payloads.
 
-    ``values`` has one row per node (any trailing payload shape, of size
-    ``width``); the round sends phi * 2|E| messages.  A caller mixing
-    ``rounds`` rounds gets the operator ``_round_operator`` picks from
-    ``(n, |E|, phi, rounds, width)``: phi dense products by W, phi
-    edge-list steps, or one product by W^phi.  The last two equal phi
-    dense products to rounding, not bit for bit.
+    ``values`` has one row per node (any trailing payload shape); the
+    round sends phi * 2|E| messages.  The operator depends on the graph
+    alone: when a step over the n + 2|E| nonzeros, charged
+    ``_EDGE_ENTRY_COST`` dense entries each, is cheaper than the n^2
+    entries of W, the round takes phi steps over ``W.neighbours``;
+    otherwise it is one product by ``W.power(phi)``.  Both equal phi
+    products by W to rounding, not bit for bit.
     """
     if phi < 1:
         raise ValueError("phi must be at least 1")
     out = np.asarray(values, dtype=float)
     flat = out.reshape(out.shape[0], -1)
-    operator = _round_operator(W.n, W.edge_count, phi, rounds, flat.shape[1])
-    if operator == "power":
-        flat = W.power(phi) @ flat
-    elif operator == "edges":
+    if _EDGE_ENTRY_COST * (W.n + 2 * W.edge_count) < W.n * W.n:
         flat = _edge_steps(W, flat, phi)
     else:
-        for _ in range(phi):
-            flat = W.W @ flat
+        flat = W.power(phi) @ flat
     return flat.reshape(out.shape)
 
 
@@ -264,11 +247,13 @@ def min_consensus_steps(beta0: float, alpha: float, M: float, n: int, d: int,
 
 def _weight_problems(W: np.ndarray, n: int) -> list[str]:
     """Violations of the weight conditions that need no eigensolve: shape
-    (n, n), symmetry (1e-12), unit row sums (1e-10), nonnegativity (1e-12)."""
+    (n, n), symmetry (1e-12), unit row sums (1e-10), nonnegativity (1e-12).
+    The symmetry check holds one n x n temporary."""
     if W.shape != (n, n):
         return [f"shape {W.shape} is not ({n}, {n})"]
     problems = []
-    if np.max(np.abs(W - W.T)) > 1e-12:
+    asym = W - W.T
+    if np.max(np.abs(asym, out=asym)) > 1e-12:
         problems.append("not symmetric")
     row_err = float(np.max(np.abs(W.sum(axis=1) - 1.0)))
     if row_err > 1e-10:

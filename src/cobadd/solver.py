@@ -107,7 +107,7 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig
     payload[:, 0] = mus + alpha * h
     if d:
         payload[:, 1:] = (Gs + alpha * Qm).reshape(n, -1)
-    mixed = consensus_round(W, payload, config.phi, config.K)
+    mixed = consensus_round(W, payload, config.phi)
     # minimum(maximum()) is np.clip on finite values, without its wrapper
     mus = np.minimum(np.maximum(mixed[:, 0], 0.0), radius)
     Gs = project_psd_ball_stack(mixed[:, 1:].reshape(n, d, d), radius) if d else Gs
@@ -188,7 +188,9 @@ def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
     beta0 = 10 alpha M, which dominates the initial payload disagreement
     c0 on every doubly stochastic W (see :func:`default_beta0`).  Row k
     samples the duals of the k-th consensus round, the bootstrap's being
-    the first, and each round sends phi * 2|E| messages.
+    the first, and each round sends phi * 2|E| messages.  Every round,
+    here and in :func:`cobadd_step`, mixes with the one operator
+    :func:`consensus_round` picks from W's graph and phi.
     """
     K = config.K
     beta0 = default_beta0(config.alpha, subgradient_bounds(instance).M)

@@ -14,7 +14,6 @@ import cobadd as cb
 import cobadd.cli as cli
 from cobadd.cli import cmd_run, cmd_verify, load_config, main
 from cobadd.errors import ConfigurationError
-from cobadd.network import _round_operator
 from cobadd.trace import TRACE_COLUMNS
 
 
@@ -345,6 +344,24 @@ def test_negative_seed_override_is_an_error(tmp_path, capsys, command):
     assert err.startswith("error:") and "--seed-override must be an integer >= 0" in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_one_node_graph_is_a_config_error(tmp_path, capsys, command):
+    # a one-node instance file matches graph.n = 1, which no connected
+    # graph sampler or consensus matrix serves
+    f, g = cb.ScalarFunction.affine(1.0, 0.0), cb.ScalarFunction.affine(1.0, -0.5)
+    node = cb.NodeSpec(f, g, np.zeros((0, 0)), (0.0, 1.0))
+    inst_path = tmp_path / "one.json"
+    inst_path.write_text(json.dumps(cb.instance_to_json(cb.ProblemInstance((node,)))))
+    path = tmp_path / "one_cfg.json"
+    path.write_text(json.dumps({
+        "instance": {"path": str(inst_path)}, "graph": {"n": 1, "avg_degree": 1.0, "seed": 0},
+        "runs": [{"solver": "cobadd", "alpha": 0.5, "K": 5}],
+        "output_dir": str(tmp_path / "o"), "slater_xbar": [0.0]}))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "graph.n must be an integer >= 2" in err
+
+
 def zero_f_star_config(tmp_path, K):
     """Two nodes with f = x - 1/2 and g = 1/2 - x on [0, 1]: f* = 0, and the
     first oracle pass, at mu = 0, costs -1."""
@@ -614,24 +631,37 @@ def _perturbed_neighbours(W):
     return cols, starts, weights
 
 
-def test_cmd_verify_fails_on_a_perturbed_neighbour_weight(tmp_path, capsys, monkeypatch):
-    # n^2 / (n + 2|E|) is about 43 on this graph, so the run mixes over
-    # W's neighbours; verify checks that operator, not a dense product
+def sparse_config(tmp_path, K):
+    """One phi = 3 run on a 300-node graph of average degree 6, where
+    n^2 / (n + 2|E|) is about 43, so every round takes edge-list steps."""
     cfg = {
         "instance": {"builtin": "num", "n": 300, "seed": 1},
         "graph": {"n": 300, "avg_degree": 6.0, "seed": 2},
-        "runs": [{"solver": "cobadd", "alpha": 1.0, "phi": 3, "K": 20}],
+        "runs": [{"solver": "cobadd", "alpha": 1.0, "phi": 3, "K": K}],
         "output_dir": str(tmp_path / "o"),
     }
     path = tmp_path / "sparse.json"
     path.write_text(json.dumps(cfg))
-    graph = cb.random_connected_graph(300, 6.0, 2)
-    assert _round_operator(300, graph.edge_count, 3, 20, 1) == "edges"
-    assert cmd_verify(str(path)) == 0
+    return str(path)
+
+
+def test_cmd_verify_fails_on_a_perturbed_neighbour_weight(tmp_path, capsys, monkeypatch):
+    # the run mixes over W's neighbours; verify checks that operator, not
+    # a product by W^phi
+    path = sparse_config(tmp_path, 20)
+    assert cmd_verify(path) == 0
     assert "PASS               consensus round (cobadd_phi3_alpha1)" in capsys.readouterr().out
     monkeypatch.setattr(cb.ConsensusMatrix, "neighbours", property(_perturbed_neighbours))
-    assert cmd_verify(str(path)) == 1
+    assert cmd_verify(path) == 1
     assert "FAIL               consensus round (cobadd_phi3_alpha1)" in capsys.readouterr().out
+
+
+def test_cmd_verify_checks_the_operator_its_run_mixes_with(tmp_path, capsys, monkeypatch):
+    # verify shortens the K = 500 run to 300 rounds; both the run and the
+    # consensus-round check take edge-list steps and build no W^phi
+    monkeypatch.setattr(cb.ConsensusMatrix, "power", lambda W, phi: pytest.fail("W^phi"))
+    assert cmd_verify(sparse_config(tmp_path, 500)) == 0
+    assert "PASS               consensus round (cobadd_phi3_alpha1)" in capsys.readouterr().out
 
 
 def test_bundled_fig_configs_parse_to_figure_curve_set():
@@ -647,9 +677,9 @@ def test_bundled_fig_configs_parse_to_figure_curve_set():
                                         "verify_lmi.json"]
 
 
-def test_bundled_scale_config_takes_edge_list_steps():
+def test_bundled_scale_config_takes_edge_list_steps(monkeypatch):
     # the n = 1000 config holds the n1000 benchmark workload's seed-0
-    # inputs, and its run mixes over W's neighbours
+    # inputs, and its run mixes over W's neighbours, building no W^phi
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     cfg = load_config(os.path.join(root, "scale_n1000.json"))
     assert cfg.instance == {"builtin": "num", "n": 1000, "seed": 42}
@@ -658,7 +688,10 @@ def test_bundled_scale_config_takes_edge_list_steps():
     assert (run.solver, run.alpha, run.phi, run.K) == ("cobadd", 1.0, 4, 100)
     graph = cb.random_connected_graph(1000, 8.0, 7)
     assert graph.edge_count == 3947
-    assert _round_operator(1000, graph.edge_count, run.phi, run.K, 1) == "edges"
+    W = cb.metropolis_weights(graph)
+    monkeypatch.setattr(cb.ConsensusMatrix, "power", lambda W, phi: pytest.fail("W^phi"))
+    cb.consensus_round(W, np.ones((1000, 1)), run.phi)
+    assert "neighbours" in vars(W)
 
 
 def test_corrupted_weights_fail_conditions_check(fig_graph):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import cobadd as cb
 from cobadd.errors import ConfigurationError
-from cobadd.network import _edge_steps, _round_operator
+from cobadd.network import _edge_steps
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,20 @@ def test_edge_count_must_match_the_weights():
     assert cb.exact_averaging_matrix(6).edge_count == 15
 
 
+def test_consensus_matrix_checks_weights_in_one_temporary():
+    # beside the caller's W, the symmetry check and the kept copy each
+    # hold one n x n array, one after the other
+    M = cb.metropolis_weights(cb.random_connected_graph(300, 6.0, 2))
+    W = M.W
+    tracemalloc.start()
+    try:
+        cb.ConsensusMatrix(W, M.nu, M.edge_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * W.nbytes
+
+
 # ---------------------------------------------------------------------------
 # consensus rounds
 # ---------------------------------------------------------------------------
@@ -228,8 +243,9 @@ def test_consensus_round_properties(n, p, phi, d, scale, seed):
        st.sampled_from([None, 0, 1, 2, 3]), st.integers(-3, 6),
        st.integers(0, 2**32 - 1))
 def test_power_round_matches_phi_products(n, p, phi, d, scale, seed):
-    # a run of many rounds mixes each round with one product by W^phi; it
-    # equals phi products by W to 1e-13 of each payload column's magnitude
+    # no graph of at most 40 nodes is sparse enough for edge-list steps, so
+    # a round is one product by W^phi; it equals phi products by W to 1e-13
+    # of each payload column's magnitude
     rng = np.random.default_rng(seed)
     W = cb.metropolis_weights(random_tree_plus_edges(n, p, rng))
     shape = (n,) if d is None else (n, 1 + d * d)
@@ -237,7 +253,7 @@ def test_power_round_matches_phi_products(n, p, phi, d, scale, seed):
     ref = x.reshape(n, -1)
     for _ in range(phi):
         ref = W.W @ ref
-    out = cb.consensus_round(W, x, phi, rounds=10**6)
+    out = cb.consensus_round(W, x, phi)
     assert out.shape == shape
     err = np.abs(out.reshape(n, -1) - ref).max(axis=0)
     assert np.all(err <= 1e-13 * np.abs(x.reshape(n, -1)).max(axis=0))
@@ -265,50 +281,51 @@ def test_edge_steps_match_phi_products(n, p, phi, d, scale, seed):
     assert len(cols) == n + 2 * W.edge_count
 
 
+class GraphShape:
+    """Only the n and |E| of a graph, recording which operator
+    ``consensus_round`` reads; both mix as the identity."""
+
+    def __init__(self, n, edge_count):
+        self.n, self.edge_count, self.used = n, edge_count, []
+
+    def power(self, phi):
+        self.used.append("power")
+        return np.eye(self.n)
+
+    @property
+    def neighbours(self):
+        self.used.append("neighbours")
+        return np.arange(self.n), np.arange(self.n), np.ones(self.n)
+
+
 def test_round_operator_rule_on_counts(fig_graph, monkeypatch):
     # a step over the n + 2|E| nonzeros is charged 32 dense entries, so
-    # n1000's shape (n^2 / (n + 2|E|) = 112) takes edge-list steps and
-    # never pays for W^4, and neither does n = 3000 at K = 2000; fig1's
-    # graph (23.5) keeps dense steps, and W^phi where that pays
-    assert _round_operator(1000, 3947, 4, 100, 1) == "edges"
-    assert _round_operator(1000, 3947, 4, 100, 5) == "edges"
-    assert _round_operator(3000, 15055, 4, 2000, 1) == "edges"
-    E = fig_graph.edge_count
-    assert (E, fig_graph.n) == (163, 100)
-    assert _round_operator(100, E, 1, 2000, 1) == "dense"
-    for phi in (2, 4, 26):
-        assert _round_operator(100, E, phi, 2000, 1) == "power"
-    # a graph of lmi_d2's shape (n = 200, average degree 40) at phi = 16
-    assert _round_operator(200, 3966, 16, 500, 5) == "power"
-    assert _round_operator(200, 3966, 16, 1, 5) == "dense"
-    # fig1's rounds never build the neighbour form
+    # fig1's graph (n^2 / (n + 2|E|) = 23.5) and lmi_d2's (n = 200,
+    # average degree 40) mix with W^phi, while n1000's (112) and an
+    # n = 3000, average degree 10 graph take edge-list steps, whatever phi
+    for n, edge_count, phis, used in ((100, 163, (1, 2, 4, 26), "power"),
+                                      (200, 3966, (16,), "power"),
+                                      (1000, 3947, (4,), "neighbours"),
+                                      (3000, 15055, (4,), "neighbours")):
+        for phi in phis:
+            shape = GraphShape(n, edge_count)
+            x = np.arange(float(n))
+            assert np.array_equal(cb.consensus_round(shape, x, phi), x)
+            assert shape.used == [used]
+    # fig1's rounds never build the neighbour form, and W^1 is W itself
     W = cb.metropolis_weights(fig_graph)
+    assert (fig_graph.n, W.edge_count) == (100, 163)
     for phi in (1, 2, 4, 26):
-        cb.consensus_round(W, np.ones(100), phi, 2000)
+        cb.consensus_round(W, np.ones(100), phi)
     assert "neighbours" not in vars(W)
+    assert W.power(1) is W.W and sorted(W._powers) == [2, 4, 26]
     # a ring of 1000 nodes mixes over its neighbours and builds no power
     ring = cb.metropolis_weights(cb.Graph(1000, [(i, (i + 1) % 1000) for i in range(1000)]))
     monkeypatch.setattr(cb.ConsensusMatrix, "power", lambda W, phi: pytest.fail("power"))
     x = np.arange(1000.0)
-    out = cb.consensus_round(ring, x, 4, 100)
+    out = cb.consensus_round(ring, x, 4)
     assert "neighbours" in vars(ring)
     assert abs(out.mean() - x.mean()) <= 1e-12 * x.mean()
-
-
-def test_round_operator_rule(monkeypatch):
-    # building W^phi costs about ceil(log2 phi) products of n x n matrices,
-    # so the n = 1000, phi = 4, K = 100 run (3 * 100 < 2 * 1000) keeps four
-    # products a round and builds no power; 667 rounds would pay for one
-    built = []
-    monkeypatch.setattr(cb.ConsensusMatrix, "power",
-                        lambda W, phi: built.append(phi) or W.W)
-    W = cb.exact_averaging_matrix(1000)
-    x = np.ones((1000, 1))
-    for rounds in (100, 666):
-        assert np.allclose(cb.consensus_round(W, x, 4, rounds), 1.0)
-    assert built == []
-    cb.consensus_round(W, x, 4, 667)
-    assert built == [4]
 
 
 def test_exact_averaging_matrix_reaches_mean_in_one_step():
