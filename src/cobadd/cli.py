@@ -5,9 +5,9 @@ trace CSV per run plus a ``summary.json`` with the oracle optimum, final
 errors, error floors, message counts at the 1%-relative-error crossing,
 and bound-violation counters.  ``cobadd verify config.json`` replays the
 property suites (consensus-matrix conditions, projection against the
-alternating-projection oracle, consensus contraction, theorem
-inequalities, weak duality) and exits nonzero on any failure.  Plots are
-not generated here; the CSVs feed any plotting stack.
+alternating-projection oracle, consensus contraction, and theorem
+inequalities and weak duality on every row of every configured run) and
+exits nonzero on any failure.  Plots are not generated here.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment configuration file: unknown fields,
-    booleans for numbers, and repeated or path-like run names are errors."""
+    booleans for numbers, an empty output directory, and repeated or
+    path-like run names are errors."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -125,8 +126,9 @@ def load_config(path: str) -> ExperimentConfig:
         bounded, name = rd.get("bounded", True), rd.get("name", "")
         if not isinstance(bounded, bool):
             raise ConfigurationError(f"{where}.bounded must be true or false")
-        if not isinstance(name, str) or "/" in name or "\\" in name:
-            raise ConfigurationError(f"{where}.name must be a string without path separators")
+        if not isinstance(name, str) or any(c in name for c in "/\\\0"):
+            raise ConfigurationError(
+                f"{where}.name must be a string without path separators or NUL")
         spec = RunSpec(solver=solver,
                        alpha=number(rd, "alpha", where, lambda v: v > 0, "finite and positive"),
                        K=integer(rd, "K", where, 1), phi=integer(rd, "phi", where, 1, default=1),
@@ -138,6 +140,8 @@ def load_config(path: str) -> ExperimentConfig:
                 f"{where} is named {spec.name!r} like an earlier run; names must be unique")
         runs.append(spec)
     output_dir = need(doc, "output_dir", str, "config")
+    if not output_dir or "\0" in output_dir:
+        raise ConfigurationError("config.output_dir must be a nonempty path without NUL")
     r = None if doc.get("r") is None else number(doc, "r", "config", lambda v: v > 0,
                                                  "positive")
     xbar = doc.get("slater_xbar")
@@ -150,7 +154,7 @@ def load_config(path: str) -> ExperimentConfig:
                             meta=dict(need(doc, "meta", dict, "config") if "meta" in doc else {}))
 
 
-def build_instance(spec: dict, seed_override: int | None = None) -> ProblemInstance:
+def build_instance(spec: dict) -> ProblemInstance:
     if "path" in spec:
         path = spec["path"]
         with open(path) as fh:
@@ -166,7 +170,7 @@ def build_instance(spec: dict, seed_override: int | None = None) -> ProblemInsta
             raise ConfigurationError("instance.n must be an integer >= 2")
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigurationError("instance.seed must be an integer >= 0")
-        return make_sample_num_instance(n, seed if seed_override is None else seed_override)
+        return make_sample_num_instance(n, seed)
     if builtin == "lmi":
         return make_sample_lmi_instance()
     raise ConfigurationError(f"unknown builtin instance {builtin!r}")
@@ -187,26 +191,19 @@ class Setup:
 
     instance: ProblemInstance
     graph: Graph
-    graph_seed: int
     W: ConsensusMatrix
     sets: DualSetSpec
     oracle: OracleResult
 
 
-def build_setup(cfg: ExperimentConfig, seed_override: int | None = None) -> Setup:
-    """Instance, graph, weights, Slater point, dual sets and f* of a config.
-
-    ``seed_override`` replaces both the instance seed and the graph seed.
-    """
-    if seed_override is not None and seed_override < 0:
-        raise ConfigurationError("--seed-override must be an integer >= 0")
-    instance = build_instance(cfg.instance, seed_override)
+def build_setup(cfg: ExperimentConfig) -> Setup:
+    """Instance, graph, weights, Slater point, dual sets and f* of a config."""
+    instance = build_instance(cfg.instance)
     n = cfg.graph["n"]
     if n != instance.n:
         raise ConfigurationError(
             f"graph has {n} nodes but the instance has {instance.n}")
-    graph_seed = seed_override if seed_override is not None else cfg.graph["seed"]
-    graph = random_connected_graph(n, float(cfg.graph["avg_degree"]), graph_seed)
+    graph = random_connected_graph(n, float(cfg.graph["avg_degree"]), cfg.graph["seed"])
     W = metropolis_weights(graph)
     if cfg.slater_xbar is not None:
         xbar = np.array(cfg.slater_xbar, dtype=float)
@@ -218,16 +215,31 @@ def build_setup(cfg: ExperimentConfig, seed_override: int | None = None) -> Setu
     probe = DualPoint(cfg.probe_mu, np.zeros((instance.d,) * 2))
     threshold = dual_set_threshold(instance, slater, probe)
     r = cfg.r if cfg.r is not None else (threshold if threshold > 0 else 1.0)
-    return Setup(instance, graph, graph_seed, W, DualSetSpec(threshold, r),
-                 ground_truth(instance))
+    return Setup(instance, graph, W, DualSetSpec(threshold, r), ground_truth(instance))
 
 
-def _solve(spec: RunSpec, setup: Setup, K: int) -> RunTrace:
-    """One configured run, recording K rows."""
+def _prepare(config_path: str) -> tuple[ExperimentConfig, Setup] | int:
+    """The config and setup that ``run`` and ``verify`` share, or the exit
+    code after an ``error:`` line: 2 for a bad config, 1 for a setup that
+    cannot be built from it."""
+    try:
+        cfg = load_config(config_path)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return cfg, build_setup(cfg)
+    except (ConfigurationError, RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _solve(spec: RunSpec, setup: Setup) -> RunTrace:
+    """One configured run, recording its K rows."""
     if spec.solver == "centralized":
-        return central_solve(setup.instance, spec.alpha, K,
+        return central_solve(setup.instance, spec.alpha, spec.K,
                              sets=setup.sets if spec.bounded else None)
-    rc = CobaddConfig(alpha=spec.alpha, phi=spec.phi, K=K, sets=setup.sets)
+    rc = CobaddConfig(alpha=spec.alpha, phi=spec.phi, K=spec.K, sets=setup.sets)
     return cobadd_solve(setup.instance, setup.W, rc)
 
 
@@ -236,30 +248,28 @@ def _first_crossing(rel_err: np.ndarray, level: float = 0.01) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-# what a bad config or instance raises while the runs are being set up
-SETUP_ERRORS = (ConfigurationError, RuntimeError, OSError)
-
-
-def cmd_run(config_path: str, seed_override: int | None = None,
-            out_override: str | None = None) -> int:
-    """Execute all configured runs; write per-run CSVs and summary.json."""
+def cmd_run(config_path: str, out_override: str | None = None) -> int:
+    """Execute all configured runs; write per-run CSVs and summary.json.
+    An OSError while writing them ends in an ``error:`` line and exit 1."""
+    prepared = _prepare(config_path)
+    if isinstance(prepared, int):
+        return prepared
+    cfg, setup = prepared
+    out_dir = cfg.output_dir if out_override is None else out_override
     try:
-        cfg = load_config(config_path)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        setup = build_setup(cfg, seed_override)
-    except SETUP_ERRORS as exc:
+        return _write_runs(config_path, cfg, setup, out_dir)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_dir = out_override or cfg.output_dir
+
+
+def _write_runs(config_path: str, cfg: ExperimentConfig, setup: Setup, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     instance, sets = setup.instance, setup.sets
     f_star = setup.oracle.f_star
     summary_runs = []
     for spec in cfg.runs:
-        trace = _solve(spec, setup, spec.K)
+        trace = _solve(spec, setup)
         csv_path = os.path.join(out_dir, spec.name + ".csv")
         trace.write_csv(csv_path)
         err = np.abs(f_star - trace.f_ergodic)
@@ -284,7 +294,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
         "instance": dict(instance.meta),
         "graph": {"n": setup.graph.n, "edges": setup.graph.edge_count,
                   "avg_degree": setup.graph.average_degree, "nu": setup.W.nu,
-                  "seed": setup.graph_seed},
+                  "seed": cfg.graph["seed"]},
         "dual_sets": {"radius": sets.radius, "r": sets.r, "threshold": sets.threshold},
         "f_star": f_star,
         "f_star_oracle": setup.oracle.certificate["method"],
@@ -328,13 +338,12 @@ def _inside_sets(trace: RunTrace, sets: DualSetSpec) -> bool:
                 and np.all(np.linalg.norm(Gs, axis=(1, 2)) <= sets.radius + 1e-12))
 
 
-def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
+def cmd_verify(config_path: str) -> int:
     """Run the invariant suites and report one PASS/FAIL line each."""
-    try:
-        cfg = load_config(config_path)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    prepared = _prepare(config_path)
+    if isinstance(prepared, int):
+        return prepared
+    cfg, setup = prepared
     failures = 0
 
     def report(name: str, ok: bool | None, detail: str = ""):
@@ -346,11 +355,6 @@ def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
             failures += 0 if ok else 1
         print(f"{status:18s} {name}" + (f"  [{detail}]" if detail else ""))
 
-    try:
-        setup = build_setup(cfg, seed_override)
-    except SETUP_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     W, f_star = setup.W, setup.oracle.f_star
     rng = np.random.default_rng(0)
 
@@ -377,10 +381,10 @@ def cmd_verify(config_path: str, seed_override: int | None = None) -> int:
             worst = max(worst, float(np.linalg.norm(project_psd_ball_stack(A, Gam) - ref)))
     report("projection equals Dykstra oracle", worst < 1e-7, f"max dev {worst:.2e}")
 
-    # weak duality and theorem inequalities on shortened config runs
+    # weak duality and theorem inequalities on every row of the config runs
     for spec in cfg.runs:
         name = spec.name
-        trace = _solve(spec, setup, min(spec.K, 300))
+        trace = _solve(spec, setup)
         v = _bound_violations(trace, f_star)
         sandwich_ok = v["primal_upper"] == v["primal_lower"] == 0
         if spec.solver == "centralized":
@@ -417,15 +421,13 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute the runs in a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--seed-override", type=int, default=None)
     p_run.add_argument("--out", default=None, help="override output directory")
     p_ver = sub.add_parser("verify", help="run the invariant suites")
     p_ver.add_argument("config")
-    p_ver.add_argument("--seed-override", type=int, default=None)
     args = parser.parse_args(argv)
     if args.command == "run":
-        return cmd_run(args.config, args.seed_override, args.out)
-    return cmd_verify(args.config, args.seed_override)
+        return cmd_run(args.config, args.out)
+    return cmd_verify(args.config)
 
 
 if __name__ == "__main__":

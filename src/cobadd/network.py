@@ -82,14 +82,14 @@ class ConsensusMatrix:
 
     ``nu`` is the spectral radius of W - 11^T/n (equivalently the second
     largest absolute eigenvalue of W); averaging contracts deviations
-    from the mean by nu per step.  ``edge_count`` is the number of
-    node pairs {i, j} with a nonzero weight, and drives message
+    from the mean by nu per step.  ``edge_count``, counted from W, is the
+    number of node pairs {i, j} with a nonzero weight, and drives message
     accounting: one step costs 2 * edge_count payloads.
     """
 
     W: np.ndarray
     nu: float
-    edge_count: int
+    edge_count: int = field(init=False)
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,17 +97,13 @@ class ConsensusMatrix:
         problems = _weight_problems(W, W.shape[0])
         if not (0.0 <= self.nu < 1.0):
             problems.append(f"nu={self.nu} must lie in [0, 1)")
-        if W.shape == (len(W), len(W)):
-            pairs = (np.count_nonzero((W != 0) | (W.T != 0))
-                     - np.count_nonzero(np.diagonal(W))) // 2
-            if self.edge_count != pairs:
-                problems.append(f"edge_count={self.edge_count} but W has {pairs} "
-                                "node pairs with a nonzero weight")
         if problems:
             raise ValueError("not a consensus matrix: " + "; ".join(problems))
+        pairs = (np.count_nonzero((W != 0) | (W.T != 0)) - np.count_nonzero(np.diagonal(W))) // 2
         W = W.copy()
         W.flags.writeable = False
         object.__setattr__(self, "W", W)
+        object.__setattr__(self, "edge_count", int(pairs))
 
     @property
     def n(self) -> int:
@@ -177,13 +173,13 @@ def metropolis_weights(g: Graph) -> ConsensusMatrix:
     nu = max(nu, 0.0)
     if nu >= 1.0 - 1e-12:
         raise ConfigurationError(f"consensus matrix has no spectral gap (nu={nu})")
-    return ConsensusMatrix(W, nu, g.edge_count)
+    return ConsensusMatrix(W, nu)
 
 
 def exact_averaging_matrix(n: int) -> ConsensusMatrix:
     """The idealized matrix 11^T/n (one step reaches the exact mean) on
     the complete graph's n(n-1)/2 edges."""
-    return ConsensusMatrix(np.full((n, n), 1.0 / n), 0.0, n * (n - 1) // 2)
+    return ConsensusMatrix(np.full((n, n), 1.0 / n), 0.0)
 
 
 # Per entry it touches, an edge-list step (gather, scale, segment sum)

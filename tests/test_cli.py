@@ -95,11 +95,12 @@ def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
     (("output_dri",), "x"),
     (("graph", "degree"), 5.0),
     (("meta",), 5),
+    (("output_dir",), ""),
 ], ids=["probe_mu", "r", "avg_degree", "slater_xbar", "phi", "n_text", "n_one",
         "bounded_text", "graph_n_float", "graph_seed_float", "K_bool", "phi_bool",
         "seed_bool", "seed_negative", "alpha_bool", "probe_mu_bool", "r_bool",
         "avg_degree_bool", "slater_xbar_bool", "unknown_run_key", "unknown_top_key",
-        "unknown_graph_key", "meta_not_object"])
+        "unknown_graph_key", "meta_not_object", "output_dir_empty"])
 def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
     # a bad config value or a field nothing reads exits 2 before any run;
     # the instance's own fields are checked when it is built, and exit 1
@@ -158,8 +159,9 @@ def test_instance_section_is_checked_on_load(tmp_path, capsys, instance, message
     ([{"solver": "cobadd", "alpha": 1.0, "K": 5, "name": "../x"}], "runs[0].name"),
     ([{"solver": "cobadd", "alpha": 1.0, "K": 5, "name": "a\\b"}], "runs[0].name"),
     ([{"solver": "cobadd", "alpha": 1.0, "K": 5, "name": 7}], "runs[0].name"),
+    ([{"solver": "cobadd", "alpha": 1.0, "K": 5, "name": "a\0b"}], "runs[0].name"),
 ], ids=["same_default", "same_given", "given_as_default", "separator", "parent_dir",
-        "backslash", "not_text"])
+        "backslash", "not_text", "nul"])
 def test_run_names_unique_and_plain(tmp_path, capsys, runs, message):
     # each run writes <name>.csv inside output_dir: a repeated name would
     # overwrite a trace, and a path separator would leave the directory
@@ -312,36 +314,30 @@ def test_cmd_run_deterministic_outputs(tmp_path):
         assert blob_a == blob_b, name
 
 
-def test_seed_override_changes_instance(tmp_path):
-    path, cfg = small_config(tmp_path, K=20)
-    assert cmd_run(path, seed_override=9, out_override=str(tmp_path / "s9")) == 0
-    with open(tmp_path / "s9" / "summary.json") as fh:
-        summary = json.load(fh)
-    assert summary["instance"]["seed"] == 9
-    assert summary["graph"]["seed"] == 9
-
-
-def test_verify_seed_override_changes_graph(tmp_path, capsys):
-    # verify checks the same graph as run under --seed-override
-    path, cfg = small_config(tmp_path, K=5)
-    assert cmd_run(path, seed_override=9, out_override=str(tmp_path / "s9")) == 0
-    with open(tmp_path / "s9" / "summary.json") as fh:
-        nu = json.load(fh)["graph"]["nu"]
-    capsys.readouterr()
-    assert main(["verify", path, "--seed-override", "9"]) == 0
-    out = capsys.readouterr().out
-    assert f"consensus conditions (config graph)  [nu={nu:.4f}]" in out
-    base = cb.metropolis_weights(cb.random_connected_graph(24, 5.0, 3)).nu
-    assert f"{base:.4f}" != f"{nu:.4f}"
-
-
-@pytest.mark.parametrize("command", ["run", "verify"])
-def test_negative_seed_override_is_an_error(tmp_path, capsys, command):
-    # numpy's generators raise "expected non-negative integer" on it
+def test_output_dir_naming_a_file_is_an_error(tmp_path, capsys):
+    # os.makedirs raises FileExistsError, which ends in error:, not a traceback
     path, _ = small_config(tmp_path, K=5)
-    assert main([command, path, "--seed-override", "-1"]) == 1
+    (tmp_path / "out").write_text("")
+    assert cmd_run(path) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "--seed-override must be an integer >= 0" in err
+    assert err.startswith("error:") and "File exists" in err
+
+
+def test_empty_out_flag_is_an_error(tmp_path, capsys):
+    # an explicit --out "" names no directory; it does not fall back to
+    # the config's output_dir
+    path, _ = small_config(tmp_path, K=5)
+    assert main(["run", path, "--out", ""]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_name_too_long_for_a_file_is_an_error(tmp_path, capsys):
+    path, _ = small_config(tmp_path, runs=[{"solver": "cobadd", "alpha": 1.0, "K": 5,
+                                            "name": "x" * 300}])
+    assert cmd_run(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "File name too long" in err
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -614,8 +610,8 @@ def test_cmd_verify_fails_on_duals_outside_the_sets(tmp_path, capsys, monkeypatc
     path = tmp_path / "lmi.json"
     path.write_text(json.dumps(cfg))
     solve = cli._solve
-    monkeypatch.setattr(cli, "_solve", lambda spec, setup, K:
-                        corrupt(solve(spec, setup, K), setup.sets))
+    monkeypatch.setattr(cli, "_solve", lambda spec, setup:
+                        corrupt(solve(spec, setup), setup.sets))
     assert cmd_verify(str(path)) == 1
     out = capsys.readouterr().out
     assert "FAIL               dual iterates inside sets" in out
@@ -657,11 +653,30 @@ def test_cmd_verify_fails_on_a_perturbed_neighbour_weight(tmp_path, capsys, monk
 
 
 def test_cmd_verify_checks_the_operator_its_run_mixes_with(tmp_path, capsys, monkeypatch):
-    # verify shortens the K = 500 run to 300 rounds; both the run and the
-    # consensus-round check take edge-list steps and build no W^phi
+    # both the K = 500 run and the consensus-round check take edge-list
+    # steps and build no W^phi
     monkeypatch.setattr(cb.ConsensusMatrix, "power", lambda W, phi: pytest.fail("W^phi"))
     assert cmd_verify(sparse_config(tmp_path, 500)) == 0
     assert "PASS               consensus round (cobadd_phi3_alpha1)" in capsys.readouterr().out
+
+
+def test_cmd_verify_solves_each_run_at_its_configured_K(tmp_path, monkeypatch):
+    # verify checks the rows run records, not a prefix of them
+    recorded = []
+
+    def recording(solve):
+        def wrapped(*args, **kwargs):
+            trace = solve(*args, **kwargs)
+            recorded.append(len(trace.k))
+            return trace
+        return wrapped
+
+    for name in ("cobadd_solve", "central_solve"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    path, _ = small_config(tmp_path, runs=[{"solver": "cobadd", "alpha": 1.0, "K": 310},
+                                           {"solver": "centralized", "alpha": 1.0, "K": 310}])
+    assert cmd_verify(path) == 0
+    assert recorded == [310, 310]
 
 
 def test_bundled_fig_configs_parse_to_figure_curve_set():

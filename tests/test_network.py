@@ -143,18 +143,14 @@ def test_bad_consensus_matrix_is_rejected(W, nu, message, reported):
     # the constructor and the verify checker share the weight conditions,
     # so both name the same fault; nu outside [0, 1) has no gap to certify
     with pytest.raises(ValueError, match=re.escape(message)):
-        cb.ConsensusMatrix(np.array(W), nu, 3)
+        cb.ConsensusMatrix(np.array(W), nu)
     assert any(reported in p for p in cb.check_consensus_conditions(np.array(W), _TRIANGLE))
 
 
 def test_edge_count_must_match_the_weights():
-    # messages are counted from edge_count, so a matrix may not report
-    # edges that W does not have, or miss ones it has
+    # messages are counted from edge_count, which W's nonzero node pairs give
     path = np.array([[2/3, 1/3, 0.0], [1/3, 1/3, 1/3], [0.0, 1/3, 2/3]])
-    assert cb.ConsensusMatrix(path, 2/3, 2).edge_count == 2
-    for claimed in (1, 3):
-        with pytest.raises(ValueError, match=f"edge_count={claimed} but W has 2 "):
-            cb.ConsensusMatrix(path, 2/3, claimed)
+    assert cb.ConsensusMatrix(path, 2/3).edge_count == 2
     W = cb.metropolis_weights(cb.Graph(4, ((0, 1), (1, 2), (2, 3))))
     assert W.edge_count == 3
     assert cb.exact_averaging_matrix(6).edge_count == 15
@@ -167,7 +163,7 @@ def test_consensus_matrix_checks_weights_in_one_temporary():
     W = M.W
     tracemalloc.start()
     try:
-        cb.ConsensusMatrix(W, M.nu, M.edge_count)
+        cb.ConsensusMatrix(W, M.nu)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
