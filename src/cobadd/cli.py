@@ -7,7 +7,9 @@ and bound-violation counters.  ``cobadd verify config.json`` replays the
 property suites (consensus-matrix conditions, projection against the
 alternating-projection oracle, consensus contraction, and theorem
 inequalities and weak duality on every row of every configured run) and
-exits nonzero on any failure.  Plots are not generated here.
+exits nonzero on any failure.  Both check every config value on load;
+a bad config ends in an ``error:`` line and exit code 2, and a set-up,
+solve or write that fails in one and exit code 1.  No plots are drawn.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +57,13 @@ class ExperimentConfig:
     r: float | None = None
     slater_xbar: list[float] | None = None
     probe_mu: float = 0.0
-    meta: dict = field(default_factory=dict)
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment configuration file: unknown fields,
-    booleans for numbers, an empty output directory, and repeated or
-    path-like run names are errors."""
+    booleans for numbers, an unknown builtin, an empty output directory, and
+    repeated or path-like run names are errors.  The builtin ``num`` section
+    comes back with its defaults ``n = 100`` and ``seed = 0`` filled in."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -103,9 +106,14 @@ def load_config(path: str) -> ExperimentConfig:
     if ("builtin" in inst) == ("path" in inst):
         raise ConfigurationError("instance needs exactly one of 'builtin' and 'path'")
     need(inst, "builtin" if "builtin" in inst else "path", str, "instance")
+    if "builtin" in inst and inst["builtin"] not in ("num", "lmi"):
+        raise ConfigurationError(f"unknown builtin instance {inst['builtin']!r}")
     extra = sorted({"n", "seed"} & set(inst)) if inst.get("builtin") != "num" else []
     if extra:
         raise ConfigurationError(f"instance.{extra[0]} is read only by the builtin 'num'")
+    if inst.get("builtin") == "num":
+        inst = {"builtin": "num", "n": integer(inst, "n", "instance", 2, default=100),
+                "seed": integer(inst, "seed", "instance", 0, default=0)}
     graph = known(need(doc, "graph", dict, "config"), "graph", "n", "avg_degree", "seed")
     integer(graph, "n", "graph", 2)
     integer(graph, "seed", "graph", 0)
@@ -147,14 +155,17 @@ def load_config(path: str) -> ExperimentConfig:
     xbar = doc.get("slater_xbar")
     if xbar is not None and not (isinstance(xbar, list) and all(map(real, xbar))):
         raise ConfigurationError("config.slater_xbar must be a list of numbers")
+    if "meta" in doc:
+        need(doc, "meta", dict, "config")
     return ExperimentConfig(instance=inst, graph=graph, runs=runs,
                             output_dir=output_dir, r=r, slater_xbar=xbar,
                             probe_mu=number(doc, "probe_mu", "config", lambda v: v >= 0,
-                                            ">= 0", default=0.0),
-                            meta=dict(need(doc, "meta", dict, "config") if "meta" in doc else {}))
+                                            ">= 0", default=0.0))
 
 
 def build_instance(spec: dict) -> ProblemInstance:
+    """The instance a checked ``instance`` section names: read from its
+    file, whose malformed contents are a ConfigurationError, or a builtin."""
     if "path" in spec:
         path = spec["path"]
         with open(path) as fh:
@@ -163,17 +174,9 @@ def build_instance(spec: dict) -> ProblemInstance:
             except (LookupError, TypeError, ValueError) as exc:
                 raise ConfigurationError(
                     f"malformed instance file {path}: {type(exc).__name__}: {exc}") from exc
-    builtin = spec["builtin"]
-    if builtin == "num":
-        n, seed = spec.get("n", 100), spec.get("seed", 0)
-        if not (isinstance(n, int) and n >= 2):
-            raise ConfigurationError("instance.n must be an integer >= 2")
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigurationError("instance.seed must be an integer >= 0")
-        return make_sample_num_instance(n, seed)
-    if builtin == "lmi":
-        return make_sample_lmi_instance()
-    raise ConfigurationError(f"unknown builtin instance {builtin!r}")
+    if spec["builtin"] == "num":
+        return make_sample_num_instance(spec["n"], spec["seed"])
+    return make_sample_lmi_instance()
 
 
 def ground_truth(instance: ProblemInstance) -> OracleResult:
@@ -197,7 +200,8 @@ class Setup:
 
 
 def build_setup(cfg: ExperimentConfig) -> Setup:
-    """Instance, graph, weights, Slater point, dual sets and f* of a config."""
+    """Instance, graph, weights, Slater point, dual sets and f* of a config.
+    The Slater point is ``slater_xbar``, or the zero vector without one."""
     instance = build_instance(cfg.instance)
     n = cfg.graph["n"]
     if n != instance.n:
@@ -205,12 +209,7 @@ def build_setup(cfg: ExperimentConfig) -> Setup:
             f"graph has {n} nodes but the instance has {instance.n}")
     graph = random_connected_graph(n, float(cfg.graph["avg_degree"]), cfg.graph["seed"])
     W = metropolis_weights(graph)
-    if cfg.slater_xbar is not None:
-        xbar = np.array(cfg.slater_xbar, dtype=float)
-    elif instance.meta.get("builtin") in ("num", "lmi"):
-        xbar = np.zeros(instance.n)
-    else:
-        raise ConfigurationError("slater_xbar is required for non-builtin instances")
+    xbar = np.zeros(instance.n) if cfg.slater_xbar is None else cfg.slater_xbar
     slater = slater_certificate(instance, xbar)
     probe = DualPoint(cfg.probe_mu, np.zeros((instance.d,) * 2))
     threshold = dual_set_threshold(instance, slater, probe)
@@ -218,17 +217,17 @@ def build_setup(cfg: ExperimentConfig) -> Setup:
     return Setup(instance, graph, W, DualSetSpec(threshold, r), ground_truth(instance))
 
 
-def _prepare(config_path: str) -> tuple[ExperimentConfig, Setup] | int:
-    """The config and setup that ``run`` and ``verify`` share, or the exit
-    code after an ``error:`` line: 2 for a bad config, 1 for a setup that
-    cannot be built from it."""
+def _command(config_path: str, body: Callable[[ExperimentConfig, Setup], int]) -> int:
+    """Load a config, build its setup and return ``body(cfg, setup)``.  An
+    error ends in an ``error:`` line and exit code 2 for a bad config, or 1
+    for a setup, solve or write that fails."""
     try:
         cfg = load_config(config_path)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return cfg, build_setup(cfg)
+        return body(cfg, build_setup(cfg))
     except (ConfigurationError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -249,18 +248,9 @@ def _first_crossing(rel_err: np.ndarray, level: float = 0.01) -> int | None:
 
 
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
-    """Execute all configured runs; write per-run CSVs and summary.json.
-    An OSError while writing them ends in an ``error:`` line and exit 1."""
-    prepared = _prepare(config_path)
-    if isinstance(prepared, int):
-        return prepared
-    cfg, setup = prepared
-    out_dir = cfg.output_dir if out_override is None else out_override
-    try:
-        return _write_runs(config_path, cfg, setup, out_dir)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    """Execute all configured runs; write per-run CSVs and summary.json."""
+    return _command(config_path, lambda cfg, setup: _write_runs(
+        config_path, cfg, setup, cfg.output_dir if out_override is None else out_override))
 
 
 def _write_runs(config_path: str, cfg: ExperimentConfig, setup: Setup, out_dir: str) -> int:
@@ -340,10 +330,10 @@ def _inside_sets(trace: RunTrace, sets: DualSetSpec) -> bool:
 
 def cmd_verify(config_path: str) -> int:
     """Run the invariant suites and report one PASS/FAIL line each."""
-    prepared = _prepare(config_path)
-    if isinstance(prepared, int):
-        return prepared
-    cfg, setup = prepared
+    return _command(config_path, _verify)
+
+
+def _verify(cfg: ExperimentConfig, setup: Setup) -> int:
     failures = 0
 
     def report(name: str, ok: bool | None, detail: str = ""):

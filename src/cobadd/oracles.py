@@ -1,13 +1,15 @@
-"""Independent reference solvers used as ground truth.
+"""Reference solvers used as ground truth.
 
-Nothing here shares algorithmic machinery with the iterative solvers:
-``dual_bisection`` exploits monotonicity of the aggregate constraint in
-the scalar dual, ``grid_search_lmi`` is exhaustive enumeration with a
-feasibility filter, and ``dykstra_project`` is an alternating-projection
-scheme that converges to the exact Euclidean projection onto the
-intersection of the PSD cone and the Frobenius ball.  These provide the
-optimal values and projection references the test suites compare
-against.
+``dual_bisection`` shares one kernel with the iterative solvers: its
+local minimizers and q, and so its f*, come from ``oracle_sweep``, the
+closed-form node minimizer they call, and its certificate uses their
+``evaluate_primal``.  Independent of them are the bisection on s(mu),
+evaluated with ``ScalarFunction.__call__``, the water-filling of
+degenerate nodes, ``grid_search_lmi`` (exhaustive enumeration with a
+feasibility filter, no oracle call) and ``dykstra_project`` (alternating
+projections that converge to the exact Euclidean projection onto the
+intersection of the PSD cone and the Frobenius ball).  These provide the
+optimal values and projection references the test suites compare against.
 """
 
 from __future__ import annotations

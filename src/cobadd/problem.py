@@ -255,7 +255,8 @@ class DualSetSpec:
     """The dual sets [0, radius] and {G PSD : ||G||_F <= radius}, with
     ``radius = threshold + r`` and ``threshold = (fxbar - q(probe))/gamma``.
     The theory needs ``r >= threshold``; an r below it by more than 1e-12
-    is a ConfigurationError naming the minimum admissible value."""
+    is a ConfigurationError naming the minimum admissible value.  So is a
+    radius whose square is not finite, since the bounds square it."""
 
     threshold: float
     r: float
@@ -263,11 +264,14 @@ class DualSetSpec:
     def __post_init__(self):
         if not (self.r > 0.0):
             raise ConfigurationError("r must be positive")
+        if not (self.radius > 0.0):
+            raise ConfigurationError("the projection radius must be positive")
+        if not math.isfinite(self.radius * self.radius):
+            raise ConfigurationError(
+                f"the projection radius {self.radius} is too large: its square is not finite")
         if self.r < self.threshold - 1e-12:
             raise ConfigurationError(
                 f"r={self.r} below the minimum admissible value {self.threshold}")
-        if not (self.radius > 0.0):
-            raise ConfigurationError("the projection radius must be positive")
 
     @property
     def radius(self) -> float:
@@ -380,12 +384,13 @@ def _lmi_terms(instance: ProblemInstance, Gs: np.ndarray):
     """Per-node linear and constant Lagrangian contributions of the LMI.
 
     -tr[(A0/n + A_i x) G_i] = (-tr[A_i G_i]) x + (-tr[A0 G_i]/n); both 0.0 at d = 0.
+    ``Gs`` is a (..., d, d) stack whose last batch axis broadcasts against the nodes.
     """
     n = instance.n
     if instance.d == 0:
         return 0.0, 0.0
-    lin = -_traces(instance.A_stack.reshape(n, -1), np.reshape(Gs, (len(Gs), -1)))
-    const = -np.sum(instance.A0 * Gs, axis=(1, 2)) / n
+    lin = -_traces(instance.A_stack.reshape(n, -1), np.reshape(Gs, np.shape(Gs)[:-2] + (-1,)))
+    const = -np.sum(instance.A0 * Gs, axis=(-2, -1)) / n
     return lin, const
 
 
@@ -437,9 +442,11 @@ def oracle_sweep(instance: ProblemInstance, dual: DualPoint):
 
 
 def dual_function_value(instance: ProblemInstance, dual: DualPoint) -> float:
-    """q(mu, G) = sum_i min_x L_i(x, mu, G)."""
+    """q(mu, G) = sum_i min_x L_i(x, mu, G); a sum beyond the float range is
+    infinite, which the dual sets built on it reject."""
     q, _ = oracle_sweep(instance, dual)
-    return float(q.sum())
+    with np.errstate(over="ignore"):
+        return float(q.sum())
 
 
 def _dual_breakpoints(cf: tuple[np.ndarray, ...], lo, hi):
@@ -542,8 +549,7 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         r = block.stop - start
-        lin = -_traces(instance.A_stack.reshape(1, n, -1), Gs[block].reshape(r, 1, -1))
-        const = (-np.sum(instance.A0 * Gs[block], axis=(1, 2)) / n)[:, None]
+        lin, const = _lmi_terms(instance, Gs[block, None])
         _, vals = _closed_form_minimize(instance._closed, lo, hi, mus[block, None], lin,
                                         const, work[:, :r], masks[:, :r])
         vals.sum(axis=1, out=out[block])

@@ -102,8 +102,8 @@ def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
         "avg_degree_bool", "slater_xbar_bool", "unknown_run_key", "unknown_top_key",
         "unknown_graph_key", "meta_not_object", "output_dir_empty"])
 def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
-    # a bad config value or a field nothing reads exits 2 before any run;
-    # the instance's own fields are checked when it is built, and exit 1
+    # a bad config value or a field nothing reads, the instance's n and
+    # seed included, exits 2 before anything is built
     path, cfg = small_config(tmp_path, K=5)
     *parents, last = keys
     section = cfg
@@ -112,7 +112,7 @@ def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
     section[last] = value
     with open(path, "w") as fh:
         json.dump(cfg, fh)
-    assert main(["run", path]) == (1 if keys[0] == "instance" else 2)
+    assert main(["run", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and keys[-1] in err
 
@@ -125,12 +125,14 @@ def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
     ({"builtin": "lmi", "seed": 7}, "instance.seed"),
     ({"builtin": "num", "n": 24, "seed": 4, "path": "instance.json"}, "exactly one"),
     ({"path": "instance.json", "n": 24}, "instance.n"),
+    ({"builtin": "nope"}, "unknown builtin instance 'nope'"),
 ], ids=["path_fd", "path_stdin", "builtin_number", "lmi_n_seed", "lmi_seed", "both",
-        "path_n"])
+        "path_n", "unknown_builtin"])
 def test_instance_section_is_checked_on_load(tmp_path, capsys, instance, message):
     # an integer path would open that file descriptor, n and seed would be
-    # ignored by everything but the builtin num, and path would win over
-    # builtin: each is a config error that exits 2 before anything is built
+    # ignored by everything but the builtin num, path would win over
+    # builtin, and no instance has an unknown builtin's name: each is a
+    # config error that exits 2 before anything is built
     inst_path = tmp_path / "instance.json"
     inst_path.write_text(json.dumps(cb.instance_to_json(cb.make_sample_num_instance(24, 4))))
     path, cfg = small_config(tmp_path, out_name="o", K=5)
@@ -222,6 +224,38 @@ def test_cmd_verify_rejects_infeasible_slater_point(tmp_path, capsys):
     assert cmd_verify(path) == 1
     err = capsys.readouterr().err
     assert err.count("error: Slater vector is not strictly feasible") == 2
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("key, value", [("r", 1e200), ("probe_mu", 1e200), ("probe_mu", 1e308)],
+                         ids=["r_1e200", "probe_mu_1e200", "probe_mu_1e308"])
+def test_radius_with_an_overflowing_square_is_a_setup_error(tmp_path, capsys, command, key,
+                                                            value):
+    # the bounds square the radius: a square that overflows would end in a
+    # traceback, and an infinite radius would pass every bound check and
+    # write "radius": Infinity, which is not JSON, into summary.json
+    path, cfg = small_config(tmp_path, K=5)
+    cfg[key] = value
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the projection radius") and "square is not finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_solve_error_is_an_error_line(tmp_path, capsys, monkeypatch, command):
+    # an error raised while a run is solved ends in error: and exit 1, not a traceback
+    def failing(*args, **kwargs):
+        raise ConfigurationError("non-finite Lagrangian evaluation inside a box")
+
+    monkeypatch.setattr(cli, "cobadd_solve", failing)
+    path, _ = small_config(tmp_path, K=5)
+    assert main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite Lagrangian evaluation inside a box\n"
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_cmd_run_writes_traces_and_summary(tmp_path):
@@ -427,10 +461,12 @@ def test_cmd_run_lmi_instance(tmp_path):
     assert summary["runs"][0]["final_error"] <= 1e-9
 
 
-def test_path_instance_runs_like_its_builtin(tmp_path):
-    # an instance read back from its JSON file gives the builtin's runs
+def _path_and_builtin_summaries(tmp_path, doc):
+    """Run small_config's runs on the instance file ``doc`` and on the builtin
+    num instance (n = 24, seed 3); assert their traces are equal, and
+    return both summaries without their config names."""
     inst_path = tmp_path / "num24.json"
-    inst_path.write_text(json.dumps(cb.instance_to_json(cb.make_sample_num_instance(24, 3))))
+    inst_path.write_text(json.dumps(doc))
     summaries = {}
     for name, spec in (("path", {"path": str(inst_path)}),
                        ("builtin", {"builtin": "num", "n": 24, "seed": 3})):
@@ -446,7 +482,24 @@ def test_path_instance_runs_like_its_builtin(tmp_path):
             (tmp_path / "builtin" / name).read_bytes(), name
     assert summaries["path"].pop("config") == "path.json"
     assert summaries["builtin"].pop("config") == "builtin.json"
-    assert summaries["path"] == summaries["builtin"]
+    return summaries["path"], summaries["builtin"]
+
+
+def test_path_instance_runs_like_its_builtin(tmp_path):
+    # an instance read back from its JSON file gives the builtin's runs
+    doc = cb.instance_to_json(cb.make_sample_num_instance(24, 3))
+    from_path, from_builtin = _path_and_builtin_summaries(tmp_path, doc)
+    assert from_path == from_builtin
+
+
+def test_path_instance_without_meta_takes_the_zero_slater_point(tmp_path):
+    # the Slater point defaults to zero whatever the instance file's meta says
+    doc = cb.instance_to_json(cb.make_sample_num_instance(24, 3))
+    doc["meta"] = {}
+    from_path, from_builtin = _path_and_builtin_summaries(tmp_path, doc)
+    assert from_path.pop("instance") == {}
+    assert from_builtin.pop("instance")["builtin"] == "num"
+    assert from_path == from_builtin
 
 
 def _break_box(doc):

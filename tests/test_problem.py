@@ -1,6 +1,7 @@
 """Problem model: oracles, bounds, dual sets, sample instances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -273,6 +274,17 @@ def test_dual_set_spec_has_one_r_rule():
         cb.DualSetSpec(1e6, 1e6 - 1e-9)
     with pytest.raises(ConfigurationError, match="radius must be positive"):
         cb.DualSetSpec(-5.0, 1.0)
+
+
+@pytest.mark.parametrize("threshold, r, radius", [(math.inf, 1.0, "inf"),
+                                                   (0.0, 1e200, "1e+200")])
+def test_dual_set_radius_square_must_be_finite(threshold, r, radius):
+    # the bounds square the radius: a square that overflows fails there, and
+    # every bound check passes against an infinite radius
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"projection radius {radius} is too large: its square "
+                                       "is not finite")):
+        cb.DualSetSpec(threshold, r)
 
 
 def test_threshold_shrinks_at_better_probe(lmi_instance):
