@@ -32,15 +32,15 @@ def _advance(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray,
     _, x_tilde = oracle_sweep(instance, DualPoint(mus[0], Gs[0]))
     radius = sets.radius if sets is not None else math.inf
     h, _ = constraint_values(instance, x_tilde)
-    mus = np.clip(mus + alpha * float(h.sum()), 0.0, radius)
+    mus = np.minimum(np.maximum(mus + alpha * float(h.sum()), 0.0), radius)
     return x_tilde, mus, project_psd_ball_stack(Gs - alpha * instance.lmi_matrix(x_tilde), radius)
 
 
 def central_init(instance: ProblemInstance, alpha: float,
                  sets: DualSetSpec | None = None) -> SolverState:
     """Bootstrap: sample at the zero initial duals and take the first update."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
     n, d = instance.n, instance.d
     x_tilde, mus, Gs = _advance(instance, np.zeros(1), np.zeros((1, d, d)), alpha, sets)
     return SolverState(mus, Gs, x_tilde, np.zeros(n), 0)
@@ -60,11 +60,11 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
     The baseline bound columns use the realized maxima of the dual norms
     over the whole run (including the initial pair and the final
     update): bound_upper = (L0^2+G0^2)/(2 alpha k) + alpha n^2 (L^2+Q^2)/2
-    and bound_lower = (L0^2+G0^2)/(alpha k).
+    and bound_lower = (L0^2+G0^2)/(alpha k), whose first row times alpha
+    is L0^2 + G0^2.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    n = instance.n
     lam_max = gam_max = 0.0  # realized maxima; the zero initial pair adds nothing
 
     def observe(s: SolverState) -> SolverState:
@@ -80,10 +80,10 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
     sb = subgradient_bounds(instance)
     ks = np.arange(1, K + 1, dtype=float)
     radius2 = lam_max**2 + gam_max**2
-    bound_upper = radius2 / (2.0 * alpha * ks) + alpha * n**2 * (sb.L**2 + sb.Q**2) / 2.0
+    bound_upper = radius2 / (2.0 * alpha * ks) + alpha * instance.n**2 * (sb.L**2 + sb.Q**2) / 2.0
     bound_lower = radius2 / (alpha * ks)
     return RunTrace(k=np.arange(1, K + 1), **cols,
                     messages_cum=np.zeros(K, dtype=int),
                     bound_upper=bound_upper, bound_lower=bound_lower,
                     beta_k=np.full(K, math.nan),
-                    final_mus=state.mus, final_Gs=state.Gs, lambda_realized=lam_max)
+                    final_mus=state.mus, final_Gs=state.Gs)

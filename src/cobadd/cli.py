@@ -3,13 +3,15 @@
 ``cobadd run config.json`` executes every configured run, writes one
 trace CSV per run plus a ``summary.json`` with the oracle optimum, final
 errors, error floors, message counts at the 1%-relative-error crossing,
-and bound-violation counters.  ``cobadd verify config.json`` replays the
-property suites (consensus-matrix conditions, projection against the
-alternating-projection oracle, consensus contraction, and theorem
-inequalities and weak duality on every row of every configured run) and
-exits nonzero on any failure.  Both check every config value on load;
-a bad config ends in an ``error:`` line and exit code 2, and a set-up,
-solve or write that fails in one and exit code 1.  No plots are drawn.
+and bound-violation counts over every row.  ``cobadd verify config.json``
+replays the property suites (consensus-matrix conditions, projection
+against the alternating-projection oracle) and checks every configured
+run, the master node as the case m = 1: weak duality, the final duals in
+their sets and the primal sandwich on every row, then for CoBa-DD the
+consensus round and the agreement bound; it exits nonzero on any
+failure.  Both check every config value on load; a bad config ends in an
+``error:`` line and exit code 2, and a set-up, solve or write that fails
+in one and exit code 1.  No plots are drawn.
 """
 
 from __future__ import annotations
@@ -297,35 +299,33 @@ def _write_runs(config_path: str, cfg: ExperimentConfig, setup: Setup, out_dir: 
 
 
 def _bound_violations(trace: RunTrace, f_star: float) -> dict:
-    """Count per-row violations of the applicable theorem inequalities."""
-    out = {"primal_upper": 0, "primal_lower": 0, "disagreement": 0,
-           "weak_duality": int(np.sum(trace.q_best_node > f_star + 1e-7)), "applicable": True}
-    slack = 1e-9
-    b = trace.bounds
-    if b is not None and not b.agreement_applicable:
-        out["applicable"] = False
-        return out
-    out["primal_upper"] = int(np.sum(trace.f_ergodic > f_star + trace.bound_upper + slack))
-    out["primal_lower"] = int(np.sum(trace.f_ergodic < f_star - trace.bound_lower - slack))
-    if b is not None:
-        env = b.disagreement_envelope(trace.k)
-        out["disagreement"] = int(
-            np.sum(trace.mu_disagreement > env + slack)
-            + np.sum(trace.G_disagreement > env + slack))
-    return out
+    """Count the rows that break weak duality or a primal bound (a bound
+    that is not finite is broken), and those that break the agreement
+    envelope, which is infinite unless the theorems cover the run
+    (``applicable``)."""
+    slack, b = 1e-9, trace.bounds
+    applicable = b is None or b.agreement_applicable
+    env = b.disagreement_envelope(trace.k) if b is not None and applicable else math.inf
+    upper = ~np.isfinite(trace.bound_upper) | (trace.f_ergodic > f_star + trace.bound_upper + slack)
+    lower = ~np.isfinite(trace.bound_lower) | (trace.f_ergodic < f_star - trace.bound_lower - slack)
+    return {"primal_upper": int(np.sum(upper)), "primal_lower": int(np.sum(lower)),
+            "disagreement": int(np.sum(trace.mu_disagreement > env + slack)
+                                + np.sum(trace.G_disagreement > env + slack)),
+            "weak_duality": int(np.sum(trace.q_best_node > f_star + 1e-7)),
+            "applicable": applicable}
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def _inside_sets(trace: RunTrace, sets: DualSetSpec) -> bool:
+def _inside_sets(trace: RunTrace, radius: float) -> bool:
     """Whether the final duals lie in [0, radius] and {G PSD : ||G||_F <= radius},
-    up to 1e-12."""
+    up to 1e-12; an infinite radius leaves mu >= 0 and G PSD."""
     mus, Gs = trace.final_mus, trace.final_Gs
-    return bool(np.all((mus >= -1e-12) & (mus <= sets.radius + 1e-12))
+    return bool(np.all((mus >= -1e-12) & (mus <= radius + 1e-12))
                 and np.all(np.linalg.eigvalsh(Gs) >= -1e-12)
-                and np.all(np.linalg.norm(Gs, axis=(1, 2)) <= sets.radius + 1e-12))
+                and np.all(np.linalg.norm(Gs, axis=(1, 2)) <= radius + 1e-12))
 
 
 def cmd_verify(config_path: str) -> int:
@@ -371,17 +371,18 @@ def _verify(cfg: ExperimentConfig, setup: Setup) -> int:
             worst = max(worst, float(np.linalg.norm(project_psd_ball_stack(A, Gam) - ref)))
     report("projection equals Dykstra oracle", worst < 1e-7, f"max dev {worst:.2e}")
 
-    # weak duality and theorem inequalities on every row of the config runs
+    # every row of every config run; the master node is the case m = 1
     for spec in cfg.runs:
         name = spec.name
         trace = _solve(spec, setup)
         v = _bound_violations(trace, f_star)
         sandwich_ok = v["primal_upper"] == v["primal_lower"] == 0
+        radius = setup.sets.radius if spec.bounded else math.inf
+        report(f"weak duality ({name})", v["weak_duality"] == 0)
+        report(f"dual iterates inside sets ({name})", _inside_sets(trace, radius))
         if spec.solver == "centralized":
             report(f"baseline sandwich ({name})", sandwich_ok)
             continue
-        report(f"weak duality ({name})", v["weak_duality"] == 0)
-        report(f"dual iterates inside sets ({name})", _inside_sets(trace, setup.sets))
         # the round operator this run mixes with, on the config's own W:
         # it keeps each column mean and contracts deviations by nu^phi
         x = rng.normal(size=(W.n, 1 + setup.instance.d ** 2))
@@ -391,7 +392,7 @@ def _verify(cfg: ExperimentConfig, setup: Setup) -> int:
         dev1 = np.linalg.norm(y - y.mean(axis=0), axis=0)
         contract_ok = np.all(dev1 <= W.nu ** spec.phi * dev0 + 1e-12)
         report(f"consensus round ({name})", bool(mean_ok and contract_ok),
-               f"messages={spec.phi * 2 * W.edge_count}")
+               f"messages={trace.messages_cum[0]}")
         if v["applicable"]:
             report(f"agreement bound ({name})", v["disagreement"] == 0)
             report(f"primal sandwich ({name})", sandwich_ok)

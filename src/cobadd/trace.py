@@ -46,7 +46,7 @@ class RunTrace:
     """One solver run, as both solvers fill it: the CSV columns, the
     per-row largest mu and G deviations, and the last state's m dual
     pairs ``final_mus`` (m,) and ``final_Gs`` (m, d, d); then CoBa-DD's
-    bounds object and the baseline's realized dual norm."""
+    bounds object (None for the baseline)."""
 
     k: np.ndarray
     f_ergodic: np.ndarray
@@ -64,7 +64,6 @@ class RunTrace:
     final_mus: np.ndarray
     final_Gs: np.ndarray
     bounds: object | None = None
-    lambda_realized: float | None = None
 
     def __post_init__(self):
         K = len(self.k)

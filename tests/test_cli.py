@@ -643,21 +643,24 @@ def _outside_ball(trace, sets):
 
 
 def _not_psd(trace, sets):
-    return dataclasses.replace(trace, final_Gs=np.stack([np.diag([0.1, -1e-6])] * 2))
+    m = len(trace.final_mus)
+    return dataclasses.replace(trace, final_Gs=np.stack([np.diag([0.1, -1e-6])] * m))
 
 
 def _mu_negative(trace, sets):
-    return dataclasses.replace(trace, final_mus=np.array([-1e-6, 0.0]))
+    return dataclasses.replace(trace, final_mus=np.r_[-1e-6, np.zeros(len(trace.final_mus) - 1)])
 
 
 @pytest.mark.parametrize("corrupt", [_outside_ball, _not_psd, _mu_negative])
 def test_cmd_verify_fails_on_duals_outside_the_sets(tmp_path, capsys, monkeypatch, corrupt):
     # the set-membership check reads mu >= 0, PSD and ||G_i||_F <= radius,
-    # not only mu <= radius
+    # not only mu <= radius, for CoBa-DD's m = 2 stacks and for the
+    # master node's m = 1 stacks alike
     cfg = {
         "instance": {"builtin": "lmi"},
         "graph": {"n": 2, "avg_degree": 1.0, "seed": 0},
-        "runs": [{"solver": "cobadd", "alpha": 0.5, "phi": 1, "K": 20}],
+        "runs": [{"solver": "cobadd", "alpha": 0.5, "phi": 1, "K": 20, "name": "cobadd"},
+                 {"solver": "centralized", "alpha": 0.5, "K": 20, "name": "central"}],
         "output_dir": str(tmp_path / "o"),
     }
     path = tmp_path / "lmi.json"
@@ -667,7 +670,68 @@ def test_cmd_verify_fails_on_duals_outside_the_sets(tmp_path, capsys, monkeypatc
                         corrupt(solve(spec, setup), setup.sets))
     assert cmd_verify(str(path)) == 1
     out = capsys.readouterr().out
-    assert "FAIL               dual iterates inside sets" in out
+    assert "FAIL               dual iterates inside sets (cobadd)" in out
+    assert "FAIL               dual iterates inside sets (central)" in out
+    assert out.count("FAIL") == 2
+
+
+def test_cmd_verify_fails_on_a_baseline_above_weak_duality(tmp_path, capsys, monkeypatch):
+    # weak duality is checked on the master node's rows as on CoBa-DD's
+    solve = cli._solve
+
+    def planted(spec, setup):
+        trace = solve(spec, setup)
+        q = trace.q_best_node.copy()
+        q[-1] = setup.oracle.f_star + 2e-7
+        return dataclasses.replace(trace, q_best_node=q)
+
+    monkeypatch.setattr(cli, "_solve", planted)
+    path, _ = small_config(tmp_path, runs=[{"solver": "centralized", "alpha": 1.0, "K": 30}])
+    assert cmd_verify(path) == 1
+    out = capsys.readouterr().out
+    assert "FAIL               weak duality (central_alpha1)" in out
+    assert out.count("FAIL") == 1
+
+
+def test_infinite_bounds_fail_the_primal_sandwich(tmp_path, capsys):
+    # at r = 1e153 the radius squares to a finite value, but the CoBa-DD
+    # bounds overflow to inf, which no row can break; such a bound counts
+    # as broken on every row, so verify fails and run reports the rows
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    with open(os.path.join(root, "verify_dense.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(r=1e153, output_dir=str(tmp_path / "o"))
+    path = tmp_path / "dense_r.json"
+    path.write_text(json.dumps(cfg))
+    assert cmd_verify(str(path)) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL               primal sandwich") == 2
+    assert out.count("FAIL") == 2
+    assert cmd_run(str(path)) == 0
+    with open(tmp_path / "o" / "summary.json") as fh:
+        runs = json.load(fh)["runs"]
+    for run in runs:
+        v = run["bound_violations"]
+        rows = 300 if run["solver"] == "cobadd" else 0
+        assert (v["primal_upper"], v["primal_lower"]) == (rows, rows), run["name"]
+
+
+def test_bound_violations_counts_rows_of_a_run_the_theorems_do_not_cover(tmp_path):
+    # phi = 1 on the sparse 24-node graph is below phibar: the primal
+    # rows are still counted, and the agreement envelope is not
+    cfg = load_config(small_config(tmp_path, runs=[
+        {"solver": "cobadd", "alpha": 1.0, "phi": 1, "K": 40}])[0])
+    setup = cli.build_setup(cfg)
+    trace = cli._solve(cfg.runs[0], setup)
+    assert not trace.bounds.agreement_applicable
+    f_star = setup.oracle.f_star
+    v = cli._bound_violations(trace, f_star)
+    assert (v["primal_upper"], v["primal_lower"], v["applicable"]) == (0, 0, False)
+    f = trace.f_ergodic.copy()
+    f[7] = f_star + trace.bound_upper[7] + 1e-6
+    f[9] = f_star - trace.bound_lower[9] - 1e-6
+    v = cli._bound_violations(dataclasses.replace(trace, f_ergodic=f), f_star)
+    assert (v["primal_upper"], v["primal_lower"], v["disagreement"]) == (1, 1, 0)
 
 
 NEIGHBOURS = cb.ConsensusMatrix.neighbours.func
