@@ -63,14 +63,18 @@ class TheoreticalBounds:
         return 2.0 * prev
 
     def primal_upper_deviation(self, ks: np.ndarray) -> np.ndarray:
-        """f(x^k) - f* is at most this at every k >= 1."""
+        """f(x^k) - f* is at most this at every k >= 1; a bound beyond the
+        float range is infinite, which every check counts as broken."""
         ks = np.asarray(ks, dtype=float)
-        return self.n * (self.radius**2 + self.radius**2) / (2.0 * ks * self.alpha) + self.e_k
+        with np.errstate(over="ignore"):
+            return self.n * (self.radius**2 + self.radius**2) / (2.0 * ks * self.alpha) + self.e_k
 
     def primal_lower_deviation(self, ks: np.ndarray) -> np.ndarray:
-        """f* - f(x^k) is at most this at every k >= 1."""
+        """f* - f(x^k) is at most this at every k >= 1; infinite as above."""
         ks = np.asarray(ks, dtype=float)
-        return 9.0 * self.n * (self.radius**2 + self.radius**2) / (2.0 * ks * self.alpha) + self.e_k
+        with np.errstate(over="ignore"):
+            return (9.0 * self.n * (self.radius**2 + self.radius**2) / (2.0 * ks * self.alpha)
+                    + self.e_k)
 
 
 def default_beta0(alpha: float, M: float) -> float:

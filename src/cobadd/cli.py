@@ -58,7 +58,6 @@ class ExperimentConfig:
     output_dir: str
     r: float | None = None
     slater_xbar: list[float] | None = None
-    probe_mu: float = 0.0
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -87,12 +86,13 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigurationError(f"field {where}.{key} has the wrong type")
         return section[key]
 
-    def real(value) -> bool:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    def finite(value) -> bool:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
 
-    def number(section, key, where, ok, what, default=None):
-        value = need(section, key, object, where) if default is None else section.get(key, default)
-        if not (real(value) and math.isfinite(value) and ok(value)):
+    def number(section, key, where, ok, what):
+        value = need(section, key, object, where)
+        if not (finite(value) and ok(value)):
             raise ConfigurationError(f"{where}.{key} must be {what}")
         return float(value)
 
@@ -102,8 +102,7 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigurationError(f"{where}.{key} must be an integer >= {minimum}")
         return value
 
-    known(doc, "config", "instance", "graph", "runs", "output_dir", "r", "slater_xbar",
-          "probe_mu", "meta")
+    known(doc, "config", "instance", "graph", "runs", "output_dir", "r", "slater_xbar", "meta")
     inst = known(need(doc, "instance", dict, "config"), "instance", "builtin", "path", "n", "seed")
     if ("builtin" in inst) == ("path" in inst):
         raise ConfigurationError("instance needs exactly one of 'builtin' and 'path'")
@@ -155,14 +154,12 @@ def load_config(path: str) -> ExperimentConfig:
     r = None if doc.get("r") is None else number(doc, "r", "config", lambda v: v > 0,
                                                  "positive")
     xbar = doc.get("slater_xbar")
-    if xbar is not None and not (isinstance(xbar, list) and all(map(real, xbar))):
-        raise ConfigurationError("config.slater_xbar must be a list of numbers")
+    if xbar is not None and not (isinstance(xbar, list) and all(map(finite, xbar))):
+        raise ConfigurationError("config.slater_xbar must be a list of finite numbers")
     if "meta" in doc:
         need(doc, "meta", dict, "config")
     return ExperimentConfig(instance=inst, graph=graph, runs=runs,
-                            output_dir=output_dir, r=r, slater_xbar=xbar,
-                            probe_mu=number(doc, "probe_mu", "config", lambda v: v >= 0,
-                                            ">= 0", default=0.0))
+                            output_dir=output_dir, r=r, slater_xbar=xbar)
 
 
 def build_instance(spec: dict) -> ProblemInstance:
@@ -203,7 +200,8 @@ class Setup:
 
 def build_setup(cfg: ExperimentConfig) -> Setup:
     """Instance, graph, weights, Slater point, dual sets and f* of a config.
-    The Slater point is ``slater_xbar``, or the zero vector without one."""
+    The Slater point is ``slater_xbar``, or the zero vector without one;
+    the dual sets' threshold is probed at the zero dual."""
     instance = build_instance(cfg.instance)
     n = cfg.graph["n"]
     if n != instance.n:
@@ -213,7 +211,7 @@ def build_setup(cfg: ExperimentConfig) -> Setup:
     W = metropolis_weights(graph)
     xbar = np.zeros(instance.n) if cfg.slater_xbar is None else cfg.slater_xbar
     slater = slater_certificate(instance, xbar)
-    probe = DualPoint(cfg.probe_mu, np.zeros((instance.d,) * 2))
+    probe = DualPoint(0.0, np.zeros((instance.d,) * 2))
     threshold = dual_set_threshold(instance, slater, probe)
     r = cfg.r if cfg.r is not None else (threshold if threshold > 0 else 1.0)
     return Setup(instance, graph, W, DualSetSpec(threshold, r), ground_truth(instance))
@@ -244,8 +242,8 @@ def _solve(spec: RunSpec, setup: Setup) -> RunTrace:
     return cobadd_solve(setup.instance, setup.W, rc)
 
 
-def _first_crossing(rel_err: np.ndarray, level: float = 0.01) -> int | None:
-    hits = np.nonzero(rel_err <= level)[0]
+def _first_crossing(rel_err: np.ndarray) -> int | None:
+    hits = np.nonzero(rel_err <= 0.01)[0]
     return int(hits[0]) if hits.size else None
 
 

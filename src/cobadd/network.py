@@ -170,7 +170,6 @@ def metropolis_weights(g: Graph) -> ConsensusMatrix:
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     eigs = np.linalg.eigvalsh(W)
     nu = float(max(abs(eigs[0]), abs(eigs[-2]))) if g.n > 1 else 0.0
-    nu = max(nu, 0.0)
     if nu >= 1.0 - 1e-12:
         raise ConfigurationError(f"consensus matrix has no spectral gap (nu={nu})")
     return ConsensusMatrix(W, nu)

@@ -22,6 +22,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .problem import DualPoint, ProblemInstance, evaluate_primal, oracle_sweep
 
+# The largest grid grid_search_lmi enumerates: 50M points take 400 MB per
+# float64 array over the grid.
+_MAX_GRID_POINTS = 50_000_000
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -69,8 +73,7 @@ def dual_bisection(instance: ProblemInstance, tol: float = 1e-10) -> OracleResul
             "method": "dual_bisection", "feasibility": viol,
             "complementary_slackness": 0.0, "gap": abs(f - q0)})
 
-    lo, s_lo = 0.0, s0
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     for _ in range(80):
         _, _, s_hi = solve_at(hi)
         if s_hi <= 0.0:
@@ -88,7 +91,7 @@ def dual_bisection(instance: ProblemInstance, tol: float = 1e-10) -> OracleResul
             hi = mid
 
     q_lo, x_lo, _ = solve_at(lo)
-    q_hi, x_hi, s_hi = solve_at(hi)
+    q_hi, x_hi, _ = solve_at(hi)
     f_star = max(q_lo, q_hi)
     mu_star = 0.5 * (lo + hi)
     x_star = _assemble_primal(instance, x_lo, x_hi)
@@ -139,8 +142,7 @@ def _invert_g(node, target: float) -> float:
     return math.expm1((g.b - target) / g.c)
 
 
-def grid_search_lmi(instance: ProblemInstance, step: float,
-                    max_points: int = 50_000_000) -> OracleResult:
+def grid_search_lmi(instance: ProblemInstance, step: float) -> OracleResult:
     """Exhaustive grid search with a feasibility filter (n <= 3).
 
     f_star is accurate to (Lipschitz constant of f) * step.  Raises
@@ -156,7 +158,7 @@ def grid_search_lmi(instance: ProblemInstance, step: float,
         npts = max(2, int(round((hi - lo) / step)) + 1) if hi > lo else 1
         axes.append(np.linspace(lo, hi, npts))
     total = int(np.prod([len(a) for a in axes]))
-    if total > max_points:
+    if total > _MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points is too large; coarsen step")
 
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -612,7 +612,7 @@ def slater_certificate(instance: ProblemInstance, xbar) -> SlaterCertificate:
     lo, hi = instance.boxes
     if xbar.shape != (instance.n,):
         raise ConfigurationError(f"xbar must have length {instance.n}")
-    if np.any(xbar < lo - 1e-12) or np.any(xbar > hi + 1e-12):
+    if not np.all((xbar >= lo - 1e-12) & (xbar <= hi + 1e-12)):
         raise ConfigurationError("Slater vector leaves the boxes")
     f_vals, g_vals = _node_values(instance, xbar)
     # summed in node order: the dual-set radius, and with it every trace
@@ -742,15 +742,28 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 
 
 def instance_from_json(doc: dict) -> ProblemInstance:
+    """The instance an ``instance_to_json`` document holds.  A key that it
+    does not write, or a box without exactly two entries, is a ValueError."""
+    _check_keys(doc, "an instance", ("d", "A0", "nodes"), ("meta",))
     d = int(doc["d"])
     A0 = np.array(doc["A0"], dtype=float).reshape(d, d)
     nodes = []
     for nd in doc["nodes"]:
+        _check_keys(nd, "a node", ("f", "g", "A", "box"))
+        if len(nd["box"]) != 2:
+            raise ValueError(f"a box has two entries; got {nd['box']}")
         nodes.append(NodeSpec(
             _fun_from_json(nd["f"]), _fun_from_json(nd["g"]),
-            np.array(nd["A"], dtype=float).reshape(d, d),
-            (nd["box"][0], nd["box"][1])))
+            np.array(nd["A"], dtype=float).reshape(d, d), tuple(nd["box"])))
     return ProblemInstance(tuple(nodes), A0, d, dict(doc.get("meta", {})))
+
+
+def _check_keys(doc: dict, what: str, keys: tuple, optional: tuple = ()) -> None:
+    """Raise ValueError unless ``doc`` has every key in ``keys``, any of
+    ``optional`` and no other."""
+    if not set(keys) <= set(doc) <= {*keys, *optional}:
+        allowed = ", ".join(keys) + "".join(f" [, {key}]" for key in optional)
+        raise ValueError(f"{what} has keys {allowed}; got {', '.join(sorted(doc))}")
 
 
 def _fun_to_json(fun: ScalarFunction) -> dict:
@@ -764,7 +777,5 @@ def _fun_from_json(doc: dict) -> ScalarFunction:
     if kind not in _KIND_COEFFICIENTS:
         raise ValueError(f"unknown function kind {kind!r}")
     names = _KIND_COEFFICIENTS[kind]
-    if set(doc) != {"kind", *names}:
-        raise ValueError(f"a {kind} function has keys kind, {', '.join(names)}; "
-                         f"got {', '.join(sorted(doc))}")
+    _check_keys(doc, f"a {kind} function", ("kind", *names))
     return ScalarFunction(kind, **{name: float(doc[name]) for name in names})

@@ -131,3 +131,13 @@ def test_primal_deviation_curves(num_instance, num_sets):
     lo = b.primal_lower_deviation(ks)
     assert up[0] == pytest.approx(n * R2 / (2 * 1 * 2.0) + b.e_k)
     assert lo[1] == pytest.approx(9 * n * R2 / (2 * 10 * 2.0) + b.e_k)
+
+
+def test_primal_deviation_beyond_the_float_range_is_inf(num_instance, num_sets):
+    # n (R^2 + R^2) / (2 k alpha) overflows at alpha = 1e-320: both curves
+    # read inf, without a warning
+    b = cb.theoretical_bounds(num_instance, num_sets, nu=0.3,
+                              config=_Cfg(1e-320, 8, 10), beta0=5.0)
+    ks = np.array([1, 10])
+    assert np.all(np.isposinf(b.primal_upper_deviation(ks)))
+    assert np.all(np.isposinf(b.primal_lower_deviation(ks)))

@@ -91,19 +91,20 @@ def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
     (("r",), True),
     (("graph", "avg_degree"), True),
     (("slater_xbar",), [False] * 24),
+    (("slater_xbar",), [math.nan] + [0.0] * 23),
     (("runs", 0, "phii"), 3),
     (("output_dri",), "x"),
     (("graph", "degree"), 5.0),
     (("meta",), 5),
     (("output_dir",), ""),
-], ids=["probe_mu", "r", "avg_degree", "slater_xbar", "phi", "n_text", "n_one",
+], ids=["unknown_probe_mu", "r", "avg_degree", "slater_xbar", "phi", "n_text", "n_one",
         "bounded_text", "graph_n_float", "graph_seed_float", "K_bool", "phi_bool",
-        "seed_bool", "seed_negative", "alpha_bool", "probe_mu_bool", "r_bool",
-        "avg_degree_bool", "slater_xbar_bool", "unknown_run_key", "unknown_top_key",
-        "unknown_graph_key", "meta_not_object", "output_dir_empty"])
+        "seed_bool", "seed_negative", "alpha_bool", "unknown_probe_mu_bool", "r_bool",
+        "avg_degree_bool", "slater_xbar_bool", "slater_xbar_nan", "unknown_run_key",
+        "unknown_top_key", "unknown_graph_key", "meta_not_object", "output_dir_empty"])
 def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
-    # a bad config value or a field nothing reads, the instance's n and
-    # seed included, exits 2 before anything is built
+    # a bad config value or a field nothing reads (the instance's n and
+    # seed, or a probe_mu) exits 2 before anything is built
     path, cfg = small_config(tmp_path, K=5)
     *parents, last = keys
     section = cfg
@@ -227,21 +228,47 @@ def test_cmd_verify_rejects_infeasible_slater_point(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
-@pytest.mark.parametrize("key, value", [("r", 1e200), ("probe_mu", 1e200), ("probe_mu", 1e308)],
-                         ids=["r_1e200", "probe_mu_1e200", "probe_mu_1e308"])
-def test_radius_with_an_overflowing_square_is_a_setup_error(tmp_path, capsys, command, key,
-                                                            value):
+@pytest.mark.parametrize("r", [1e200], ids=["r_1e200"])
+def test_radius_with_an_overflowing_square_is_a_setup_error(tmp_path, capsys, command, r):
     # the bounds square the radius: a square that overflows would end in a
     # traceback, and an infinite radius would pass every bound check and
     # write "radius": Infinity, which is not JSON, into summary.json
     path, cfg = small_config(tmp_path, K=5)
-    cfg[key] = value
+    cfg["r"] = r
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     assert main([command, path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the projection radius") and "square is not finite" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_probe_mu_is_an_unknown_field(tmp_path, capsys, command):
+    # the dual sets are probed at the zero dual; the probe is no option
+    path, cfg = small_config(tmp_path, K=5)
+    cfg["probe_mu"] = 0.5
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err == "error: unknown field config.probe_mu\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered in divide:RuntimeWarning:cobadd.problem")
+def test_bound_columns_beyond_the_float_range_are_violations(tmp_path):
+    # at alpha = 1e-320 every primal bound is beyond the float range: the
+    # columns hold inf without a warning, and every row counts as broken.
+    # The node kernel's C/S overflows harmlessly at such tiny duals (its
+    # minimizer clips to the box) and is filtered here on its own
+    runs = [{"solver": "cobadd", "alpha": 1e-320, "phi": phi, "K": 60} for phi in (1, 4)]
+    path, _ = small_config(tmp_path, runs=runs)
+    assert main(["run", path]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    for run in summary["runs"]:
+        v = run["bound_violations"]
+        assert v["primal_upper"] == v["primal_lower"] == 60
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -528,11 +555,27 @@ def _unknown_key(doc):
     doc["nodes"][0]["f"] = {"kind": "linear", "a": 1, "slope": 9}
 
 
+# keys and box entries instance_to_json never writes are errors, not
+# dropped without a word
+def _three_entry_box(doc):
+    doc["nodes"][0]["box"] = [0.0, 1.0, 5.0]
+
+
+def _unknown_node_key(doc):
+    doc["nodes"][0]["extra"] = 1
+
+
+def _unknown_top_key(doc):
+    doc["bogus"] = 1
+
+
 @pytest.mark.parametrize("command", [cmd_run, cmd_verify])
 @pytest.mark.parametrize("corrupt", [_break_box, _drop_slope, _unknown_kind, None,
-                                     _linear_with_b, _neg_log_with_a, _unknown_key],
+                                     _linear_with_b, _neg_log_with_a, _unknown_key,
+                                     _three_entry_box, _unknown_node_key, _unknown_top_key],
                          ids=["empty_box", "missing_a", "unknown_kind", "not_json",
-                              "linear_with_b", "neg_log_with_a", "unknown_key"])
+                              "linear_with_b", "neg_log_with_a", "unknown_key",
+                              "three_entry_box", "unknown_node_key", "unknown_top_key"])
 def test_malformed_instance_file_is_a_config_error(tmp_path, capsys, command, corrupt):
     doc = cb.instance_to_json(cb.make_sample_num_instance(24, 4))
     inst_path = tmp_path / "instance.json"

@@ -244,6 +244,14 @@ def test_slater_rejects_infeasible_point(num_instance):
         cb.slater_certificate(num_instance, np.ones(num_instance.n))
 
 
+def test_slater_point_with_a_nan_entry_leaves_the_boxes(num_instance):
+    # NaN fails every comparison, so the box test asks that each entry pass
+    xbar = np.zeros(num_instance.n)
+    xbar[0] = math.nan
+    with pytest.raises(ConfigurationError, match="leaves the boxes"):
+        cb.slater_certificate(num_instance, xbar)
+
+
 def test_slater_lmi_margin(lmi_instance):
     sl = cb.slater_certificate(lmi_instance, np.zeros(2))
     assert np.isclose(sl.gamma, 1.5)
@@ -285,6 +293,17 @@ def test_dual_set_radius_square_must_be_finite(threshold, r, radius):
                        match=re.escape(f"projection radius {radius} is too large: its square "
                                        "is not finite")):
         cb.DualSetSpec(threshold, r)
+
+
+@pytest.mark.parametrize("mu", [1e200, 1e308], ids=["mu_1e200", "mu_1e308"])
+def test_sets_reject_the_threshold_of_a_huge_probe(mu):
+    # q at such a probe is huge or, summed, beyond the float range; either
+    # comes back without a warning, and the sets reject the radius
+    instance = cb.make_sample_num_instance(24, 4)
+    sl = cb.slater_certificate(instance, np.zeros(24))
+    threshold = cb.dual_set_threshold(instance, sl, cb.DualPoint(mu))
+    with pytest.raises(ConfigurationError, match="square is not finite"):
+        cb.DualSetSpec(threshold, threshold)
 
 
 def test_threshold_shrinks_at_better_probe(lmi_instance):
