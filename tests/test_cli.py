@@ -228,13 +228,23 @@ def test_cmd_verify_rejects_infeasible_slater_point(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
-@pytest.mark.parametrize("r", [1e200], ids=["r_1e200"])
-def test_radius_with_an_overflowing_square_is_a_setup_error(tmp_path, capsys, command, r):
+@pytest.mark.parametrize("key, value", [("r", 1e200), ("probe_mu", 1e200), ("probe_mu", 1e308)],
+                         ids=["r_1e200", "probe_mu_1e200", "probe_mu_1e308"])
+def test_radius_with_an_overflowing_square_is_a_setup_error(tmp_path, capsys, monkeypatch,
+                                                            command, key, value):
     # the bounds square the radius: a square that overflows would end in a
     # traceback, and an infinite radius would pass every bound check and
-    # write "radius": Infinity, which is not JSON, into summary.json
+    # write "radius": Infinity, which is not JSON, into summary.json.  The
+    # radius is r, or without one the threshold; the CLI probes that at the
+    # zero dual, so the probe cases move its one probe to mu = value, where
+    # q is huge (1e200) or sums beyond the float range (1e308)
     path, cfg = small_config(tmp_path, K=5)
-    cfg["r"] = r
+    if key == "r":
+        cfg["r"] = value
+    else:
+        threshold = cli.dual_set_threshold
+        monkeypatch.setattr(cli, "dual_set_threshold", lambda instance, slater, probe: threshold(
+            instance, slater, cb.DualPoint(value, probe.G)))
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     assert main([command, path]) == 1
