@@ -87,8 +87,9 @@ def load_config(path: str) -> ExperimentConfig:
         return section[key]
 
     def finite(value) -> bool:
+        # compared exactly: an integer beyond the float range is not finite
         return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
+                and abs(value) <= sys.float_info.max)
 
     def number(section, key, where, ok, what):
         value = need(section, key, object, where)

@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# Draws random_connected_graph makes before it gives up on a degree.
+_MAX_GRAPH_DRAWS = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -130,12 +133,11 @@ class ConsensusMatrix:
         return form
 
 
-def random_connected_graph(n: int, target_avg_degree: float, seed: int,
-                           max_attempts: int = 1000) -> Graph:
+def random_connected_graph(n: int, target_avg_degree: float, seed: int) -> Graph:
     """Erdos-Renyi graph with p = target_avg_degree/(n-1), resampled
     from the same seeded generator until connected.
 
-    Raises ConfigurationError after ``max_attempts`` failed draws,
+    Raises ConfigurationError after ``_MAX_GRAPH_DRAWS`` failed draws,
     suggesting a higher degree.
     """
     if n < 2:
@@ -145,13 +147,13 @@ def random_connected_graph(n: int, target_avg_degree: float, seed: int,
     p = min(target_avg_degree / (n - 1), 1.0)
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_GRAPH_DRAWS):
         mask = rng.random(iu.size) < p
         g = Graph(n, np.stack([iu[mask], ju[mask]], axis=1))
         if g.is_connected():
             return g
     raise ConfigurationError(
-        f"no connected graph in {max_attempts} draws; "
+        f"no connected graph in {_MAX_GRAPH_DRAWS} draws; "
         f"increase target_avg_degree (currently {target_avg_degree})")
 
 

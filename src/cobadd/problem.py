@@ -300,13 +300,7 @@ class SubgradientBounds:
 _BLOCK_ELEMENTS = 16384
 
 
-def _scratch(shape) -> tuple[np.ndarray, np.ndarray]:
-    """Float and mask scratch for one :func:`_closed_form_minimize` block."""
-    return np.empty((4,) + shape), np.empty((2,) + shape, dtype=bool)
-
-
-def _closed_form_minimize(cf: tuple[np.ndarray, ...], lo, hi, mu, lin, const,
-                          work: np.ndarray, masks: np.ndarray):
+def _closed_form_minimize(instance: ProblemInstance, mu, Gs):
     """Box minimizers and minima of -C*log(1+x) + S*x + T for a block.
 
     The coefficients are those of the node Lagrangians at the block's
@@ -314,27 +308,30 @@ def _closed_form_minimize(cf: tuple[np.ndarray, ...], lo, hi, mu, lin, const,
 
         C = c_f + mu c_g,   S = a_f + mu a_g + lin,   T = b_f + mu b_g + const,
 
-    with the (n,) arrays ``cf = (c_f, a_f, b_f, c_g, a_g, b_g)`` broadcast
-    against ``mu``, ``lin`` and ``const``: (n,) or (1,) for the oracle, or
-    (r, 1), one dual per row, for a row block of dual values.  C == 0
-    gives an affine objective whose minimizer is an endpoint (the lower
-    one on ties); C > 0 gives a strictly convex objective minimized at the
-    clipped stationary point C/S - 1 when S > 0 and at the upper endpoint
-    otherwise.
+    with the instance's (n,) coefficient arrays broadcast against ``mu``
+    and the LMI terms ``lin, const`` of :func:`_lmi_terms` at ``Gs``: mu
+    of shape (n,) or (1,) with Gs of shape (len(mu), d, d) for the oracle,
+    or (r, 1) with (r, 1, d, d), one dual per row, for a row block of dual
+    values.  C == 0 gives an affine objective whose minimizer is an
+    endpoint (the lower one on ties); C > 0 gives a strictly convex
+    objective minimized at the clipped stationary point C/S - 1 when
+    S > 0 and at the upper endpoint otherwise.
 
-    Everything is evaluated in place, with ``out=`` ufuncs into ``work``
-    (float, shape (4,) + block) and ``where=`` masks in ``masks`` (bool,
-    shape (2,) + block), so the kernel allocates nothing.  Each
-    element gets bit-for-bit the minimizer and value of the broadcast
-    expression ``x = where(C > 0, where(S > 0, clip(C/S - 1, lo, hi),
-    hi), where(S < 0, hi, lo))``, ``value = -C*log1p(x) + S*x + T`` (the
-    log term read as 0 where C == 0): ``S*x - C*log1p(x)`` rounds as
-    ``-C*log1p(x) + S*x`` does.  Returns views ``(x, value)`` into
-    ``work``.
+    Everything is evaluated in place, with ``out=`` ufuncs into one float
+    scratch block of shape (4,) + block and ``where=`` masks in one bool
+    block of shape (2,) + block, allocated here.  Each element gets
+    bit-for-bit the minimizer and value of the broadcast expression
+    ``x = where(C > 0, where(S > 0, clip(C/S - 1, lo, hi), hi), where(S < 0,
+    hi, lo))``, ``value = -C*log1p(x) + S*x + T`` (the log term read as 0
+    where C == 0): ``S*x - C*log1p(x)`` rounds as ``-C*log1p(x) + S*x``
+    does.  Returns views ``(x, value)`` into the float scratch.
     """
-    c_f, a_f, b_f, c_g, a_g, b_g = cf
-    C, val, x, tmp = work
-    convex, sel = masks
+    c_f, a_f, b_f, c_g, a_g, b_g = instance._closed
+    lo, hi = instance.boxes
+    lin, const = _lmi_terms(instance, Gs)
+    shape = np.shape(mu)[:-1] + (instance.n,)
+    C, val, x, tmp = np.empty((4,) + shape)
+    convex, sel = np.empty((2,) + shape, dtype=bool)
     np.multiply(mu, c_g, out=C)
     np.add(c_f, C, out=C)
     np.multiply(mu, a_g, out=val)               # val holds S until S*x
@@ -363,14 +360,6 @@ def _closed_form_minimize(cf: tuple[np.ndarray, ...], lo, hi, mu, lin, const,
     return x, val
 
 
-def _check_Gs(instance: ProblemInstance, mus: np.ndarray, Gs) -> None:
-    """With an LMI, ``Gs`` must hold one (d, d) matrix per mu; d = 0 ignores it."""
-    d = instance.d
-    if d and np.shape(Gs) != (len(mus), d, d):
-        got = "no Gs" if Gs is None else f"Gs of shape {np.shape(Gs)}"
-        raise ValueError(f"{got} on a d = {d} instance; expected shape {(len(mus), d, d)}")
-
-
 def _traces(A: np.ndarray, G: np.ndarray) -> np.ndarray:
     """tr[A G] of symmetric (..., d*d) flattened stacks, summed in entry order (as
     ``np.sum`` adds up to four terms): the oracle and the dual-value rows round alike."""
@@ -394,6 +383,19 @@ def _lmi_terms(instance: ProblemInstance, Gs: np.ndarray):
     return lin, const
 
 
+def _checked_duals(instance: ProblemInstance, mus, Gs, caller: str) -> np.ndarray:
+    """``mus`` as floats, each >= 0, and with an LMI one (d, d) matrix in ``Gs``
+    per mu (d = 0 ignores ``Gs``); a ValueError naming ``caller`` otherwise."""
+    mus = np.asarray(mus, dtype=float)
+    if mus.size and mus.min() < 0.0:
+        raise ValueError(f"{caller} needs every mu >= 0")
+    d = instance.d
+    if d and np.shape(Gs) != (len(mus), d, d):
+        got = "no Gs" if Gs is None else f"Gs of shape {np.shape(Gs)}"
+        raise ValueError(f"{got} on a d = {d} instance; expected shape {(len(mus), d, d)}")
+    return mus
+
+
 def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
                               Gs: np.ndarray | None = None):
     """Solve every node's Lagrangian minimization at its own dual point.
@@ -413,14 +415,8 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
         Box minimizers and attained local dual values
         q_i = min_x L_i(x, mu_i, G_i).
     """
-    mus = np.asarray(mus, dtype=float)
-    if mus.min() < 0.0:
-        raise ValueError("minimize_node_lagrangians needs every mu >= 0")
-    _check_Gs(instance, mus, Gs)
-    lin, const = _lmi_terms(instance, Gs)
-    lo, hi = instance.boxes
-    x, q = _closed_form_minimize(instance._closed, lo, hi, mus, lin, const,
-                                 *_scratch(lo.shape))
+    mus = _checked_duals(instance, mus, Gs, "minimize_node_lagrangians")
+    x, q = _closed_form_minimize(instance, mus, Gs)
     # the boxes are finite, so a NaN minimizer would make its q NaN too
     if not np.isfinite(q).all():
         raise ConfigurationError("non-finite Lagrangian evaluation inside a box")
@@ -527,13 +523,10 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     ``sum_i |q_i|``, not bit for bit.  With d > 0, where ``tr[A_i G_j]``
     couples each node with each dual, the m points go in row blocks of
     about ``_BLOCK_ELEMENTS`` node evaluations through
-    :func:`_closed_form_minimize`, in scratch shared by all blocks, and
+    :func:`_closed_form_minimize`, each block in its own scratch, and
     each row's traces and sum run as a single point's, to the same bits.
     """
-    mus = np.asarray(mus, dtype=float)
-    if np.any(mus < 0.0):
-        raise ValueError("dual_function_values needs every mu >= 0")
-    _check_Gs(instance, mus, Gs)
+    mus = _checked_duals(instance, mus, Gs, "dual_function_values")
     m, n = mus.shape[0], instance.n
     table = instance._breakpoints
     if table is not None:
@@ -543,16 +536,12 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
         log_mu = np.log(mu, out=np.zeros_like(mu), where=mu > 0)   # 0 * log 0 read as 0
         return (k[:, 0] + mu * (k[:, 1] + k[:, 3] * log_mu) + k[:, 2] * log_mu).astype(float)
     out = np.empty(m)
-    lo, hi = instance.boxes
     rows = max(1, _BLOCK_ELEMENTS // n)
-    work, masks = _scratch((min(rows, m), n))
     for start in range(0, m, rows):
-        block = slice(start, min(start + rows, m))
-        r = block.stop - start
-        lin, const = _lmi_terms(instance, Gs[block, None])
-        _, vals = _closed_form_minimize(instance._closed, lo, hi, mus[block, None], lin,
-                                        const, work[:, :r], masks[:, :r])
-        vals.sum(axis=1, out=out[block])
+        block = slice(start, start + rows)
+        # one statement, so a block's scratch is freed before the next one's
+        out[block] = _closed_form_minimize(
+            instance, mus[block, None], Gs[block, None])[1].sum(axis=1)
     return out
 
 
@@ -596,13 +585,13 @@ def subgradient_bounds(instance: ProblemInstance) -> SubgradientBounds:
     """
     L = Q = 0.0
     for end in instance.boxes:
-        _, g = _node_values(instance, end)
+        g, Qmats = constraint_values(instance, end)
         L = max(L, float(np.abs(g).max()))
-        if instance.d:
-            # one dot product per matrix: summed as np.linalg.norm sums one
-            # matrix, unlike norm(axis=(1, 2)), so M keeps its last bits
-            flat = constraint_values(instance, end)[1].reshape(instance.n, 1, -1)
-            Q = max(Q, float(np.sqrt(flat @ np.swapaxes(flat, 1, 2)).max()))
+        # one dot product per matrix: summed as np.linalg.norm sums one
+        # matrix, unlike norm(axis=(1, 2)), so M keeps its last bits; at
+        # d = 0 the empty stack gives 0.0
+        flat = Qmats.reshape(instance.n, 1, -1)
+        Q = max(Q, float(np.sqrt(flat @ np.swapaxes(flat, 1, 2)).max()))
     return SubgradientBounds(L, Q)
 
 

@@ -97,14 +97,21 @@ def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
     (("graph", "degree"), 5.0),
     (("meta",), 5),
     (("output_dir",), ""),
+    (("runs", 0, "alpha"), 10**400),
+    (("r",), 10**400),
+    (("graph", "avg_degree"), 10**400),
+    (("slater_xbar",), [10**400] + [0.0] * 23),
 ], ids=["unknown_probe_mu", "r", "avg_degree", "slater_xbar", "phi", "n_text", "n_one",
         "bounded_text", "graph_n_float", "graph_seed_float", "K_bool", "phi_bool",
         "seed_bool", "seed_negative", "alpha_bool", "unknown_probe_mu_bool", "r_bool",
         "avg_degree_bool", "slater_xbar_bool", "slater_xbar_nan", "unknown_run_key",
-        "unknown_top_key", "unknown_graph_key", "meta_not_object", "output_dir_empty"])
+        "unknown_top_key", "unknown_graph_key", "meta_not_object", "output_dir_empty",
+        "alpha_beyond_float", "r_beyond_float", "avg_degree_beyond_float",
+        "slater_xbar_beyond_float"])
 def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
     # a bad config value or a field nothing reads (the instance's n and
-    # seed, or a probe_mu) exits 2 before anything is built
+    # seed, or a probe_mu) exits 2 before anything is built; an integer
+    # beyond the float range used to end in an OverflowError traceback
     path, cfg = small_config(tmp_path, K=5)
     *parents, last = keys
     section = cfg

@@ -83,7 +83,7 @@ def test_graph_canonical_edges_and_connectivity(n, p, seed):
 
 def test_unreachable_degree_raises():
     with pytest.raises(ConfigurationError):
-        cb.random_connected_graph(200, 0.2, seed=0, max_attempts=20)
+        cb.random_connected_graph(200, 0.2, seed=0)
 
 
 # ---------------------------------------------------------------------------
