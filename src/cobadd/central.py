@@ -74,7 +74,7 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
         return s
 
     state = observe(central_init(instance, alpha, sets))
-    cols, state = record_run(
+    (cols,), state = record_run(
         instance, state, lambda s: observe(central_step(instance, s, alpha, sets)), K)
 
     sb = subgradient_bounds(instance)

@@ -40,6 +40,9 @@ from .spectral import project_psd_ball_stack
 from .trace import RunTrace
 
 
+MAX_K = 10**7   # the largest K: at 10**7 rows one run's trace columns hold about 1 GB
+
+
 @dataclass
 class RunSpec:
     solver: str
@@ -97,10 +100,11 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigurationError(f"{where}.{key} must be {what}")
         return float(value)
 
-    def integer(section, key, where, minimum, default=None):
+    def integer(section, key, where, minimum, default=None, maximum=math.inf):
         value = need(section, key, object, where) if default is None else section.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ConfigurationError(f"{where}.{key} must be an integer >= {minimum}")
+        if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
+            span = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+            raise ConfigurationError(f"{where}.{key} must be an integer {span}")
         return value
 
     known(doc, "config", "instance", "graph", "runs", "output_dir", "r", "slater_xbar", "meta")
@@ -141,7 +145,8 @@ def load_config(path: str) -> ExperimentConfig:
                 f"{where}.name must be a string without path separators or NUL")
         spec = RunSpec(solver=solver,
                        alpha=number(rd, "alpha", where, lambda v: v > 0, "finite and positive"),
-                       K=integer(rd, "K", where, 1), phi=integer(rd, "phi", where, 1, default=1),
+                       K=integer(rd, "K", where, 1, maximum=MAX_K),
+                       phi=integer(rd, "phi", where, 1, default=1),
                        bounded=bounded)
         spec.name = name or (f"central_alpha{spec.alpha:g}" if solver == "centralized"
                              else f"cobadd_phi{spec.phi}_alpha{spec.alpha:g}")
@@ -234,13 +239,20 @@ def _command(config_path: str, body: Callable[[ExperimentConfig, Setup], int]) -
         return 1
 
 
-def _solve(spec: RunSpec, setup: Setup) -> RunTrace:
-    """One configured run, recording its K rows."""
-    if spec.solver == "centralized":
-        return central_solve(setup.instance, spec.alpha, spec.K,
-                             sets=setup.sets if spec.bounded else None)
-    rc = CobaddConfig(alpha=spec.alpha, phi=spec.phi, K=spec.K, sets=setup.sets)
-    return cobadd_solve(setup.instance, setup.W, rc)
+def _solve_runs(runs: list[RunSpec], setup: Setup) -> list[RunTrace]:
+    """Every configured run's trace, in config order: the CoBa-DD runs of
+    one K as one :func:`cobadd_solve` call, each baseline run on its own."""
+    traces = {}
+    for i, spec in enumerate(runs):
+        if spec.solver == "centralized":
+            traces[i] = central_solve(setup.instance, spec.alpha, spec.K,
+                                      sets=setup.sets if spec.bounded else None)
+        elif i not in traces:
+            group = [j for j, s in enumerate(runs) if s.solver == "cobadd" and s.K == spec.K]
+            solved = cobadd_solve(setup.instance, setup.W, *(CobaddConfig(
+                alpha=runs[j].alpha, phi=runs[j].phi, K=spec.K, sets=setup.sets) for j in group))
+            traces.update(zip(group, solved if len(group) > 1 else [solved]))
+    return [traces[i] for i in range(len(runs))]
 
 
 def _first_crossing(rel_err: np.ndarray) -> int | None:
@@ -259,8 +271,7 @@ def _write_runs(config_path: str, cfg: ExperimentConfig, setup: Setup, out_dir: 
     instance, sets = setup.instance, setup.sets
     f_star = setup.oracle.f_star
     summary_runs = []
-    for spec in cfg.runs:
-        trace = _solve(spec, setup)
+    for spec, trace in zip(cfg.runs, _solve_runs(cfg.runs, setup)):
         csv_path = os.path.join(out_dir, spec.name + ".csv")
         trace.write_csv(csv_path)
         err = np.abs(f_star - trace.f_ergodic)
@@ -371,9 +382,8 @@ def _verify(cfg: ExperimentConfig, setup: Setup) -> int:
     report("projection equals Dykstra oracle", worst < 1e-7, f"max dev {worst:.2e}")
 
     # every row of every config run; the master node is the case m = 1
-    for spec in cfg.runs:
+    for spec, trace in zip(cfg.runs, _solve_runs(cfg.runs, setup)):
         name = spec.name
-        trace = _solve(spec, setup)
         v = _bound_violations(trace, f_star)
         sandwich_ok = v["primal_upper"] == v["primal_lower"] == 0
         radius = setup.sets.radius if spec.bounded else math.inf

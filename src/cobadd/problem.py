@@ -346,7 +346,8 @@ def _closed_form_minimize(instance: ProblemInstance, mu, Gs):
     # convex with S > 0: the clipped stationary point
     np.greater(val, 0.0, out=sel)
     np.logical_and(sel, convex, out=sel)
-    np.divide(C, val, out=x, where=sel)
+    with np.errstate(over="ignore"):        # at tiny duals: inf - 1 clips to hi
+        np.divide(C, val, out=x, where=sel)
     np.subtract(x, 1.0, out=x, where=sel)
     np.clip(x, lo, hi, out=x, where=sel)
     np.multiply(val, x, out=val)
@@ -390,9 +391,9 @@ def _checked_duals(instance: ProblemInstance, mus, Gs, caller: str) -> np.ndarra
     if mus.size and mus.min() < 0.0:
         raise ValueError(f"{caller} needs every mu >= 0")
     d = instance.d
-    if d and np.shape(Gs) != (len(mus), d, d):
+    if d and np.shape(Gs) != mus.shape + (d, d):
         got = "no Gs" if Gs is None else f"Gs of shape {np.shape(Gs)}"
-        raise ValueError(f"{got} on a d = {d} instance; expected shape {(len(mus), d, d)}")
+        raise ValueError(f"{got} on a d = {d} instance; expected shape {mus.shape + (d, d)}")
     return mus
 
 
@@ -403,15 +404,15 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
     Parameters
     ----------
     instance : ProblemInstance
-    mus : ndarray, shape (n,) or (1,)
-        Per-node scalar duals or one shared one, each >= 0 (a negative
-        one raises ``ValueError``: the closed form assumes C >= 0).
-    Gs : ndarray, shape (len(mus), d, d)
+    mus : ndarray, shape (n,), (1,) or (R, n)
+        Per-node scalar duals, one shared one, or those of R stacked runs,
+        each >= 0 (a negative one raises ``ValueError``: the closed form assumes C >= 0).
+    Gs : ndarray, shape mus.shape + (d, d)
         Matrix duals, ignored when d = 0; a ValueError if missing or misshapen.
 
     Returns
     -------
-    x_tilde, q : ndarray, shape (n,)
+    x_tilde, q : ndarray, shape (n,), or (R, n) for R stacked runs
         Box minimizers and attained local dual values
         q_i = min_x L_i(x, mu_i, G_i).
     """
@@ -562,13 +563,13 @@ def _node_values(instance: ProblemInstance, x) -> tuple[np.ndarray, np.ndarray]:
 def constraint_values(instance: ProblemInstance, x_tilde: np.ndarray):
     """Vectorized per-node subgradients at the minimizers.
 
-    Returns ``(h, Qmats)``: h[i] = g_i(x_i) and
-    Qmats[i] = -A0/n - A_i x_i with shape (n, d, d).
+    Returns ``(h, Qmats)``: h[i] = g_i(x_i) and Qmats[i] = -A0/n - A_i x_i,
+    of shapes x.shape and x.shape + (d, d) for x of shape (n,) or (R, n).
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
     n, d = instance.n, instance.d
-    Qmats = (-instance.A0 / n - instance.A_stack * x_tilde[:, None, None] if d
-             else np.empty((n, 0, 0)))
+    Qmats = (-instance.A0 / n - instance.A_stack * x_tilde[..., None, None] if d
+             else np.empty(x_tilde.shape + (0, 0)))
     return _values(*instance._closed[3:], x_tilde), Qmats   # g's c, a, b
 
 

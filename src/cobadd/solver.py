@@ -71,8 +71,9 @@ class SolverState:
     for CoBa-DD (m = n), the one master-node pair for the centralized
     baseline (m = 1).  ``x_tilde`` holds the minimizers of the last
     oracle pass and ``tilde_sum`` their sum over the recorded
-    iterations.  Iterating yields one :class:`NodeState` view per node,
-    built on read; with m = 1 every node sees the master dual.
+    iterations.  R runs stepped together add a leading axis of R.
+    Iterating yields one :class:`NodeState` view per node, built on
+    read; with m = 1 every node sees the master dual.
     """
 
     mus: np.ndarray
@@ -85,7 +86,7 @@ class SolverState:
     def ergodic_x(self) -> np.ndarray:
         """tilde_sum / k (NaN before the first recorded iteration)."""
         if self.k < 1:
-            return np.full(len(self.tilde_sum), math.nan)
+            return np.full(np.shape(self.tilde_sum), math.nan)
         return self.tilde_sum / self.k
 
     def __iter__(self):
@@ -96,22 +97,47 @@ class SolverState:
                             float(erg[i]), float(self.tilde_sum[i]), self.k)
 
 
-def _advance(instance: ProblemInstance, W: ConsensusMatrix, config: CobaddConfig,
+def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
              mus: np.ndarray, Gs: np.ndarray):
-    """Oracle pass at the current duals followed by the projected
-    consensus update; returns the minimizers and the new duals."""
-    n, d, alpha, radius = instance.n, instance.d, config.alpha, config.sets.radius
+    """Oracle pass at the duals ``mus`` (R, n) and ``Gs`` (R, n, d, d) of R
+    stacked runs, then each run's projected consensus update; returns the
+    minimizers and the new duals.  Mixing is one round per run: one product
+    over all runs' payloads would round differently from each run's own."""
+    R, n, d, radius = len(configs), instance.n, instance.d, configs[0].sets.radius
+    alpha = np.array([c.alpha for c in configs])[:, None]
     x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
     h, Qm = constraint_values(instance, x_tilde)
-    payload = np.empty((n, 1 + d * d))
-    payload[:, 0] = mus + alpha * h
+    payload = np.empty((R, n, 1 + d * d))
+    payload[..., 0] = mus + alpha * h
     if d:
-        payload[:, 1:] = (Gs + alpha * Qm).reshape(n, -1)
-    mixed = consensus_round(W, payload, config.phi)
+        payload[..., 1:] = (Gs + alpha[..., None, None] * Qm).reshape(R, n, -1)
+    mixed = np.empty_like(payload)
+    for r, c in enumerate(configs):
+        mixed[r] = consensus_round(W, payload[r], c.phi)
     # minimum(maximum()) is np.clip on finite values, without its wrapper
-    mus = np.minimum(np.maximum(mixed[:, 0], 0.0), radius)
-    Gs = project_psd_ball_stack(mixed[:, 1:].reshape(n, d, d), radius) if d else Gs
+    mus = np.minimum(np.maximum(mixed[..., 0], 0.0), radius)
+    if d:
+        Gs = project_psd_ball_stack(mixed[..., 1:].reshape(R * n, d, d), radius).reshape(Gs.shape)
     return x_tilde, mus, Gs
+
+
+def _init(instance: ProblemInstance, W: ConsensusMatrix, configs) -> SolverState:
+    """The bootstrap of R stacked runs, as :func:`cobadd_init`."""
+    R, n, d = len(configs), instance.n, instance.d
+    x_tilde, mus, Gs = _advance(instance, W, configs, np.zeros((R, n)), np.zeros((R, n, d, d)))
+    return SolverState(mus, Gs, x_tilde, np.zeros((R, n)), 0)
+
+
+def _step(instance: ProblemInstance, W: ConsensusMatrix, configs, state) -> SolverState:
+    """One iteration of R stacked runs, as :func:`cobadd_step`."""
+    x_tilde, mus, Gs = _advance(instance, W, configs, state.mus, state.Gs)
+    return SolverState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
+
+
+def _run(state: SolverState, index) -> SolverState:
+    """The state with a runs axis added (``index`` None) or one run taken."""
+    return SolverState(state.mus[index], state.Gs[index], state.x_tilde[index],
+                       state.tilde_sum[index], state.k)
 
 
 def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix,
@@ -119,17 +145,14 @@ def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix,
     """Bootstrap: sample at the zero initial duals, run the first
     consensus update, and return the state holding the updated duals
     with an empty ergodic sum."""
-    n, d = instance.n, instance.d
-    x_tilde, mus, Gs = _advance(instance, W, config, np.zeros(n), np.zeros((n, d, d)))
-    return SolverState(mus, Gs, x_tilde, np.zeros(n), 0)
+    return _run(_init(instance, W, (config,)), 0)
 
 
 def cobadd_step(instance: ProblemInstance, state: SolverState,
                 W: ConsensusMatrix, config: CobaddConfig) -> SolverState:
     """One recorded iteration: sample at the state's duals, extend the
     ergodic sum, and mix and project the duals."""
-    x_tilde, mus, Gs = _advance(instance, W, config, state.mus, state.Gs)
-    return SolverState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
+    return _run(_step(instance, W, (config,), _run(state, None)), 0)
 
 
 # Buffered elements per block of trace rows.  Larger blocks only grow the
@@ -138,26 +161,27 @@ _RECORD_ELEMENTS = 4096
 
 
 def record_run(instance: ProblemInstance, state, step, K: int):
-    """Run ``state = step(state)`` K times and record one trace row per step.
-
-    Before each step the loop reads the m dual points that step samples,
-    ``state.mus`` (shape (m,)) and ``state.Gs`` (shape (m, d, d)), and
-    records the max and mean of q over them and their largest
-    deviations from their mean; after it, the cost and violations of
-    ``state.ergodic_x``.  CoBa-DD is the case m = n and the master node
-    the case m = 1.  Rows are evaluated once per block of about
+    """Run ``state = step(state)`` K times and record one trace row per step
+    and run.  Before each step the loop reads the m dual points per run that
+    step samples, ``state.mus`` (shape (R, m), or (m,) for R = 1) and
+    ``state.Gs`` (shape (R, m, d, d), or (m, d, d)), and records the max
+    and mean of q over them and their largest deviations from their mean;
+    after it, the cost and violations of each run's ``state.ergodic_x``.
+    CoBa-DD is the case m = n and the master node the case m = 1, R = 1.
+    Rows of all runs are evaluated once per block of about
     ``_RECORD_ELEMENTS`` buffered elements, by one call each of
     :func:`dual_function_values` and :func:`evaluate_primal`, bit-identical
     to evaluating each row alone; an ergodic point outside the boxes
-    raises at the end of its block.  Returns the columns, keyed by
-    RunTrace field name, and the final state.
+    raises at the end of its block.  Returns one dict of columns per run,
+    keyed by RunTrace field name, and the final state.
     """
-    cols = {name: np.zeros(K) for name in
+    *lead, m = np.shape(state.mus)
+    R, n, d = math.prod(lead), instance.n, instance.d
+    cols = {name: np.zeros((K, R)) for name in
             ("f_ergodic", "viol_ineq", "viol_lmi", "q_best_node", "q_mean",
              "disagreement", "mu_disagreement", "G_disagreement")}
-    m, n, d = len(state.mus), instance.n, instance.d
-    B = max(1, _RECORD_ELEMENTS // (max(m, n) * (1 + d * d)))
-    mus, Gs, xs = np.empty((B, m)), np.empty((B, m, d, d)), np.empty((B, n))
+    B = max(1, _RECORD_ELEMENTS // (R * max(m, n) * (1 + d * d)))
+    mus, Gs, xs = np.empty((B, R, m)), np.empty((B, R, m, d, d)), np.empty((B, R, n))
     for k in range(K):
         j = k % B
         mus[j], Gs[j] = state.mus, state.Gs
@@ -167,20 +191,20 @@ def record_run(instance: ProblemInstance, state, step, K: int):
             continue
         r, rows = j + 1, slice(k - j, k + 1)
         q = dual_function_values(instance, mus[:r].reshape(-1),
-                                 Gs[:r].reshape(r * m, d, d)).reshape(r, m)
-        dev_mu = np.abs(mus[:r] - mus[:r].mean(axis=1, keepdims=True))
-        dev_G = np.linalg.norm(Gs[:r] - Gs[:r].mean(axis=1, keepdims=True), axis=(2, 3))
-        cols["q_best_node"][rows], cols["q_mean"][rows] = q.max(axis=1), q.mean(axis=1)
+                                 Gs[:r].reshape(r * R * m, d, d)).reshape(r, R, m)
+        dev_mu = np.abs(mus[:r] - mus[:r].mean(axis=2, keepdims=True))
+        dev_G = np.linalg.norm(Gs[:r] - Gs[:r].mean(axis=2, keepdims=True), axis=(3, 4))
+        cols["q_best_node"][rows], cols["q_mean"][rows] = q.max(axis=2), q.mean(axis=2)
         cols["mu_disagreement"][rows], cols["G_disagreement"][rows] = \
-            dev_mu.max(axis=1), dev_G.max(axis=1)
-        cols["disagreement"][rows] = (dev_mu + dev_G).max(axis=1)
+            dev_mu.max(axis=2), dev_G.max(axis=2)
+        cols["disagreement"][rows] = (dev_mu + dev_G).max(axis=2)
         cols["f_ergodic"][rows], cols["viol_ineq"][rows], cols["viol_lmi"][rows] = \
             evaluate_primal(instance, xs[:r])
-    return cols, state
+    return [{name: col[:, i] for name, col in cols.items()} for i in range(R)], state
 
 
 def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
-                 config: CobaddConfig) -> RunTrace:
+                 config: CobaddConfig, *more: CobaddConfig) -> RunTrace | list[RunTrace]:
     """Full CoBa-DD run over a simulated synchronous network with weights W
     (Metropolis-Hastings weights, or the exact averaging matrix for
     equivalence experiments).  The trace carries one row per
@@ -190,20 +214,25 @@ def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
     samples the duals of the k-th consensus round, the bootstrap's being
     the first, and each round sends phi * 2|E| messages.  Every round,
     here and in :func:`cobadd_step`, mixes with the one operator
-    :func:`consensus_round` picks from W's graph and phi.
+    :func:`consensus_round` picks from W's graph and phi.  Given ``more``
+    configs of the same K and sets (a ValueError otherwise), the runs step
+    together and a list of one RunTrace per config comes back, each
+    bit-identical to that config's trace alone.
     """
-    K = config.K
-    beta0 = default_beta0(config.alpha, subgradient_bounds(instance).M)
-    bounds = theoretical_bounds(instance, config.sets, W.nu, config, beta0)
+    configs = (config,) + more
+    if any(c.K != config.K or c.sets != config.sets for c in more):
+        raise ValueError("stacked runs must share K and the dual sets")
+    K, M = config.K, subgradient_bounds(instance).M
+    bounds = [theoretical_bounds(instance, c.sets, W.nu, c, default_beta0(c.alpha, M))
+              for c in configs]
 
     # the bootstrap's consensus round produces the duals used at row 1
-    state = cobadd_init(instance, W, config)
-    cols, state = record_run(instance, state,
-                             lambda s: cobadd_step(instance, s, W, config), K)
+    state = _init(instance, W, configs)
+    runs, state = record_run(instance, state, lambda s: _step(instance, W, configs, s), K)
     ks = np.arange(1, K + 1)
-    return RunTrace(k=ks, **cols,
-                    messages_cum=ks * (config.phi * 2 * W.edge_count),
-                    bound_upper=bounds.primal_upper_deviation(ks),
-                    bound_lower=bounds.primal_lower_deviation(ks),
-                    beta_k=bounds.beta_k.copy(), bounds=bounds,
-                    final_mus=state.mus, final_Gs=state.Gs)
+    traces = [RunTrace(k=ks, **cols, messages_cum=ks * (c.phi * 2 * W.edge_count),
+                       bound_upper=b.primal_upper_deviation(ks),
+                       bound_lower=b.primal_lower_deviation(ks), beta_k=b.beta_k.copy(),
+                       bounds=b, final_mus=state.mus[i], final_Gs=state.Gs[i])
+              for i, (c, b, cols) in enumerate(zip(configs, bounds, runs))]
+    return traces if more else traces[0]

@@ -101,17 +101,22 @@ def test_cmd_run_rejects_nan_alpha(tmp_path, capsys):
     (("r",), 10**400),
     (("graph", "avg_degree"), 10**400),
     (("slater_xbar",), [10**400] + [0.0] * 23),
+    (("runs", 0, "K"), 10**400),
+    (("runs", 0, "K"), cli.MAX_K + 1),
 ], ids=["unknown_probe_mu", "r", "avg_degree", "slater_xbar", "phi", "n_text", "n_one",
         "bounded_text", "graph_n_float", "graph_seed_float", "K_bool", "phi_bool",
         "seed_bool", "seed_negative", "alpha_bool", "unknown_probe_mu_bool", "r_bool",
         "avg_degree_bool", "slater_xbar_bool", "slater_xbar_nan", "unknown_run_key",
         "unknown_top_key", "unknown_graph_key", "meta_not_object", "output_dir_empty",
         "alpha_beyond_float", "r_beyond_float", "avg_degree_beyond_float",
-        "slater_xbar_beyond_float"])
-def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
+        "slater_xbar_beyond_float", "K_beyond_float", "K_above_ceiling"])
+def test_malformed_config_value_is_an_error(tmp_path, capsys, monkeypatch, keys, value):
     # a bad config value or a field nothing reads (the instance's n and
-    # seed, or a probe_mu) exits 2 before anything is built; an integer
-    # beyond the float range used to end in an OverflowError traceback
+    # seed, or a probe_mu) exits 2 before anything is built, under run and
+    # verify alike; an integer beyond the float range used to end in an
+    # OverflowError traceback, and a K beyond the float range in a
+    # ValueError traceback from the bounds
+    monkeypatch.setattr(cli, "build_setup", lambda cfg: pytest.fail("the config was accepted"))
     path, cfg = small_config(tmp_path, K=5)
     *parents, last = keys
     section = cfg
@@ -120,9 +125,12 @@ def test_malformed_config_value_is_an_error(tmp_path, capsys, keys, value):
     section[last] = value
     with open(path, "w") as fh:
         json.dump(cfg, fh)
-    assert main(["run", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and keys[-1] in err
+    for command in ("run", "verify"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and keys[-1] in err
+        if last == "K":
+            assert f"runs[0].K must be an integer in [1, {cli.MAX_K}]" in err
 
 
 @pytest.mark.parametrize("instance, message", [
@@ -272,13 +280,11 @@ def test_probe_mu_is_an_unknown_field(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered in divide:RuntimeWarning:cobadd.problem")
 def test_bound_columns_beyond_the_float_range_are_violations(tmp_path):
     # at alpha = 1e-320 every primal bound is beyond the float range: the
     # columns hold inf without a warning, and every row counts as broken.
     # The node kernel's C/S overflows harmlessly at such tiny duals (its
-    # minimizer clips to the box) and is filtered here on its own
+    # minimizer clips to the box), also without a warning
     runs = [{"solver": "cobadd", "alpha": 1e-320, "phi": phi, "K": 60} for phi in (1, 4)]
     path, _ = small_config(tmp_path, runs=runs)
     assert main(["run", path]) == 0
@@ -725,9 +731,9 @@ def test_cmd_verify_fails_on_duals_outside_the_sets(tmp_path, capsys, monkeypatc
     }
     path = tmp_path / "lmi.json"
     path.write_text(json.dumps(cfg))
-    solve = cli._solve
-    monkeypatch.setattr(cli, "_solve", lambda spec, setup:
-                        corrupt(solve(spec, setup), setup.sets))
+    solve = cli._solve_runs
+    monkeypatch.setattr(cli, "_solve_runs", lambda runs, setup:
+                        [corrupt(trace, setup.sets) for trace in solve(runs, setup)])
     assert cmd_verify(str(path)) == 1
     out = capsys.readouterr().out
     assert "FAIL               dual iterates inside sets (cobadd)" in out
@@ -737,15 +743,15 @@ def test_cmd_verify_fails_on_duals_outside_the_sets(tmp_path, capsys, monkeypatc
 
 def test_cmd_verify_fails_on_a_baseline_above_weak_duality(tmp_path, capsys, monkeypatch):
     # weak duality is checked on the master node's rows as on CoBa-DD's
-    solve = cli._solve
+    solve = cli._solve_runs
 
-    def planted(spec, setup):
-        trace = solve(spec, setup)
+    def planted(runs, setup):
+        (trace,) = solve(runs, setup)
         q = trace.q_best_node.copy()
         q[-1] = setup.oracle.f_star + 2e-7
-        return dataclasses.replace(trace, q_best_node=q)
+        return [dataclasses.replace(trace, q_best_node=q)]
 
-    monkeypatch.setattr(cli, "_solve", planted)
+    monkeypatch.setattr(cli, "_solve_runs", planted)
     path, _ = small_config(tmp_path, runs=[{"solver": "centralized", "alpha": 1.0, "K": 30}])
     assert cmd_verify(path) == 1
     out = capsys.readouterr().out
@@ -782,7 +788,7 @@ def test_bound_violations_counts_rows_of_a_run_the_theorems_do_not_cover(tmp_pat
     cfg = load_config(small_config(tmp_path, runs=[
         {"solver": "cobadd", "alpha": 1.0, "phi": 1, "K": 40}])[0])
     setup = cli.build_setup(cfg)
-    trace = cli._solve(cfg.runs[0], setup)
+    (trace,) = cli._solve_runs(cfg.runs, setup)
     assert not trace.bounds.agreement_applicable
     f_star = setup.oracle.f_star
     v = cli._bound_violations(trace, f_star)
@@ -854,6 +860,30 @@ def test_cmd_verify_solves_each_run_at_its_configured_K(tmp_path, monkeypatch):
                                            {"solver": "centralized", "alpha": 1.0, "K": 310}])
     assert cmd_verify(path) == 0
     assert recorded == [310, 310]
+
+
+@pytest.mark.parametrize("command", [cmd_run, cmd_verify], ids=["run", "verify"])
+def test_cobadd_runs_of_one_K_are_one_solve_call(tmp_path, monkeypatch, command):
+    # the CoBa-DD runs of one K go to a single cobadd_solve call, with
+    # every stepped and recorded row inside it, and the baseline is
+    # solved on its own; each run still gets its own trace
+    calls = []
+    solve = cli.cobadd_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cobadd_solve", counting)
+    runs = [{"solver": "cobadd", "alpha": 1.0, "phi": 1, "K": 40},
+            {"solver": "centralized", "alpha": 1.0, "K": 40},
+            {"solver": "cobadd", "alpha": 0.5, "phi": 4, "K": 40},
+            {"solver": "cobadd", "alpha": 0.2, "phi": 1, "K": 40}]
+    path, _ = small_config(tmp_path, runs=runs)
+    assert command(path) == 0
+    assert len(calls) == 1
+    assert [(c.alpha, c.phi, c.K) for c in calls[0]] == [(1.0, 1, 40), (0.5, 4, 40),
+                                                          (0.2, 1, 40)]
 
 
 def test_bundled_fig_configs_parse_to_figure_curve_set():

@@ -1,5 +1,6 @@
 """CoBa-DD solver: step semantics, equivalences, set membership."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -306,6 +307,41 @@ def test_blocked_recorder_matches_per_row_loop(name, solver, offset, request):
         assert np.array_equal(getattr(tr, col), ref[col]), col
     assert np.array_equal(tr.final_mus, state.mus)
     assert np.array_equal(tr.final_Gs, state.Gs)
+
+
+TRACE_FIELDS = COLUMNS + ("k", "messages_cum", "bound_upper", "bound_lower", "beta_k",
+                          "final_mus", "final_Gs")
+
+
+@pytest.mark.parametrize("name", ["num", "lmi200"])
+def test_stacked_runs_equal_their_separate_runs(name, request):
+    # runs stepped and recorded together give each run's own trace bit for
+    # bit; the three alphas and the phis 1, 3, 1 differ enough that one
+    # run's alpha or phi applied to another changes its trace (the 2-node
+    # sample LMI instance would not show it: its duals stay at zero)
+    instance = request.getfixturevalue(f"{name}_instance")
+    if name == "num":
+        sets, graph = (request.getfixturevalue("num_sets"),
+                       request.getfixturevalue("fig_graph"))
+    else:
+        sets, graph = cb.DualSetSpec(1.5, 1.5), cb.random_connected_graph(200, 8.0, 1)
+    W = cb.metropolis_weights(graph)
+    K = 45
+    configs = [cb.CobaddConfig(alpha=alpha, phi=phi, K=K, sets=sets)
+               for alpha, phi in ((1.0, 1), (0.5, 3), (0.2, 1))]
+    stacked = cb.cobadd_solve(instance, W, *configs)
+    assert len(stacked) == 3
+    for cfg, tr in zip(configs, stacked):
+        alone = cb.cobadd_solve(instance, W, cfg)
+        for field in TRACE_FIELDS:
+            assert np.array_equal(getattr(tr, field), getattr(alone, field),
+                                  equal_nan=field == "beta_k"), (cfg, field)
+    other = dataclasses.replace(configs[1], K=K + 1)
+    with pytest.raises(ValueError):
+        cb.cobadd_solve(instance, W, configs[0], other)
+    other = dataclasses.replace(configs[1], sets=cb.DualSetSpec(sets.threshold, sets.r + 1.0))
+    with pytest.raises(ValueError):
+        cb.cobadd_solve(instance, W, configs[0], other)
 
 
 def test_subgradient_bounds_cover_realized_values(lmi_instance, lmi_sets):
