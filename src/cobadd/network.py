@@ -20,6 +20,11 @@ from .errors import ConfigurationError
 # Draws random_connected_graph makes before it gives up on a degree.
 _MAX_GRAPH_DRAWS = 1000
 
+# Node pairs random_connected_graph draws per rng.random call, so a draw
+# holds O(n) memory, not O(n^2).  2^16 kept the n = 1000 set-up peak at
+# or below that of one call per draw; 2^18 raised it by about 1 MB.
+_PAIR_CHUNK = 2 ** 16
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -58,20 +63,28 @@ class Graph:
         return np.bincount(self.edges.reshape(-1), minlength=self.n)
 
     def is_connected(self) -> bool:
-        """Label propagation: each node takes the smallest label among
-        itself and its neighbours, and follows that label's own label,
-        until nothing changes; connected iff every label reaches 0."""
-        labels = np.arange(self.n)
-        i, j = self.edges.T
-        while True:
-            low = np.minimum(labels[i], labels[j])
-            new = labels.copy()
-            np.minimum.at(new, i, low)
-            np.minimum.at(new, j, low)
-            new = new[new]
-            if np.array_equal(new, labels):
-                return bool(np.all(labels == 0))
-            labels = new
+        return _connected(self.n, *self.edges.T)
+
+
+def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the edges (i[k], j[k]) connect nodes {0, ..., n-1}.
+
+    A node on no edge settles it.  Otherwise label propagation: each
+    node takes the smallest label among itself and its neighbours, and
+    follows that label's own label, until nothing changes; connected
+    iff every label reaches 0."""
+    if n > 1 and np.count_nonzero(np.bincount(np.concatenate((i, j)), minlength=n)) < n:
+        return False
+    labels = np.arange(n)
+    while True:
+        low = np.minimum(labels[i], labels[j])
+        new = labels.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return bool(np.all(labels == 0))
+        labels = new
 
 
 @dataclass(frozen=True)
@@ -137,21 +150,28 @@ def random_connected_graph(n: int, target_avg_degree: float, seed: int) -> Graph
     """Erdos-Renyi graph with p = target_avg_degree/(n-1), resampled
     from the same seeded generator until connected.
 
+    A draw keeps each upper-triangle pair, in row-major order, whose
+    double is below p, and only the accepted draw becomes a ``Graph``.
     Raises ConfigurationError after ``_MAX_GRAPH_DRAWS`` failed draws,
     suggesting a higher degree.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if target_avg_degree <= 0:
-        raise ValueError("target_avg_degree must be positive")
+    if not 0 < target_avg_degree < np.inf:
+        raise ValueError("target_avg_degree must be finite and positive")
     p = min(target_avg_degree / (n - 1), 1.0)
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
+    pairs = n * (n - 1) // 2
+    rows = np.arange(n)
+    row_starts = rows * (2 * n - 1 - rows) // 2   # pairs before row i
     for _ in range(_MAX_GRAPH_DRAWS):
-        mask = rng.random(iu.size) < p
-        g = Graph(n, np.stack([iu[mask], ju[mask]], axis=1))
-        if g.is_connected():
-            return g
+        kept = np.concatenate([
+            start + np.flatnonzero(rng.random(min(_PAIR_CHUNK, pairs - start)) < p)
+            for start in range(0, pairs, _PAIR_CHUNK)])
+        i = np.searchsorted(row_starts, kept, side="right") - 1
+        j = kept - row_starts[i] + i + 1
+        if _connected(n, i, j):
+            return Graph(n, np.stack([i, j], axis=1))
     raise ConfigurationError(
         f"no connected graph in {_MAX_GRAPH_DRAWS} draws; "
         f"increase target_avg_degree (currently {target_avg_degree})")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cobadd as cb
+from cobadd import network
 from cobadd.errors import ConfigurationError
 from cobadd.network import _edge_steps
 
@@ -82,8 +83,67 @@ def test_graph_canonical_edges_and_connectivity(n, p, seed):
 
 
 def test_unreachable_degree_raises():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError,
+                       match=r"no connected graph in 1000 draws; increase target_avg_degree "
+                             r"\(currently 0\.2\)"):
         cb.random_connected_graph(200, 0.2, seed=0)
+
+
+@pytest.mark.parametrize("degree", [math.nan, math.inf, -math.inf, 0.0])
+def test_degree_must_be_finite_and_positive(degree):
+    with pytest.raises(ValueError, match="target_avg_degree must be finite and positive"):
+        cb.random_connected_graph(100, degree, seed=0)
+
+
+def reference_connected_graph(n, target_avg_degree, seed):
+    """The all-pairs sampler: one ``rng.random`` over every upper-triangle
+    pair per draw, each draw built and checked as a ``Graph``."""
+    p = min(target_avg_degree / (n - 1), 1.0)
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    for _ in range(1000):
+        mask = rng.random(iu.size) < p
+        g = cb.Graph(n, np.stack([iu[mask], ju[mask]], axis=1))
+        if g.is_connected():
+            return g
+    raise AssertionError("no connected reference graph")
+
+
+def test_generator_stream_splits_into_chunks():
+    # the chunked sampler rests on this: a + b doubles in one call are
+    # the a doubles of a first call followed by the b of a second
+    for seed, a, b in [(7, 4950, 4950), (3, 65536, 167), (0, 7, 1218)]:
+        whole = np.random.default_rng(seed).random(a + b)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(whole, np.concatenate([rng.random(a), rng.random(b)]))
+
+
+@pytest.mark.parametrize("n, degree, seed, chunk", [
+    (2, 1.0, 0, None),
+    (100, 3.12, 7, None),           # the paper's graph, 95th draw
+    *[(100, 3.12, s, None) for s in range(8, 13)],
+    (30, 100.0, 0, None),           # p = 1: the complete graph
+    (363, 5.0, 3, None),            # 65,703 pairs: just over one chunk
+    (50, 4.0, 1, 7),                # chunk edges fall mid-row
+    (1000, 8.0, 7, None),
+])
+def test_chunked_sampler_matches_all_pairs_draw(monkeypatch, n, degree, seed, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(network, "_PAIR_CHUNK", chunk)
+    got = cb.random_connected_graph(n, degree, seed)
+    assert np.array_equal(got.edges, reference_connected_graph(n, degree, seed).edges)
+
+
+def test_sampler_memory_is_linear_in_n():
+    # the all-pairs draw traced 118 MB on this call: pair indices and doubles
+    # for all 4.5 million pairs
+    tracemalloc.start()
+    try:
+        cb.random_connected_graph(3000, 10.0, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
