@@ -20,10 +20,9 @@ from .problem import (DualPoint, DualSetSpec, NodeSpec, ProblemInstance,
                       dual_function_values, dual_set_threshold, evaluate_primal,
                       instance_from_json, instance_to_json,
                       make_sample_lmi_instance, make_sample_num_instance,
-                      oracle_sweep, slater_certificate, subgradient_bounds)
+                      project_psd_ball_stack, slater_certificate, subgradient_bounds)
 from .solver import (CobaddConfig, NodeState, SolverState, cobadd_init,
                      cobadd_solve, cobadd_step, record_run)
-from .spectral import project_psd_ball_stack
 from .trace import TRACE_COLUMNS, RunTrace
 
 __version__ = "0.1.0"

@@ -18,18 +18,17 @@ import math
 
 import numpy as np
 
-from .problem import (DualPoint, DualSetSpec, ProblemInstance, constraint_values,
-                      oracle_sweep, subgradient_bounds)
+from .problem import (DualSetSpec, ProblemInstance, constraint_values,
+                      minimize_node_lagrangians, project_psd_ball_stack, subgradient_bounds)
 from .solver import SolverState, record_run
-from .spectral import project_psd_ball_stack
 from .trace import RunTrace
 
 
 def _advance(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray,
              alpha: float, sets: DualSetSpec | None):
-    """Oracle pass at the master node's duals, then the projected subgradient
-    step (unbounded: an infinite radius); returns the minimizers and new duals."""
-    _, x_tilde = oracle_sweep(instance, DualPoint(mus[0], Gs[0]))
+    """Oracle pass at the master node's (1,) and (1, d, d) duals, then the projected
+    subgradient step (unbounded: an infinite radius); returns x~ and the new duals."""
+    x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
     radius = sets.radius if sets is not None else math.inf
     h, _ = constraint_values(instance, x_tilde)
     mus = np.minimum(np.maximum(mus + alpha * float(h.sum()), 0.0), radius)

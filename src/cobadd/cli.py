@@ -33,10 +33,10 @@ from .network import (ConsensusMatrix, Graph, check_consensus_conditions, consen
 from .oracles import OracleResult, dual_bisection, dykstra_project, grid_search_lmi
 from .problem import (DualPoint, DualSetSpec, ProblemInstance, dual_set_threshold,
                       instance_from_json, make_sample_lmi_instance,
-                      make_sample_num_instance, slater_certificate)
+                      make_sample_num_instance, project_psd_ball_stack,
+                      slater_certificate)
 from .problem import build_dual_sets  # noqa: F401  (kept in this module's namespace)
 from .solver import CobaddConfig, cobadd_solve
-from .spectral import project_psd_ball_stack
 from .trace import RunTrace
 
 
@@ -176,7 +176,7 @@ def build_instance(spec: dict) -> ProblemInstance:
         with open(path) as fh:
             try:
                 return instance_from_json(json.load(fh))
-            except (LookupError, TypeError, ValueError) as exc:
+            except (LookupError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigurationError(
                     f"malformed instance file {path}: {type(exc).__name__}: {exc}") from exc
     if spec["builtin"] == "num":

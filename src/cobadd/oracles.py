@@ -1,9 +1,10 @@
 """Reference solvers used as ground truth.
 
 ``dual_bisection`` shares one kernel with the iterative solvers: its
-local minimizers and q, and so its f*, come from ``oracle_sweep``, the
-closed-form node minimizer they call, and its certificate uses their
-``evaluate_primal``.  Independent of them are the bisection on s(mu),
+local minimizers and q, and so its f*, come from the closed-form node
+minimizer they call, ``minimize_node_lagrangians``, at a (1,) stack of
+duals (one CoBa-DD run passes (n,), R stacked runs (R, n)), and its
+certificate uses their ``evaluate_primal``.  Independent of them are the bisection on s(mu),
 evaluated with ``ScalarFunction.__call__``, the water-filling of
 degenerate nodes, ``grid_search_lmi`` (exhaustive enumeration with a
 feasibility filter, no oracle call) and ``dykstra_project`` (alternating
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .problem import DualPoint, ProblemInstance, evaluate_primal, oracle_sweep
+from .problem import ProblemInstance, evaluate_primal, minimize_node_lagrangians
 
 # The largest grid grid_search_lmi enumerates: 50M points take 400 MB per
 # float64 array over the grid.
@@ -61,7 +62,7 @@ def dual_bisection(instance: ProblemInstance, tol: float = 1e-10) -> OracleResul
         raise ValueError("tol must be positive")
 
     def solve_at(mu: float):
-        q, x = oracle_sweep(instance, DualPoint(mu))
+        x, q = minimize_node_lagrangians(instance, np.array([mu]))
         s = float(sum(nd.g(v) for nd, v in zip(instance.nodes, x)))
         return float(q.sum()), x, s
 
@@ -146,7 +147,8 @@ def grid_search_lmi(instance: ProblemInstance, step: float) -> OracleResult:
     """Exhaustive grid search with a feasibility filter (n <= 3).
 
     f_star is accurate to (Lipschitz constant of f) * step.  Raises
-    ConfigurationError when no grid point is feasible.
+    ConfigurationError when no grid point is feasible, or when the grid
+    has more than ``_MAX_GRID_POINTS`` points.
     """
     if instance.n > 3:
         raise ValueError("grid search is limited to n <= 3")
@@ -159,7 +161,7 @@ def grid_search_lmi(instance: ProblemInstance, step: float) -> OracleResult:
         axes.append(np.linspace(lo, hi, npts))
     total = int(np.prod([len(a) for a in axes]))
     if total > _MAX_GRID_POINTS:
-        raise ValueError(f"grid of {total} points is too large; coarsen step")
+        raise ConfigurationError(f"grid of {total} points is too large; coarsen step")
 
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.stack([m.reshape(-1) for m in mesh], axis=1)

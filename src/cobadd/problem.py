@@ -1,4 +1,4 @@
-"""Decomposable convex instances and their local dual oracles.
+"""Decomposable convex instances, their local dual oracles and dual sets.
 
 An instance couples ``n`` scalar decision variables, each confined to a
 compact box ``X_i = [lo_i, hi_i]``, through one scalar inequality
@@ -278,6 +278,31 @@ class DualSetSpec:
         return self.threshold + self.r
 
 
+def project_psd_ball_stack(mats: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of each matrix of a stack (..., d, d) onto the
+    matrix dual set {G PSD : ||G||_F <= radius}; ``radius = math.inf``
+    gives the PSD cone of the unbounded master-node baseline.
+
+    Eigendecompose the symmetric part, clip negative eigenvalues to
+    zero, then rescale the clipped eigenvalue vector onto the radius
+    ball if it exceeds it.  Because both sets are spectral and the ball
+    is origin-centered, clip-then-scale is the exact projection onto the
+    intersection (``oracles.dykstra_project`` checks it independently).
+    """
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    mats = np.asarray(mats, dtype=float)
+    if mats.shape[-1] == 0:
+        return mats
+    w, V = np.linalg.eigh((mats + np.swapaxes(mats, -1, -2)) / 2.0)
+    w = np.maximum(w, 0.0)
+    norms = np.linalg.norm(w, axis=-1, keepdims=True)
+    scale = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
+    w = w * scale
+    out = np.einsum("...ij,...j,...kj->...ik", V, w, V)
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
 @dataclass(frozen=True)
 class SubgradientBounds:
     """Uniform subgradient bounds: |g_i| <= L, ||-A0/n - A_i x||_F <= Q."""
@@ -310,10 +335,10 @@ def _closed_form_minimize(instance: ProblemInstance, mu, Gs):
 
     with the instance's (n,) coefficient arrays broadcast against ``mu``
     and the LMI terms ``lin, const`` of :func:`_lmi_terms` at ``Gs``: mu
-    of shape (n,) or (1,) with Gs of shape (len(mu), d, d) for the oracle,
-    or (r, 1) with (r, 1, d, d), one dual per row, for a row block of dual
-    values.  C == 0 gives an affine objective whose minimizer is an
-    endpoint (the lower one on ties); C > 0 gives a strictly convex
+    of shape (n,), (R, n) or (1,) with Gs of shape mu.shape + (d, d) for
+    the oracle, or (r, 1) with (r, 1, d, d), one dual per row, for a row
+    block of dual values.  C == 0 gives an affine objective whose minimizer
+    is an endpoint (the lower one on ties); C > 0 gives a strictly convex
     objective minimized at the clipped stationary point C/S - 1 when
     S > 0 and at the upper endpoint otherwise.
 
@@ -424,24 +449,14 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
     return x, q
 
 
-def oracle_sweep(instance: ProblemInstance, dual: DualPoint):
-    """Run every node's local oracle at one shared dual point.
-
-    The dual goes to the kernel as a (1,) and (1, d, d) stack; one of
-    another d than the instance's is a ``ValueError``.  Returns
-    ``(q, x_tilde)`` arrays of shape (n,); the q values include the
-    -tr[A0 G]/n share of the LMI constant, so ``q.sum()`` is q(dual).
-    """
-    if dual.d != instance.d:
-        raise ValueError(f"a dual point with d = {dual.d} on a d = {instance.d} instance")
-    x, q = minimize_node_lagrangians(instance, np.array([dual.mu]), dual.G[None])
-    return q, x
-
-
 def dual_function_value(instance: ProblemInstance, dual: DualPoint) -> float:
     """q(mu, G) = sum_i min_x L_i(x, mu, G); a sum beyond the float range is
-    infinite, which the dual sets built on it reject."""
-    q, _ = oracle_sweep(instance, dual)
+    infinite, which the dual sets built on it reject.  The dual goes to the
+    kernel as a (1,) and (1, d, d) stack; one of another d than the
+    instance's is a ``ValueError``."""
+    if dual.d != instance.d:
+        raise ValueError(f"a dual point with d = {dual.d} on a d = {instance.d} instance")
+    _, q = minimize_node_lagrangians(instance, np.array([dual.mu]), dual.G[None])
     with np.errstate(over="ignore"):
         return float(q.sum())
 
@@ -733,10 +748,14 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 
 def instance_from_json(doc: dict) -> ProblemInstance:
     """The instance an ``instance_to_json`` document holds.  A key that it
-    does not write, or a box without exactly two entries, is a ValueError."""
+    does not write, a box without exactly two entries, a ``d`` that is not
+    an integer >= 0, or a coefficient, box entry or matrix entry that is
+    not a JSON number (a bool or a string is none) is a ValueError."""
     _check_keys(doc, "an instance", ("d", "A0", "nodes"), ("meta",))
-    d = int(doc["d"])
-    A0 = np.array(doc["A0"], dtype=float).reshape(d, d)
+    d = doc["d"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+        raise ValueError(f"d must be an integer >= 0; got {d!r}")
+    A0 = np.array([_number(v, "an A0 entry") for v in doc["A0"]]).reshape(d, d)
     nodes = []
     for nd in doc["nodes"]:
         _check_keys(nd, "a node", ("f", "g", "A", "box"))
@@ -744,8 +763,16 @@ def instance_from_json(doc: dict) -> ProblemInstance:
             raise ValueError(f"a box has two entries; got {nd['box']}")
         nodes.append(NodeSpec(
             _fun_from_json(nd["f"]), _fun_from_json(nd["g"]),
-            np.array(nd["A"], dtype=float).reshape(d, d), tuple(nd["box"])))
+            np.array([_number(v, "an A entry") for v in nd["A"]]).reshape(d, d),
+            tuple(_number(v, "a box entry") for v in nd["box"])))
     return ProblemInstance(tuple(nodes), A0, d, dict(doc.get("meta", {})))
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a bool, a string or anything else is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number; got {value!r}")
+    return float(value)
 
 
 def _check_keys(doc: dict, what: str, keys: tuple, optional: tuple = ()) -> None:
@@ -768,4 +795,5 @@ def _fun_from_json(doc: dict) -> ScalarFunction:
         raise ValueError(f"unknown function kind {kind!r}")
     names = _KIND_COEFFICIENTS[kind]
     _check_keys(doc, f"a {kind} function", ("kind", *names))
-    return ScalarFunction(kind, **{name: float(doc[name]) for name in names})
+    return ScalarFunction(kind, **{name: _number(doc[name], f"coefficient {name}")
+                                   for name in names})

@@ -26,8 +26,8 @@ from .bounds import default_beta0, theoretical_bounds
 from .network import ConsensusMatrix, consensus_round
 from .problem import (DualPoint, DualSetSpec, ProblemInstance,
                       constraint_values, dual_function_values, evaluate_primal,
-                      minimize_node_lagrangians, subgradient_bounds)
-from .spectral import project_psd_ball_stack
+                      minimize_node_lagrangians, project_psd_ball_stack,
+                      subgradient_bounds)
 from .trace import RunTrace
 
 
@@ -71,9 +71,10 @@ class SolverState:
     for CoBa-DD (m = n), the one master-node pair for the centralized
     baseline (m = 1).  ``x_tilde`` holds the minimizers of the last
     oracle pass and ``tilde_sum`` their sum over the recorded
-    iterations.  R runs stepped together add a leading axis of R.
-    Iterating yields one :class:`NodeState` view per node, built on
-    read; with m = 1 every node sees the master dual.
+    iterations, of shape (n,).  R > 1 CoBa-DD runs stepped together hold
+    (R, n) and (R, n, d, d) stacks instead.  Iterating a one-run state
+    yields one :class:`NodeState` view per node, built on read; with
+    m = 1 every node sees the master dual.
     """
 
     mus: np.ndarray
@@ -99,21 +100,23 @@ class SolverState:
 
 def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
              mus: np.ndarray, Gs: np.ndarray):
-    """Oracle pass at the duals ``mus`` (R, n) and ``Gs`` (R, n, d, d) of R
-    stacked runs, then each run's projected consensus update; returns the
-    minimizers and the new duals.  Mixing is one round per run: one product
-    over all runs' payloads would round differently from each run's own."""
+    """Oracle pass at the duals ``mus`` and ``Gs``, of shapes (n,) and
+    (n, d, d) for one run or (R, n) and (R, n, d, d) for R stacked runs,
+    then each run's projected consensus update; returns the minimizers and
+    the new duals.  Mixing is one round per run: one product over all
+    runs' payloads would round differently from each run's own."""
     R, n, d, radius = len(configs), instance.n, instance.d, configs[0].sets.radius
-    alpha = np.array([c.alpha for c in configs])[:, None]
+    alpha = np.array([c.alpha for c in configs]).reshape(mus.shape[:-1] + (1,))
     x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
     h, Qm = constraint_values(instance, x_tilde)
-    payload = np.empty((R, n, 1 + d * d))
+    payload = np.empty(mus.shape + (1 + d * d,))
     payload[..., 0] = mus + alpha * h
     if d:
-        payload[..., 1:] = (Gs + alpha[..., None, None] * Qm).reshape(R, n, -1)
-    mixed = np.empty_like(payload)
+        payload[..., 1:] = (Gs + alpha[..., None, None] * Qm).reshape(mus.shape + (-1,))
+    runs, mixed = payload.reshape(R, n, 1 + d * d), np.empty((R, n, 1 + d * d))
     for r, c in enumerate(configs):
-        mixed[r] = consensus_round(W, payload[r], c.phi)
+        mixed[r] = consensus_round(W, runs[r], c.phi)
+    mixed = mixed.reshape(payload.shape)
     # minimum(maximum()) is np.clip on finite values, without its wrapper
     mus = np.minimum(np.maximum(mixed[..., 0], 0.0), radius)
     if d:
@@ -122,22 +125,17 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
 
 
 def _init(instance: ProblemInstance, W: ConsensusMatrix, configs) -> SolverState:
-    """The bootstrap of R stacked runs, as :func:`cobadd_init`."""
-    R, n, d = len(configs), instance.n, instance.d
-    x_tilde, mus, Gs = _advance(instance, W, configs, np.zeros((R, n)), np.zeros((R, n, d, d)))
-    return SolverState(mus, Gs, x_tilde, np.zeros((R, n)), 0)
+    """The bootstrap of one run, or of R > 1 stacked runs, as :func:`cobadd_init`."""
+    shape = (instance.n,) if len(configs) == 1 else (len(configs), instance.n)
+    x_tilde, mus, Gs = _advance(instance, W, configs, np.zeros(shape),
+                                np.zeros(shape + (instance.d, instance.d)))
+    return SolverState(mus, Gs, x_tilde, np.zeros(shape), 0)
 
 
 def _step(instance: ProblemInstance, W: ConsensusMatrix, configs, state) -> SolverState:
-    """One iteration of R stacked runs, as :func:`cobadd_step`."""
+    """One iteration of one run or of R stacked runs, as :func:`cobadd_step`."""
     x_tilde, mus, Gs = _advance(instance, W, configs, state.mus, state.Gs)
     return SolverState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
-
-
-def _run(state: SolverState, index) -> SolverState:
-    """The state with a runs axis added (``index`` None) or one run taken."""
-    return SolverState(state.mus[index], state.Gs[index], state.x_tilde[index],
-                       state.tilde_sum[index], state.k)
 
 
 def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix,
@@ -145,14 +143,14 @@ def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix,
     """Bootstrap: sample at the zero initial duals, run the first
     consensus update, and return the state holding the updated duals
     with an empty ergodic sum."""
-    return _run(_init(instance, W, (config,)), 0)
+    return _init(instance, W, (config,))
 
 
 def cobadd_step(instance: ProblemInstance, state: SolverState,
                 W: ConsensusMatrix, config: CobaddConfig) -> SolverState:
     """One recorded iteration: sample at the state's duals, extend the
     ergodic sum, and mix and project the duals."""
-    return _run(_step(instance, W, (config,), _run(state, None)), 0)
+    return _step(instance, W, (config,), state)
 
 
 # Buffered elements per block of trace rows.  Larger blocks only grow the
@@ -229,10 +227,13 @@ def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
     # the bootstrap's consensus round produces the duals used at row 1
     state = _init(instance, W, configs)
     runs, state = record_run(instance, state, lambda s: _step(instance, W, configs, s), K)
+    # explicit sizes: reshape(-1, ...) cannot size the empty d = 0 stack
+    shape = (len(configs), instance.n, instance.d, instance.d)
+    final_mus, final_Gs = state.mus.reshape(shape[:2]), state.Gs.reshape(shape)
     ks = np.arange(1, K + 1)
     traces = [RunTrace(k=ks, **cols, messages_cum=ks * (c.phi * 2 * W.edge_count),
                        bound_upper=b.primal_upper_deviation(ks),
                        bound_lower=b.primal_lower_deviation(ks), beta_k=b.beta_k.copy(),
-                       bounds=b, final_mus=state.mus[i], final_Gs=state.Gs[i])
+                       bounds=b, final_mus=final_mus[i], final_Gs=final_Gs[i])
               for i, (c, b, cols) in enumerate(zip(configs, bounds, runs))]
     return traces if more else traces[0]

@@ -87,7 +87,7 @@ def test_solve_single_iteration_is_first_sample(num_instance):
     trace = cb.central_solve(num_instance, alpha=1.0, K=K)
     assert len(trace.k) == K
     state = cb.central_init(num_instance, alpha=1.0)
-    _, x1 = cb.oracle_sweep(num_instance, dual_of(state))
+    x1, _ = minimize_node_lagrangians(num_instance, state.mus, state.Gs)
     f1, _, _ = cb.evaluate_primal(num_instance, x1)
     assert trace.f_ergodic[0] == pytest.approx(f1, abs=1e-12)
     # every row is one central_step from the previous state

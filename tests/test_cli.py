@@ -511,6 +511,24 @@ def test_cmd_run_lmi_instance(tmp_path):
     assert summary["runs"][0]["final_error"] <= 1e-9
 
 
+@pytest.mark.parametrize("command", [cmd_run, cmd_verify], ids=["run", "verify"])
+def test_grid_too_large_for_ground_truth_is_an_error(tmp_path, capsys, command):
+    # three lmi nodes on unit boxes make the grid oracle 1001^3 points at
+    # step 1e-3; its refusal used to end in a traceback
+    lmi = cb.make_sample_lmi_instance()
+    doc = cb.instance_to_json(cb.ProblemInstance(lmi.nodes + lmi.nodes[:1], lmi.A0, 2))
+    inst_path = tmp_path / "lmi3.json"
+    inst_path.write_text(json.dumps(doc))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "instance": {"path": str(inst_path)}, "graph": {"n": 3, "avg_degree": 2.0, "seed": 0},
+        "runs": [{"solver": "cobadd", "alpha": 0.5, "phi": 1, "K": 5}],
+        "output_dir": str(tmp_path / "o")}))
+    assert command(str(path)) == 1
+    assert capsys.readouterr().err == \
+        "error: grid of 1003003001 points is too large; coarsen step\n"
+
+
 def _path_and_builtin_summaries(tmp_path, doc):
     """Run small_config's runs on the instance file ``doc`` and on the builtin
     num instance (n = 24, seed 3); assert their traces are equal, and
@@ -592,13 +610,41 @@ def _unknown_top_key(doc):
     doc["bogus"] = 1
 
 
+# numbers instance_to_json never writes used to load as other numbers: a
+# fractional d rounded down, a string parsed, a bool read as 0 or 1
+def _fractional_d(doc):
+    doc["d"] = 0.5
+
+
+def _string_coefficient(doc):
+    doc["nodes"][0]["f"]["a"] = str(doc["nodes"][0]["f"]["a"])
+
+
+def _bool_in_box(doc):
+    doc["nodes"][0]["box"] = [False, 1.0]
+
+
+def _string_in_A0(doc):
+    doc.update(d=1, A0=["1.5"])
+    for nd in doc["nodes"]:
+        nd["A"] = [0.0]
+
+
+def _integer_beyond_floats(doc):
+    doc["nodes"][0]["f"]["a"] = 10**400
+
+
 @pytest.mark.parametrize("command", [cmd_run, cmd_verify])
 @pytest.mark.parametrize("corrupt", [_break_box, _drop_slope, _unknown_kind, None,
                                      _linear_with_b, _neg_log_with_a, _unknown_key,
-                                     _three_entry_box, _unknown_node_key, _unknown_top_key],
+                                     _three_entry_box, _unknown_node_key, _unknown_top_key,
+                                     _fractional_d, _string_coefficient, _bool_in_box,
+                                     _string_in_A0, _integer_beyond_floats],
                          ids=["empty_box", "missing_a", "unknown_kind", "not_json",
                               "linear_with_b", "neg_log_with_a", "unknown_key",
-                              "three_entry_box", "unknown_node_key", "unknown_top_key"])
+                              "three_entry_box", "unknown_node_key", "unknown_top_key",
+                              "fractional_d", "string_coefficient", "bool_in_box",
+                              "string_in_A0", "integer_beyond_floats"])
 def test_malformed_instance_file_is_a_config_error(tmp_path, capsys, command, corrupt):
     doc = cb.instance_to_json(cb.make_sample_num_instance(24, 4))
     inst_path = tmp_path / "instance.json"

@@ -113,9 +113,10 @@ def _node(f, g, A=None, box=(0.0, 1.0)):
 
 
 def node_oracle(node, dual, A0=None):
-    """(q, x) of one node, through oracle_sweep on the instance made of it."""
+    """(q, x) of one node, through the kernel at the dual as a (1,) stack on
+    the instance made of it."""
     inst = cb.ProblemInstance((node,), A0, node.A.shape[0])
-    q, x = cb.oracle_sweep(inst, dual)
+    x, q = minimize_node_lagrangians(inst, np.array([dual.mu]), dual.G[None])
     return q[0], x[0]
 
 
@@ -173,7 +174,7 @@ def test_oracle_matches_grid_on_random_duals(num_instance):
         i = int(rng.integers(0, num_instance.n))
         node = num_instance.nodes[i]
         mu = float(rng.uniform(0.0, 3.0))
-        q_all, x_all = cb.oracle_sweep(num_instance, cb.DualPoint(mu))
+        x_all, q_all = minimize_node_lagrangians(num_instance, np.array([mu]))
         q, x = q_all[i], x_all[i]
         gx, gq = grid_minimizer(node, mu, np.zeros((0, 0)), num_instance.n, A0)
         assert abs(x - gx) <= 1e-10 + 1.0 / 9_999
@@ -438,8 +439,8 @@ def test_dual_lipschitz_bound(seed_a, seed_b):
     rng_b = np.random.default_rng(seed_b + 77_000)
     mu1 = float(rng_a.uniform(0.0, 5.0))
     mu2 = float(rng_b.uniform(0.0, 5.0))
-    q1, _ = cb.oracle_sweep(inst, cb.DualPoint(mu1))
-    q2, _ = cb.oracle_sweep(inst, cb.DualPoint(mu2))
+    _, q1 = minimize_node_lagrangians(inst, np.array([mu1]))
+    _, q2 = minimize_node_lagrangians(inst, np.array([mu2]))
     assert np.all(np.abs(q1 - q2) <= M * abs(mu1 - mu2) + 1e-9)
 
 
@@ -453,7 +454,8 @@ def test_dual_lipschitz_bound_with_matrix_duals(lmi_instance):
             z.append(cb.DualPoint(float(rng.uniform(0, 1)), B @ B.T / 4.0))
         dist = math.sqrt((z[0].mu - z[1].mu) ** 2
                          + np.linalg.norm(z[0].G - z[1].G) ** 2)
-        q = [cb.oracle_sweep(lmi_instance, zz)[0] for zz in z]
+        q = [minimize_node_lagrangians(lmi_instance, np.array([zz.mu]), zz.G[None])[1]
+             for zz in z]
         assert np.all(np.abs(q[0] - q[1]) <= M * dist + 1e-9)
 
 
@@ -462,7 +464,7 @@ def test_oracle_matches_grid_with_matrix_duals(lmi_instance):
     for _ in range(10):
         B = rng.normal(size=(2, 2))
         z = cb.DualPoint(float(rng.uniform(0, 1)), B @ B.T / 3.0)
-        q_all, x_all = cb.oracle_sweep(lmi_instance, z)
+        x_all, q_all = minimize_node_lagrangians(lmi_instance, np.array([z.mu]), z.G[None])
         for node, q, x in zip(lmi_instance.nodes, q_all, x_all):
             gx, gq = grid_minimizer(node, z.mu, z.G, 2, lmi_instance.A0)
             assert abs(x - gx) <= 1e-10 + 1.0 / 9_999
@@ -582,17 +584,21 @@ def test_missing_or_misshapen_Gs_is_an_error_with_an_lmi(lmi_instance, Gs):
 
 @pytest.mark.parametrize("name", ["num", "lmi200"])
 def test_shared_dual_sweep_equals_the_per_node_stack(name, request):
-    # oracle_sweep hands the kernel one shared dual as a (1,) stack; its
-    # broadcast gives every node the bits of n copies
+    # dual_function_value and the master node's step hand the kernel one
+    # shared dual as a (1,) stack, whose broadcast gives every node the
+    # bits of n copies; the step passes its projected G on unsymmetrized,
+    # which changes nothing because the projection returns it symmetric
     instance = request.getfixturevalue(f"{name}_instance")
     n, d = instance.n, instance.d
     B = np.random.default_rng(21).normal(size=(d, d))
-    for mu, G in ((0.0, np.zeros((d, d))), (0.7, B @ B.T), (2.5, B @ B.T / 3.0)):
-        dual = cb.DualPoint(mu, G)
-        q, x = cb.oracle_sweep(instance, dual)
+    for mu, M in ((0.0, np.zeros((d, d))), (0.7, B + B.T), (2.5, (B + B.T) / 3.0)):
+        G = cb.project_psd_ball_stack(M, 2.0)
+        assert mu == 0.0 or d == 0 or np.any(G)
         x_ref, q_ref = minimize_node_lagrangians(instance, np.full(n, mu),
-                                                 np.broadcast_to(dual.G, (n, d, d)))
-        assert np.array_equal(x, x_ref) and np.array_equal(q, q_ref)
+                                                 np.broadcast_to(G, (n, d, d)))
+        assert cb.dual_function_value(instance, cb.DualPoint(mu, G)) == q_ref.sum()
+        state = cb.SolverState(np.array([mu]), G[None], np.full(n, math.nan), np.zeros(n), 0)
+        assert np.array_equal(cb.central_step(instance, state, 1.0).x_tilde, x_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cobadd.oracles import dykstra_project
-from cobadd.spectral import project_psd_ball_stack as project
+from cobadd import project_psd_ball_stack as project
 
 
 def random_symmetric(rng, d, scale=2.0):
