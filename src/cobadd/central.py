@@ -27,7 +27,7 @@ from .trace import RunTrace
 def _advance(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray,
              alpha: float, sets: DualSetSpec | None):
     """Oracle pass at the master node's (1,) and (1, d, d) duals, then the projected
-    subgradient step (unbounded: an infinite radius); returns x~ and the new duals."""
+    subgradient step (unbounded: an infinite radius); returns minimizers and new duals."""
     x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
     radius = sets.radius if sets is not None else math.inf
     h, _ = constraint_values(instance, x_tilde)

@@ -1,16 +1,16 @@
 """Reference solvers used as ground truth.
 
 ``dual_bisection`` shares one kernel with the iterative solvers: its
-local minimizers and q, and so its f*, come from the closed-form node
-minimizer they call, ``minimize_node_lagrangians``, at a (1,) stack of
-duals (one CoBa-DD run passes (n,), R stacked runs (R, n)), and its
-certificate uses their ``evaluate_primal``.  Independent of them are the bisection on s(mu),
-evaluated with ``ScalarFunction.__call__``, the water-filling of
-degenerate nodes, ``grid_search_lmi`` (exhaustive enumeration with a
-feasibility filter, no oracle call) and ``dykstra_project`` (alternating
-projections that converge to the exact Euclidean projection onto the
-intersection of the PSD cone and the Frobenius ball).  These provide the
-optimal values and projection references the test suites compare against.
+minimizers and q, and so its f*, come from ``minimize_node_lagrangians``
+at a (1,) stack of duals (one CoBa-DD run passes (n,), R stacked runs
+(R, n)), and its certificate uses their ``evaluate_primal``.
+Independent of them are the bisection on s(mu), evaluated with
+``ScalarFunction.__call__``, the water-filling of degenerate nodes,
+``grid_search_lmi`` (exhaustive enumeration with a feasibility filter,
+no oracle call) and ``dykstra_project`` (alternating projections that
+converge to the exact Euclidean projection onto the intersection of the
+PSD cone and the Frobenius ball).  These provide the optimal values and
+projection references the test suites compare against.
 """
 
 from __future__ import annotations
