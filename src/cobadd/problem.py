@@ -20,11 +20,15 @@ upper endpoint (C > 0, S <= 0), or the clipped stationary point
 ``C/S - 1``.  Ties always resolve to the lower endpoint so that runs are
 reproducible.
 
-With d = 0, ``dual_function_values`` reads q off the instance's sorted
-breakpoints (each node's minimum is piecewise in mu); with an LMI,
-``tr[A_i G_j]`` couples node and dual, and a row-blocked kernel evaluates
-every node at every point.  That kernel also serves the oracle and
-``dual_function_value``, so iterates and dual-set radii keep every bit.
+``minimize_node_lagrangians`` is the one kernel for minimizers: the
+solvers' oracle and ``dual_function_value`` go through it, so iterates
+and dual-set radii keep every bit.  ``dual_function_values``, the trace
+rows, needs only the minima, which do not depend on the tie-break.  With
+d = 0 it reads q off the instance's sorted breakpoints (each node's
+minimum is piecewise in mu); with an LMI, ``tr[A_i G_j]`` couples node
+and dual, and one matrix product per block of points gives every node's
+S and C at every point.  At every d a row agrees with
+``dual_function_value`` to ``1e-12 * sum_i |q_i|``, not bit for bit.
 """
 
 from __future__ import annotations
@@ -230,6 +234,35 @@ class ProblemInstance:
             return None
         return _dual_breakpoints(self._closed, *self.boxes)
 
+    @cached_property
+    def _value_rows(self) -> "tuple | None":
+        """For d > 0, the split of the nodes that :func:`_row_minima` reads:
+        ``(n_log, n_plain, M, lo, hi)``.  A product of ``[1, mu, -vec G]``
+        by a column ``[u, v, vec B]`` of M is ``u + mu v - tr[B G]``; M's
+        columns give, in this order,
+
+        - S of each node with a log term (``[a_f, a_g, vec A_i]``);
+        - S lo of each node without one;
+        - the constant ``sum b_f + mu sum b_g - tr[A0 G]`` (``[sum b_f,
+          sum b_g, vec A0]``);
+        - S hi of each node without a log term;
+        - C = c_f + mu c_g of each node with one.
+
+        ``lo`` and ``hi`` are the boxes of the nodes with a log term."""
+        if not self.d:
+            return None
+        c_f, a_f, b_f, c_g, a_g, b_g = self._closed
+        lo, hi = self.boxes
+        has_log = (c_f > 0.0) | (c_g > 0.0)
+        cols = np.vstack([a_f, a_g, self.A_stack.reshape(self.n, -1).T])
+        log_C = np.zeros((len(cols), np.count_nonzero(has_log)))
+        log_C[0], log_C[1] = c_f[has_log], c_g[has_log]
+        plain = ~has_log
+        M = np.column_stack([cols[:, has_log], cols[:, plain] * lo[plain],
+                             np.concatenate([[b_f.sum(), b_g.sum()], self.A0.reshape(-1)]),
+                             cols[:, plain] * hi[plain], log_C])
+        return log_C.shape[1], self.n - log_C.shape[1], M, lo[has_log], hi[has_log]
+
     def lmi_matrix(self, x: np.ndarray) -> np.ndarray:
         """A0 + sum_i A_i x_i."""
         if self.d == 0:
@@ -283,17 +316,21 @@ def project_psd_ball_stack(mats: np.ndarray, radius: float) -> np.ndarray:
     matrix dual set {G PSD : ||G||_F <= radius}; ``radius = math.inf``
     gives the PSD cone of the unbounded master-node baseline.
 
-    Eigendecompose the symmetric part, clip negative eigenvalues to
-    zero, then rescale the clipped eigenvalue vector onto the radius
-    ball if it exceeds it.  Because both sets are spectral and the ball
-    is origin-centered, clip-then-scale is the exact projection onto the
+    Take the eigenvalues of the symmetric part, clip the negative ones to
+    zero, then rescale the clipped eigenvalue vector onto the radius ball
+    if it exceeds it.  Because both sets are spectral and the ball is
+    origin-centered, clip-then-scale is the exact projection onto the
     intersection (``oracles.dykstra_project`` checks it independently).
+    At d = 2 the eigenpairs have a closed form (:func:`_project_2x2`);
+    from d = 3 on, one ``np.linalg.eigh`` call gives them.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
     mats = np.asarray(mats, dtype=float)
     if mats.shape[-1] == 0:
         return mats
+    if mats.shape[-1] == 2:
+        return _project_2x2(mats, radius)
     w, V = np.linalg.eigh((mats + np.swapaxes(mats, -1, -2)) / 2.0)
     w = np.maximum(w, 0.0)
     norms = np.linalg.norm(w, axis=-1, keepdims=True)
@@ -301,6 +338,32 @@ def project_psd_ball_stack(mats: np.ndarray, radius: float) -> np.ndarray:
     w = w * scale
     out = np.einsum("...ij,...j,...kj->...ik", V, w, V)
     return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
+def _project_2x2(mats: np.ndarray, radius: float) -> np.ndarray:
+    """Clip-then-scale of a (..., 2, 2) stack in closed form.  The symmetric
+    part [[a, b], [b, c]] has eigenvalues ``l1, l2 = (a + c)/2 +- h``,
+    ``h = hypot((a - c)/2, b)``, and its projection is ``alpha S + beta I``:
+
+    - l2 >= 0: S itself, scaled by ``min(1, radius/hypot(l1, l2))``;
+    - l1 > 0 > l2: ``min(l1, radius)`` times l1's eigenprojector
+      ``(S - l2 I)/(2h)``;
+    - l1 <= 0: exact zeros (``alpha = beta = 0``, and ``+ 0.0`` clears -0.0).
+    """
+    a, c = mats[..., 0, 0], mats[..., 1, 1]
+    b = (mats[..., 0, 1] + mats[..., 1, 0]) / 2.0
+    h = np.hypot((a - c) / 2.0, b)
+    l1, l2 = (a + c) / 2.0 + h, (a + c) / 2.0 - h
+    with np.errstate(divide="ignore"):       # the zero matrix: radius/0 = inf
+        scale = np.minimum(radius / np.hypot(l1, l2), 1.0)
+    top = np.maximum(np.minimum(l1, radius), 0.0)
+    alpha = np.where(l2 >= 0.0, scale, top / np.where(h > 0.0, 2.0 * h, 1.0))
+    beta = alpha * np.maximum(-l2, 0.0)
+    out = np.empty(mats.shape)
+    out[..., 0, 0] = alpha * a + beta
+    out[..., 1, 1] = alpha * c + beta
+    out[..., 0, 1] = out[..., 1, 0] = alpha * b + 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -319,25 +382,24 @@ class SubgradientBounds:
 # local dual oracles
 # ---------------------------------------------------------------------------
 
-# Node evaluations per row block of dual_function_values: 16k float64
-# elements make 128 KiB per scratch array, so a block's working set of
-# four arrays and two masks stays in a core's L2 cache.
-_BLOCK_ELEMENTS = 16384
+# Node evaluations per row block of dual_function_values at d > 0: the
+# block's product holds about two float64 columns per node, 512 KiB at
+# 32k evaluations, so it stays in a core's L2 cache with its scratch.
+_BLOCK_ELEMENTS = 32768
 
 
 def _closed_form_minimize(instance: ProblemInstance, mu, Gs):
-    """Box minimizers and minima of -C*log(1+x) + S*x + T for a block.
+    """Box minimizers and minima of -C*log(1+x) + S*x + T for a stack of duals.
 
-    The coefficients are those of the node Lagrangians at the block's
+    The coefficients are those of the node Lagrangians at the stack's
     dual points,
 
         C = c_f + mu c_g,   S = a_f + mu a_g + lin,   T = b_f + mu b_g + const,
 
     with the instance's (n,) coefficient arrays broadcast against ``mu``
     and the LMI terms ``lin, const`` of :func:`_lmi_terms` at ``Gs``: mu
-    of shape (n,), (R, n) or (1,) with Gs of shape mu.shape + (d, d) for
-    the oracle, or (r, 1) with (r, 1, d, d), one dual per row, for a row
-    block of dual values.  C == 0 gives an affine objective whose minimizer
+    of shape (n,), (R, n) or (1,) with Gs of shape mu.shape + (d, d).
+    C == 0 gives an affine objective whose minimizer
     is an endpoint (the lower one on ties); C > 0 gives a strictly convex
     objective minimized at the clipped stationary point C/S - 1 when
     S > 0 and at the upper endpoint otherwise.
@@ -387,8 +449,8 @@ def _closed_form_minimize(instance: ProblemInstance, mu, Gs):
 
 
 def _traces(A: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """tr[A G] of symmetric (..., d*d) flattened stacks, summed in entry order (as
-    ``np.sum`` adds up to four terms): the oracle and the dual-value rows round alike."""
+    """tr[A G] of symmetric (..., d*d) flattened stacks, summed in entry order
+    with one (...,) scratch: the oracle's LMI term."""
     out = A[..., 0] * G[..., 0]
     for k in range(1, A.shape[-1]):
         out += A[..., k] * G[..., k]
@@ -534,13 +596,12 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     be >= 0, the dual domain, and a negative one raises ``ValueError``.
     With d = 0, q is read off the breakpoints of :func:`_dual_breakpoints`:
     one ``searchsorted`` and a four-term sum per point instead of n node
-    evaluations.  That sums in another order than
-    :func:`dual_function_value`, so the two agree to a few 1e-15 of
-    ``sum_i |q_i|``, not bit for bit.  With d > 0, where ``tr[A_i G_j]``
-    couples each node with each dual, the m points go in row blocks of
-    about ``_BLOCK_ELEMENTS`` node evaluations through
-    :func:`_closed_form_minimize`, each block in its own scratch, and
-    each row's traces and sum run as a single point's, to the same bits.
+    evaluations.  With d > 0, where ``tr[A_i G_j]`` couples each node with
+    each dual, the m points go in blocks of about ``_BLOCK_ELEMENTS`` node
+    evaluations through :func:`_row_minima`, one matrix product each.
+    Both sum in another order than :func:`dual_function_value`, so the two
+    agree to ``1e-12 * sum_i |q_i|``, not bit for bit.  A point's value
+    does not depend on the other points of its call.
     """
     mus = _checked_duals(instance, mus, Gs, "dual_function_values")
     m, n = mus.shape[0], instance.n
@@ -555,10 +616,44 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     rows = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, m, rows):
         block = slice(start, start + rows)
-        # one statement, so a block's scratch is freed before the next one's
-        out[block] = _closed_form_minimize(
-            instance, mus[block, None], Gs[block, None])[1].sum(axis=1)
+        out[block] = _row_minima(instance, mus[block], Gs[block])
     return out
+
+
+def _row_minima(instance: ProblemInstance, mu: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """q at each of the r points ``(mu, G)`` of a block: one product of
+    their (r, 2 + d*d) rows ``[1, mu_j, -vec G_j]`` by the matrix of
+    :attr:`ProblemInstance._value_rows`, then per node
+
+    - without a log term, ``min(S lo, S hi)``;
+    - with one, ``S x - C log1p(x)`` at its box minimizer: the clipped
+      stationary point ``C/S - 1`` where S > 0 (lo where C = 0), else hi;
+
+    and the point's constant, summed in one row sum.  A lone point is
+    padded with a zero row: a one-row product goes through another BLAS
+    kernel, whose rounding would make a point's q depend on its block.
+    """
+    n_log, n_plain, M, lo, hi = instance._value_rows
+    r = len(mu)
+    P = np.zeros((max(r, 2), len(M)))
+    P[:r, 0], P[:r, 1] = 1.0, mu
+    np.negative(G.reshape(r, -1), out=P[:r, 2:])
+    S = (P @ M)[:r]
+    end = n_log + n_plain + 1          # S, S lo, then the constant: the summed columns
+    logs, lower, C = S[:, :n_log], S[:, n_log:end - 1], S[:, end + n_plain:]
+    np.minimum(lower, S[:, end:end + n_plain], out=lower)
+    x = np.full(logs.shape, np.inf)    # where S <= 0; clipped to hi below
+    inside = logs > 0.0
+    with np.errstate(over="ignore"):   # C/S at tiny S: inf as well
+        np.divide(C, logs, out=x, where=inside)
+    np.subtract(x, 1.0, out=x)
+    np.minimum(x, hi, out=x)
+    np.maximum(x, lo, out=x)
+    np.multiply(logs, x, out=logs)
+    np.log1p(x, out=x)
+    np.multiply(C, x, out=x)
+    np.subtract(logs, x, out=logs)
+    return S[:, :end].sum(axis=1)
 
 
 def _values(c, a, b, x) -> np.ndarray:

@@ -56,8 +56,11 @@ def fig_graph():
 @pytest.fixture(scope="session")
 def lmi200_instance():
     """d = 2 on the 200 num nodes with random symmetric LMI blocks: large
-    enough that a stacked (GEMM) LMI sum would round differently from
-    the per-point one."""
+    enough that one recorded row's 200 dual values span two blocks of
+    ``dual_function_values``, and that the blocks' product rounds
+    differently from the oracle's per-node traces.  So the tests that
+    record rows in blocks pin that a point's summation order, and with
+    it its value, does not depend on the block it lands in."""
     base = cb.make_sample_num_instance(200, 3)
     rng = np.random.default_rng(5)
     A = rng.normal(size=(201, 2, 2))

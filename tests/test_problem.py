@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -517,9 +518,9 @@ def test_batch_oracle_matches_scalar_path(num_instance):
 
 
 def test_dual_function_values_matches_single(lmi_instance, lmi200_instance):
-    # a row of the blocked d > 0 path contracts tr[A_i G] in the oracle's
-    # order, so it equals the single-point value bit for bit, diagonal
-    # and full PSD G alike
+    # a row of the d > 0 path takes tr[A_i G] from one product per block
+    # and sums in its own order, so it agrees with the single-point value
+    # to the size of the summands, diagonal and full PSD G alike
     rng = np.random.default_rng(15)
     mus = rng.uniform(0.0, 1.0, size=40)
     B = rng.normal(size=(20, 2, 2))
@@ -529,7 +530,47 @@ def test_dual_function_values_matches_single(lmi_instance, lmi200_instance):
         vals = cb.dual_function_values(instance, mus, Gs)
         for i in range(40):
             single = cb.dual_function_value(instance, cb.DualPoint(mus[i], Gs[i]))
-            assert vals[i] == single, (instance.n, i)
+            q_i = minimize_node_lagrangians(instance, mus[i:i + 1], Gs[i:i + 1])[1]
+            assert abs(vals[i] - single) <= 1e-12 * np.abs(q_i).sum(), (instance.n, i)
+
+
+def _psd(a, b, c):
+    return np.array([[a, b], [b, c]])
+
+
+# d = 2 nodes at the edges of the value rows, with q at mu = 0, G = 0
+# worked out by hand: sum_i min(a_f lo, a_f hi) + sum_i b_f
+D2_EDGE_CASES = {
+    # c_f = 0 < c_g: at mu = 0, C = 0 and S = a_f takes each sign, so the
+    # minimizer is hi (S < 0), lo (S > 0) or anywhere (S = 0)
+    "linear_f_neg_log_g": ([(cb.ScalarFunction.linear(a), cb.ScalarFunction.neg_log(1.0),
+                             (-0.5, 2.0)) for a in (-1.0, 0.0, 1.0)], -2.5),
+    # no log term, so the box may lie below -1
+    "affine_box_below_minus_one": ([
+        (cb.ScalarFunction.affine(1.0, 2.0), cb.ScalarFunction.affine(-1.0, 0.5), (-3.0, -2.0)),
+        (cb.ScalarFunction.affine(-2.0, 0.0), cb.ScalarFunction.linear(1.0), (-5.0, -1.5))], 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(D2_EDGE_CASES))
+def test_dual_values_at_d2_edge_nodes(case):
+    # at mu = 0 and mu > 0, each with G = 0 and a PSD G: finite values,
+    # no warning, and within the rows' bound of the single-point value
+    spec, q_zero = D2_EDGE_CASES[case]
+    A = (_psd(1.0, 0.5, -1.0), _psd(0.0, 1.0, 0.0), _psd(-2.0, 0.0, 0.5))
+    inst = cb.ProblemInstance([cb.NodeSpec(f, g, A[i], box) for i, (f, g, box) in enumerate(spec)],
+                              _psd(3.0, 0.0, 3.0), 2)
+    mus = np.array([0.0, 0.0, 0.7, 0.7])
+    Gs = np.stack([np.zeros((2, 2)), _psd(1.0, 0.5, 2.0)] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = cb.dual_function_values(inst, mus, Gs)
+        assert vals[0] == q_zero
+        assert np.all(np.isfinite(vals))
+        for mu, G, val in zip(mus, Gs, vals):
+            q_i = minimize_node_lagrangians(inst, np.array([mu]), G[None])[1]
+            single = cb.dual_function_value(inst, cb.DualPoint(mu, G))
+            assert abs(val - single) <= 1e-12 * np.abs(q_i).sum(), (mu, G)
 
 
 def test_node_oracle_rejects_negative_mu():
@@ -659,9 +700,10 @@ def _psd_duals(rng, count, d):
     return B @ np.swapaxes(B, 1, 2) / 4.0
 
 
-# n = 1 to 60 fit many rows in one block, 2000 and 5000 split m into
-# blocks of 8 and 3 rows, 16385 exceeds the block size: one row per block
-@given(st.sampled_from([1, 3, 60, 2000, 5000, 16385]), st.integers(1, 13),
+# at d > 0, n = 1 to 2000 fit m in one block, 5000 and 16385 split it
+# into blocks of 6 and 2 rows, 32769 exceeds the block size: one row per
+# block, padded to two for the product
+@given(st.sampled_from([1, 3, 60, 2000, 5000, 16385, 32769]), st.integers(1, 13),
        st.sampled_from([0, 2]), st.integers(0, 2**32 - 1))
 def test_closed_form_kernel_matches_broadcast_expression(n, m, d, seed):
     rng = np.random.default_rng(seed)
@@ -699,17 +741,15 @@ def test_closed_form_kernel_matches_broadcast_expression(n, m, d, seed):
     _, v_ref = reference_minimize(
         c_f + mus[:, None] * c_g, a_f + mus[:, None] * a_g + lin,
         b_f + mus[:, None] * b_g + const, lo, hi)
-    if d:
-        assert np.array_equal(vals, v_ref.sum(axis=1))
-    else:
-        # d = 0 reads q off the sorted breakpoints: same value, another
-        # summation order, so bounded by the size of the summands
-        assert np.all(np.abs(vals - v_ref.sum(axis=1)) <= 1e-12 * np.abs(v_ref).sum(axis=1))
+    # d = 0 reads q off the sorted breakpoints, d > 0 takes one product
+    # per block: same value, another summation order, so bounded by the
+    # size of the summands
+    assert np.all(np.abs(vals - v_ref.sum(axis=1)) <= 1e-12 * np.abs(v_ref).sum(axis=1))
     for i in range(m):
         G_i = np.broadcast_to(Gs[i], (n, d, d)) if d else None
         q_i = minimize_node_lagrangians(inst, np.full(n, mus[i]), G_i)[1]
         if d:
-            # the oracle sums tr[A_i G] with np.sum, the batch with einsum
+            # the oracle sums tr[A_i G] entry by entry, the batch in a product
             assert vals[i] == pytest.approx(q_i.sum(), rel=1e-12, abs=1e-12)
         else:
             assert abs(vals[i] - q_i.sum()) <= 1e-12 * np.abs(q_i).sum()

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,3 +390,36 @@ def test_config_validation():
         cb.CobaddConfig(alpha=1.0, phi=0, K=10, sets=sets)
     with pytest.raises(ValueError):
         cb.CobaddConfig(alpha=1.0, phi=1, K=0, sets=sets)
+
+
+# a d = 2 run on 200 nodes: its trace rows, like its mixing, go through
+# BLAS products, whose bits must not depend on the thread count
+BLAS_RUN = """
+import numpy as np
+import cobadd as cb
+base = cb.make_sample_num_instance(200, 3)
+A = np.random.default_rng(5).normal(size=(201, 2, 2))
+A = (A + np.swapaxes(A, 1, 2)) / 2.0
+instance = cb.ProblemInstance(
+    [cb.NodeSpec(nd.f, nd.g, Ai, nd.box) for nd, Ai in zip(base.nodes, A[1:])], A[0], 2)
+W = cb.metropolis_weights(cb.random_connected_graph(200, 8.0, 1))
+cfg = cb.CobaddConfig(alpha=1.0, phi=2, K=12, sets=cb.DualSetSpec(1.5, 1.5))
+trace = cb.cobadd_solve(instance, W, cfg)
+print(trace.to_csv_text())
+for name in ("mu_disagreement", "G_disagreement", "final_mus", "final_Gs"):
+    print(name, repr(getattr(trace, name).tolist()))
+"""
+
+
+def test_d2_trace_does_not_depend_on_the_blas_thread_count():
+    src = str(Path(cb.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", BLAS_RUN], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        outputs.append(run.stdout.splitlines())
+    assert len(outputs[0]) == 12 + 1 + 1 + 4
+    for one, two in zip(*outputs):
+        assert one == two

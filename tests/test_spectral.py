@@ -100,3 +100,65 @@ def test_stack_projection_matches_single():
         for i in range(6):
             assert np.array_equal(batch[i], project(mats[i][None], Gam)[0])
             assert np.allclose(batch[i], project(mats[i], Gam), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the d = 2 closed form against eigh and Dykstra
+# ---------------------------------------------------------------------------
+
+def eigh_project(mats, radius):
+    """Clip-then-scale through np.linalg.eigh, the d >= 3 path."""
+    w, V = np.linalg.eigh((mats + np.swapaxes(mats, -1, -2)) / 2.0)
+    w = np.maximum(w, 0.0)
+    norms = np.linalg.norm(w, axis=-1, keepdims=True)
+    w = w * np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
+    return np.einsum("...ij,...j,...kj->...ik", V, w, V)
+
+
+CASES_2x2 = {
+    "negative_definite": np.array([[-2.0, 0.5], [0.5, -1.0]]),
+    "negative_rank_one": -np.outer([1.0, 2.0], [1.0, 2.0]),
+    "multiple_of_I": 1.5 * np.eye(2),
+    "negative_multiple_of_I": -0.5 * np.eye(2),
+    "zero": np.zeros((2, 2)),
+    "rank_one_psd": np.outer([0.6, -0.8], [0.6, -0.8]),
+    "psd_inside": np.array([[0.5, 0.2], [0.2, 0.3]]),
+    "psd_outside": np.array([[3.0, 1.0], [1.0, 2.0]]),
+    "indefinite_inside": np.array([[0.4, 0.3], [0.3, -0.9]]),
+    "indefinite_outside": np.array([[5.0, -2.0], [-2.0, -1.0]]),
+    "unsymmetric": np.array([[1.0, 3.0], [-1.0, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("radius", [1.0, math.inf])
+@pytest.mark.parametrize("name", sorted(CASES_2x2))
+def test_2x2_closed_form_matches_eigh(name, radius):
+    G = CASES_2x2[name]
+    out = project(G, radius)
+    assert np.array_equal(out, out.T)
+    assert np.all(np.abs(out - eigh_project(G, radius)) <= 1e-14 * np.linalg.norm(G))
+    if np.linalg.eigvalsh((G + G.T) / 2.0)[-1] <= 0.0:
+        # negative semidefinite: exact zeros, no -0.0
+        assert np.array_equal(out, np.zeros((2, 2))) and not np.signbit(out).any()
+
+
+def test_2x2_closed_form_matches_dykstra():
+    names = sorted(CASES_2x2)
+    mats = np.stack([CASES_2x2[name] for name in names])
+    gaps = np.linalg.norm(project(mats, 1.0) - dykstra_project(mats, 1.0, 10_000), axis=(1, 2))
+    assert gaps.max() < 1e-7, dict(zip(names, gaps))
+
+
+def test_2x2_closed_form_stack_matches_eigh():
+    # random stacks over eight orders of magnitude, with near-repeated
+    # eigenvalues (b and a - c tiny) and both signs of each
+    rng = np.random.default_rng(17)
+    mats = rng.normal(size=(4000, 2, 2)) * 10.0 ** rng.uniform(-4, 4, size=(4000, 1, 1))
+    mats[:500, 0, 1] *= 1e-9
+    mats[:500, 1, 1] = mats[:500, 0, 0] * (1 + 1e-12)
+    for radius in (0.3, 50.0, math.inf):
+        out = project(mats, radius)
+        ref = eigh_project(mats, radius)
+        tol = 1e-14 * np.linalg.norm(mats, axis=(1, 2))
+        assert np.all(np.abs(out - ref).max(axis=(1, 2)) <= tol)
+        assert np.array_equal(out, np.swapaxes(out, 1, 2))
