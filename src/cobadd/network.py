@@ -89,7 +89,7 @@ def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class ConsensusMatrix:
-    """Symmetric doubly-stochastic weights on a graph, with certified gap.
+    """Symmetric doubly-stochastic weights on a graph, with their gap nu.
 
     ``W`` is the n x n matrix, read-only.  ``neighbours`` is its nonzero
     pattern in row-major order, built on first use and kept: node i
@@ -98,9 +98,10 @@ class ConsensusMatrix:
 
     ``nu`` is the spectral radius of W - 11^T/n (equivalently the second
     largest absolute eigenvalue of W); averaging contracts deviations
-    from the mean by nu per step.  ``edge_count``, counted from W, is the
-    number of node pairs {i, j} with a nonzero weight, and drives message
-    accounting: one step costs 2 * edge_count payloads.
+    from the mean by nu per step.  It is an estimate, not a certified
+    bound (see :func:`metropolis_weights`).  ``edge_count``, counted from
+    W, is the number of node pairs {i, j} with a nonzero weight, and
+    drives message accounting: one step costs 2 * edge_count payloads.
     """
 
     W: np.ndarray
@@ -181,7 +182,8 @@ def metropolis_weights(g: Graph) -> ConsensusMatrix:
     """Metropolis-Hastings weights W_ij = 1/(1 + max(deg_i, deg_j)).
 
     Diagonal entries absorb the slack so rows sum to one.  The gap nu is
-    certified by a full symmetric eigendecomposition of W.
+    read off ``np.linalg.eigvalsh(W)``: a rounded estimate with no error
+    bound, whose last bits can depend on the BLAS thread count.
     """
     if not g.is_connected():
         raise ConfigurationError("graph is disconnected; nu would be 1")

@@ -20,14 +20,15 @@ upper endpoint (C > 0, S <= 0), or the clipped stationary point
 ``C/S - 1``.  Ties always resolve to the lower endpoint so that runs are
 reproducible.
 
-``minimize_node_lagrangians`` is the one kernel for minimizers: the
-solvers' oracle and ``dual_function_value`` go through it, so iterates
-and dual-set radii keep every bit.  ``dual_function_values``, the trace
-rows, needs only the minima, which do not depend on the tie-break.  With
-d = 0 it reads q off the instance's sorted breakpoints (each node's
-minimum is piecewise in mu); with an LMI, ``tr[A_i G_j]`` couples node
-and dual, and one matrix product per block of points gives every node's
-S and C at every point.  At every d a row agrees with
+``minimize_node_lagrangians`` is the one kernel for minimizers, one
+broadcast expression over a stack of duals: the solvers' oracle and
+``dual_function_value`` go through it, so iterates and dual-set radii
+keep every bit.  ``dual_function_values``, the trace rows, needs only
+the minima, which do not depend on the tie-break.  With d = 0 it reads
+q off the instance's sorted breakpoints (each node's minimum is
+piecewise in mu); with an LMI, ``tr[A_i G_j]`` couples node and dual,
+and one matrix product per block of points gives every node's S and C
+at every point.  At every d a row agrees with
 ``dual_function_value`` to ``1e-12 * sum_i |q_i|``, not bit for bit.
 """
 
@@ -388,69 +389,9 @@ class SubgradientBounds:
 _BLOCK_ELEMENTS = 32768
 
 
-def _closed_form_minimize(instance: ProblemInstance, mu, Gs):
-    """Box minimizers and minima of -C*log(1+x) + S*x + T for a stack of duals.
-
-    The coefficients are those of the node Lagrangians at the stack's
-    dual points,
-
-        C = c_f + mu c_g,   S = a_f + mu a_g + lin,   T = b_f + mu b_g + const,
-
-    with the instance's (n,) coefficient arrays broadcast against ``mu``
-    and the LMI terms ``lin, const`` of :func:`_lmi_terms` at ``Gs``: mu
-    of shape (n,), (R, n) or (1,) with Gs of shape mu.shape + (d, d).
-    C == 0 gives an affine objective whose minimizer
-    is an endpoint (the lower one on ties); C > 0 gives a strictly convex
-    objective minimized at the clipped stationary point C/S - 1 when
-    S > 0 and at the upper endpoint otherwise.
-
-    Everything is evaluated in place, with ``out=`` ufuncs into one float
-    scratch block of shape (4,) + block and ``where=`` masks in one bool
-    block of shape (2,) + block, allocated here.  Each element gets
-    bit-for-bit the minimizer and value of the broadcast expression
-    ``x = where(C > 0, where(S > 0, clip(C/S - 1, lo, hi), hi), where(S < 0,
-    hi, lo))``, ``value = -C*log1p(x) + S*x + T`` (the log term read as 0
-    where C == 0): ``S*x - C*log1p(x)`` rounds as ``-C*log1p(x) + S*x``
-    does.  Returns views ``(x, value)`` into the float scratch.
-    """
-    c_f, a_f, b_f, c_g, a_g, b_g = instance._closed
-    lo, hi = instance.boxes
-    lin, const = _lmi_terms(instance, Gs)
-    shape = np.shape(mu)[:-1] + (instance.n,)
-    C, val, x, tmp = np.empty((4,) + shape)
-    convex, sel = np.empty((2,) + shape, dtype=bool)
-    np.multiply(mu, c_g, out=C)
-    np.add(c_f, C, out=C)
-    np.multiply(mu, a_g, out=val)               # val holds S until S*x
-    np.add(a_f, val, out=val)
-    np.add(val, lin, out=val)
-    np.greater(C, 0.0, out=convex)
-    # affine: upper endpoint where S < 0, else lower; convex: upper endpoint
-    np.less(val, 0.0, out=sel)
-    np.logical_or(sel, convex, out=sel)
-    np.copyto(x, lo)
-    np.copyto(x, hi, where=sel)
-    # convex with S > 0: the clipped stationary point
-    np.greater(val, 0.0, out=sel)
-    np.logical_and(sel, convex, out=sel)
-    with np.errstate(over="ignore"):        # at tiny duals: inf - 1 clips to hi
-        np.divide(C, val, out=x, where=sel)
-    np.subtract(x, 1.0, out=x, where=sel)
-    np.clip(x, lo, hi, out=x, where=sel)
-    np.multiply(val, x, out=val)
-    np.log1p(x, out=tmp, where=convex)
-    np.multiply(C, tmp, out=tmp, where=convex)
-    np.subtract(val, tmp, out=val, where=convex)
-    np.multiply(mu, b_g, out=tmp)               # tmp holds T
-    np.add(b_f, tmp, out=tmp)
-    np.add(tmp, const, out=tmp)
-    np.add(val, tmp, out=val)
-    return x, val
-
-
 def _traces(A: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """tr[A G] of symmetric (..., d*d) flattened stacks, summed in entry order
-    with one (...,) scratch: the oracle's LMI term."""
+    """tr[A G] of symmetric (..., d*d) flattened stacks, summed entry by
+    entry in entry order: the oracle's LMI term."""
     out = A[..., 0] * G[..., 0]
     for k in range(1, A.shape[-1]):
         out += A[..., k] * G[..., k]
@@ -472,8 +413,10 @@ def _lmi_terms(instance: ProblemInstance, Gs: np.ndarray):
 
 
 def _checked_duals(instance: ProblemInstance, mus, Gs, caller: str) -> np.ndarray:
-    """``mus`` as floats, each >= 0, and with an LMI one (d, d) matrix in ``Gs``
-    per mu (d = 0 ignores ``Gs``); a ValueError naming ``caller`` otherwise."""
+    """``mus`` as floats, each finite and >= 0, and with an LMI one finite
+    (d, d) matrix in ``Gs`` per mu (d = 0 ignores ``Gs``); a ValueError
+    naming ``caller`` otherwise, a ConfigurationError for a NaN or an
+    infinity (a run whose duals overflowed)."""
     mus = np.asarray(mus, dtype=float)
     if mus.size and mus.min() < 0.0:
         raise ValueError(f"{caller} needs every mu >= 0")
@@ -481,12 +424,26 @@ def _checked_duals(instance: ProblemInstance, mus, Gs, caller: str) -> np.ndarra
     if d and np.shape(Gs) != mus.shape + (d, d):
         got = "no Gs" if Gs is None else f"Gs of shape {np.shape(Gs)}"
         raise ValueError(f"{got} on a d = {d} instance; expected shape {mus.shape + (d, d)}")
+    # a NaN makes max NaN; -inf was caught as negative
+    if (mus.size and not mus.max() < math.inf) or (d and not np.isfinite(Gs).all()):
+        raise ConfigurationError(f"{caller} needs every mu and G entry finite")
     return mus
 
 
 def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
                               Gs: np.ndarray | None = None):
     """Solve every node's Lagrangian minimization at its own dual point.
+
+    At a dual (mu, G), node i minimizes ``-C log(1 + x) + S x + T`` over
+    its box, with
+
+        C = c_f + mu c_g,   S = a_f + mu a_g + lin,   T = b_f + mu b_g + const,
+
+    and the LMI terms ``lin, const`` of :func:`_lmi_terms`.  C == 0 gives
+    an affine objective minimized at an endpoint (the lower one on ties);
+    C > 0 a strictly convex one, minimized at the clipped stationary
+    point C/S - 1 when S > 0 and at the upper endpoint otherwise.  All
+    nodes and duals go through one broadcast expression.
 
     Parameters
     ----------
@@ -496,6 +453,7 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
         each >= 0 (a negative one raises ``ValueError``: the closed form assumes C >= 0).
     Gs : ndarray, shape mus.shape + (d, d)
         Matrix duals, ignored when d = 0; a ValueError if missing or misshapen.
+        A NaN or infinite mu or G entry is a ``ConfigurationError``.
 
     Returns
     -------
@@ -504,7 +462,16 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
         q_i = min_x L_i(x, mu_i, G_i).
     """
     mus = _checked_duals(instance, mus, Gs, "minimize_node_lagrangians")
-    x, q = _closed_form_minimize(instance, mus, Gs)
+    c_f, a_f, b_f, c_g, a_g, b_g = instance._closed
+    lo, hi = instance.boxes
+    lin, const = _lmi_terms(instance, Gs)
+    C, S = c_f + mus * c_g, a_f + mus * a_g + lin
+    # lanes with S <= 0 are discarded below; at tiny duals, inf - 1 clips to hi
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        stationary = np.minimum(np.maximum(C / S - 1.0, lo), hi)
+    convex = C > 0.0
+    x = np.where(convex & (S > 0.0), stationary, np.where(convex | (S < 0.0), hi, lo))
+    q = S * x - C * np.log1p(np.where(convex, x, 0.0)) + (b_f + mus * b_g + const)
     # the boxes are finite, so a NaN minimizer would make its q NaN too
     if not np.isfinite(q).all():
         raise ConfigurationError("non-finite Lagrangian evaluation inside a box")
@@ -593,7 +560,8 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
 
     ``mus`` has shape (m,) and ``Gs`` shape (m, d, d) (ignored when d = 0,
     else checked as in :func:`minimize_node_lagrangians`); every mu must
-    be >= 0, the dual domain, and a negative one raises ``ValueError``.
+    be >= 0, the dual domain, and a negative one raises ``ValueError``, a
+    NaN or infinite one ``ConfigurationError``.
     With d = 0, q is read off the breakpoints of :func:`_dual_breakpoints`:
     one ``searchsorted`` and a four-term sum per point instead of n node
     evaluations.  With d > 0, where ``tr[A_i G_j]`` couples each node with

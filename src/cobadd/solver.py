@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import default_beta0, theoretical_bounds
+from .errors import ConfigurationError
 from .network import ConsensusMatrix, consensus_round
 from .problem import (DualPoint, DualSetSpec, ProblemInstance,
                       constraint_values, dual_function_values, evaluate_primal,
@@ -210,8 +211,9 @@ def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
     beta0 = 10 alpha M, which dominates the initial payload disagreement
     c0 on every doubly stochastic W (see :func:`default_beta0`).  Row k
     samples the duals of the k-th consensus round, the bootstrap's being
-    the first, and each round sends phi * 2|E| messages.  Every round,
-    here and in :func:`cobadd_step`, mixes with the one operator
+    the first, and each round sends phi * 2|E| messages; a run whose K
+    rounds send more than an int64 holds is a ConfigurationError.  Every
+    round, here and in :func:`cobadd_step`, mixes with the one operator
     :func:`consensus_round` picks from W's graph and phi.  Given ``more``
     configs of the same K and sets (a ValueError otherwise), the runs step
     together and a list of one RunTrace per config comes back, each
@@ -220,6 +222,10 @@ def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
     configs = (config,) + more
     if any(c.K != config.K or c.sets != config.sets for c in more):
         raise ValueError("stacked runs must share K and the dual sets")
+    for c in configs:
+        if int(c.K) * int(c.phi) * 2 * W.edge_count > np.iinfo(np.int64).max:
+            raise ConfigurationError(
+                f"phi={c.phi}: K * phi * 2|E| messages exceed the int64 range of messages_cum")
     K, M = config.K, subgradient_bounds(instance).M
     bounds = [theoretical_bounds(instance, c.sets, W.nu, c, default_beta0(c.alpha, M))
               for c in configs]

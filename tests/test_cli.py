@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,46 @@ def test_solve_error_is_an_error_line(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err == "error: non-finite Lagrangian evaluation inside a box\n"
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def _lmi_config(tmp_path, runs):
+    """verify_lmi's instance and two-node graph (one edge) with these runs."""
+    path = tmp_path / "lmi.json"
+    path.write_text(json.dumps({
+        "instance": {"builtin": "lmi"}, "graph": {"n": 2, "avg_degree": 1.0, "seed": 0},
+        "runs": runs, "output_dir": str(tmp_path / "o")}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("phi", [2**61, 2**62])
+def test_message_count_beyond_int64_is_an_error_line(tmp_path, capsys, command, phi):
+    # K phi 2|E| = 2**63 messages at phi = 2**61: messages_cum wrapped to
+    # -2**63 and the run exited 0; at 2**62 it ended in a traceback
+    path = _lmi_config(tmp_path, [{"solver": "cobadd", "alpha": 0.5, "phi": phi, "K": 2}])
+    assert main([command, path]) == 1
+    assert capsys.readouterr().err == \
+        f"error: phi={phi}: K * phi * 2|E| messages exceed the int64 range of messages_cum\n"
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_overflowing_master_dual_is_an_error_line(tmp_path, capsys, command):
+    # at alpha = 1e308 the unbounded master node's mu overflows to inf in
+    # its first update; under warnings as errors, as CI runs the configs,
+    # the next oracle pass ended in a RuntimeWarning traceback from mu * c_g
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    with open(os.path.join(root, "verify_dense.json")) as fh:
+        doc = json.load(fh)
+    doc["runs"] = [{"solver": "centralized", "alpha": 1e308, "K": 5, "bounded": False}]
+    doc["output_dir"] = str(tmp_path / "o")
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: minimize_node_lagrangians needs every mu and G entry finite\n"
 
 
 def test_cmd_run_writes_traces_and_summary(tmp_path):

@@ -603,6 +603,29 @@ def test_dual_function_values_rejects_negative_mu(lmi_instance):
                        rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("d, entry", [(0, "mu"), (2, "mu"), (2, "G")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("q_function", [minimize_node_lagrangians, cb.dual_function_values],
+                         ids=["kernel", "rows"])
+def test_non_finite_dual_is_a_configuration_error(q_function, bad, d, entry, lmi_instance):
+    # a NaN mu passed the mu >= 0 test and G's entries went unchecked: the
+    # rows came back NaN (d = 0 at mu = inf with a RuntimeWarning), and the
+    # kernel blamed the box for a non-finite Lagrangian value
+    inst = lmi_instance if d else cb.make_sample_num_instance(10, 0)
+    mus = np.ones(inst.n)
+    Gs = np.zeros((inst.n, d, d))
+    if entry == "mu":
+        mus[-1] = bad
+    else:
+        Gs[-1, 0, 1] = bad
+    name = q_function.__name__
+    with pytest.raises(ConfigurationError, match=f"^{name} needs every mu and G entry finite$"):
+        q_function(inst, mus, Gs if d else None)
+    # a negative mu keeps its own message
+    with pytest.raises(ValueError, match=f"^{name} needs every mu >= 0$"):
+        q_function(inst, -np.ones(inst.n), Gs if d else None)
+
+
 @pytest.mark.parametrize("name, G", [("lmi", None), ("num", np.eye(2))])
 def test_dual_point_of_another_dimension_is_named(name, G, request):
     # a d = 0 dual on a d = 2 instance used to fail inside numpy's
@@ -643,13 +666,14 @@ def test_shared_dual_sweep_equals_the_per_node_stack(name, request):
 
 
 # ---------------------------------------------------------------------------
-# the in-place closed-form kernel against the broadcast expression
+# the node kernel against a reference written apart from it
 # ---------------------------------------------------------------------------
 
 def reference_minimize(C, S, T, lo, hi):
-    """Box minimizer and minimum of -C*log(1+x) + S*x + T as one broadcast
-    expression with full-size temporaries: the reference the in-place
-    kernel must match bit for bit."""
+    """Box minimizer and minimum of -C*log(1+x) + S*x + T, written out here
+    branch by branch from given C, S and T: the node kernel, which forms
+    C, S and T from the instance and the duals itself, must match it bit
+    for bit, tie-breaks and rounding included."""
     with np.errstate(divide="ignore", invalid="ignore"):
         stationary = C / S - 1.0
     x_convex = np.where(S > 0.0, np.clip(stationary, lo, hi), hi)

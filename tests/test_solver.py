@@ -188,6 +188,23 @@ def test_trace_message_accounting(num_instance, num_sets, fig_graph, exact):
     assert np.all(np.diff(tr.messages_cum) >= 0)
 
 
+@pytest.mark.parametrize("phi", [2**61, 2**62])
+def test_message_count_beyond_int64_is_refused_before_the_solve(lmi_instance, lmi_sets,
+                                                                 monkeypatch, phi):
+    # on one edge, K = 2 rounds at phi = 2**61 send 2**63 messages:
+    # messages_cum wrapped to -2**63 and the run passed; at phi = 2**62 one
+    # round's count left int64 and the run ended in an OverflowError
+    W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))
+    cfg = cb.CobaddConfig(alpha=0.5, phi=phi, K=2, sets=lmi_sets)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_init", lambda *args: pytest.fail("the solve started"))
+        with pytest.raises(cb.ConfigurationError, match=f"^phi={phi}: "):
+            cb.cobadd_solve(lmi_instance, W, cfg)
+    # the largest count that fits, 2**63 - 2, is written as it is
+    last = dataclasses.replace(cfg, phi=2**62 - 1, K=1)
+    assert cb.cobadd_solve(lmi_instance, W, last).messages_cum.tolist() == [2**63 - 2]
+
+
 def test_alpha_tradeoff_floor_and_decay():
     # smaller stepsize: slower transient decay, lower eventual floor
     inst = cb.make_sample_num_instance(20, 4)
