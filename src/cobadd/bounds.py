@@ -89,9 +89,14 @@ def default_beta0(alpha: float, M: float) -> float:
     by 2 alpha Q.  Hence c0 <= 2 alpha M < 10 alpha M, whatever the graph
     and phi.  The factor 10 keeps beta0 well above the per-step
     subgradient drift alpha M, so phibar stays within log(1.1)/|log nu|
-    of its large-beta0 limit log(1/(4n(1+d^2)))/log(nu).
+    of its large-beta0 limit log(1/(4n(1+d^2)))/log(nu).  An alpha whose
+    10 alpha M leaves the float range is a ConfigurationError: the
+    envelope would read NaN and pass every check.
     """
-    return 10.0 * alpha * M
+    beta0 = 10.0 * alpha * M
+    if not math.isfinite(beta0):
+        raise ConfigurationError(f"alpha={alpha!r}: beta0 = 10 alpha M is not finite")
+    return beta0
 
 
 def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, nu: float,

@@ -60,7 +60,8 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
     over the whole run (including the initial pair and the final
     update): bound_upper = (L0^2+G0^2)/(2 alpha k) + alpha n^2 (L^2+Q^2)/2
     and bound_lower = (L0^2+G0^2)/(alpha k), whose first row times alpha
-    is L0^2 + G0^2.
+    is L0^2 + G0^2.  A cell beyond the float range reads inf, which every
+    check counts as broken.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -78,9 +79,15 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
 
     sb = subgradient_bounds(instance)
     ks = np.arange(1, K + 1, dtype=float)
-    radius2 = lam_max**2 + gam_max**2
-    bound_upper = radius2 / (2.0 * alpha * ks) + alpha * instance.n**2 * (sb.L**2 + sb.Q**2) / 2.0
-    bound_lower = radius2 / (alpha * ks)
+    try:
+        radius2 = lam_max**2 + gam_max**2
+    except OverflowError:   # a realized norm beyond the square root of the float range
+        radius2 = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound_upper = radius2 / (2.0 * alpha * ks) + alpha * instance.n**2 * (sb.L**2 + sb.Q**2) / 2.0
+        bound_lower = radius2 / (alpha * ks)
+    # a cell beyond the float range reads inf, also inf / inf where alpha k overflowed
+    bound_upper, bound_lower = (np.where(np.isnan(b), math.inf, b) for b in (bound_upper, bound_lower))
     return RunTrace(k=np.arange(1, K + 1), **cols,
                     messages_cum=np.zeros(K, dtype=int),
                     bound_upper=bound_upper, bound_lower=bound_lower,

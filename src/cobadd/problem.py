@@ -350,20 +350,33 @@ def _project_2x2(mats: np.ndarray, radius: float) -> np.ndarray:
     - l1 > 0 > l2: ``min(l1, radius)`` times l1's eigenprojector
       ``(S - l2 I)/(2h)``;
     - l1 <= 0: exact zeros (``alpha = beta = 0``, and ``+ 0.0`` clears -0.0).
+
+    A matrix with an entry beyond 2**1022 goes through at a quarter of its
+    scale, exact in binary, so that no step overflows on a finite stack,
+    and is scaled back; an entry beyond the float range then reads inf.
     """
+    s = None
+    if np.abs(mats).max(initial=0.0) > 2.0**1022:
+        s = np.where(np.abs(mats).max(axis=(-2, -1)) > 2.0**1022, 4.0, 1.0)
+        mats, radius, s = mats / s[..., None, None], radius / s, s[..., None, None]
     a, c = mats[..., 0, 0], mats[..., 1, 1]
     b = (mats[..., 0, 1] + mats[..., 1, 0]) / 2.0
     h = np.hypot((a - c) / 2.0, b)
     l1, l2 = (a + c) / 2.0 + h, (a + c) / 2.0 - h
-    with np.errstate(divide="ignore"):       # the zero matrix: radius/0 = inf
+    with np.errstate(divide="ignore", over="ignore"):   # radius/0 = inf, and scale 1
         scale = np.minimum(radius / np.hypot(l1, l2), 1.0)
     top = np.maximum(np.minimum(l1, radius), 0.0)
-    alpha = np.where(l2 >= 0.0, scale, top / np.where(h > 0.0, 2.0 * h, 1.0))
+    # top < 2h where l2 < 0 < l1; elsewhere the quotient is unused, so it
+    # divides by 1 rather than overflow or divide 0 by 0
+    alpha = np.where(l2 >= 0.0, scale, top / np.where((l2 < 0.0) & (h > 0.0), 2.0 * h, 1.0))
     beta = alpha * np.maximum(-l2, 0.0)
     out = np.empty(mats.shape)
     out[..., 0, 0] = alpha * a + beta
     out[..., 1, 1] = alpha * c + beta
     out[..., 0, 1] = out[..., 1, 0] = alpha * b + 0.0
+    if s is not None:
+        with np.errstate(over="ignore"):
+            out *= s
     return out
 
 

@@ -72,10 +72,11 @@ class SolverState:
     for CoBa-DD (m = n), the one master-node pair for the centralized
     baseline (m = 1).  ``x_tilde`` holds the minimizers of the last
     oracle pass and ``tilde_sum`` their sum over the recorded
-    iterations, of shape (n,).  R > 1 CoBa-DD runs stepped together hold
-    (R, n) and (R, n, d, d) stacks instead.  Iterating a one-run state
-    yields one :class:`NodeState` view per node, built on read; with
-    m = 1 every node sees the master dual.
+    iterations, of shape (n,).  R > 1 CoBa-DD runs that
+    :func:`cobadd_init` and :func:`cobadd_step` step together hold (R, n)
+    and (R, n, d, d) stacks instead, which have no node views (a
+    TypeError).  Iterating a one-run state yields one :class:`NodeState`
+    view per node, built on read; with m = 1 every node sees the master dual.
     """
 
     mus: np.ndarray
@@ -102,10 +103,13 @@ class SolverState:
 def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
              mus: np.ndarray, Gs: np.ndarray):
     """Oracle pass at the duals ``mus`` and ``Gs``, of shapes (n,) and
-    (n, d, d) for one run or (R, n) and (R, n, d, d) for R stacked runs,
-    then each run's projected consensus update; returns the minimizers and
-    the new duals.  Mixing is one round per run: one product over all
-    runs' payloads would round differently from each run's own."""
+    (n, d, d) for one run or (R, n) and (R, n, d, d) for R stacked runs
+    of one set pair (a ValueError otherwise), then each run's projected
+    consensus update; returns the minimizers and the new duals.  Mixing
+    is one round per run: one product over all runs' payloads would round
+    differently from each run's own."""
+    if any(c.sets != configs[0].sets for c in configs[1:]):
+        raise ValueError("stacked runs must share K and the dual sets")
     R, n, d, radius = len(configs), instance.n, instance.d, configs[0].sets.radius
     alpha = np.array([c.alpha for c in configs]).reshape(mus.shape[:-1] + (1,))
     x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
@@ -125,33 +129,24 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
     return x_tilde, mus, Gs
 
 
-def _init(instance: ProblemInstance, W: ConsensusMatrix, configs) -> SolverState:
-    """The bootstrap of one run, or of R > 1 stacked runs, as :func:`cobadd_init`."""
-    shape = (instance.n,) if len(configs) == 1 else (len(configs), instance.n)
+def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix,
+                config: CobaddConfig, *more: CobaddConfig) -> SolverState:
+    """Bootstrap: sample at the zero initial duals, run the first
+    consensus update, and return the state holding the updated duals
+    with an empty ergodic sum; R configs start R stacked runs."""
+    configs = (config,) + more
+    shape = (instance.n,) if not more else (len(configs), instance.n)
     x_tilde, mus, Gs = _advance(instance, W, configs, np.zeros(shape),
                                 np.zeros(shape + (instance.d, instance.d)))
     return SolverState(mus, Gs, x_tilde, np.zeros(shape), 0)
 
 
-def _step(instance: ProblemInstance, W: ConsensusMatrix, configs, state) -> SolverState:
-    """One iteration of one run or of R stacked runs, as :func:`cobadd_step`."""
-    x_tilde, mus, Gs = _advance(instance, W, configs, state.mus, state.Gs)
-    return SolverState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
-
-
-def cobadd_init(instance: ProblemInstance, W: ConsensusMatrix,
-                config: CobaddConfig) -> SolverState:
-    """Bootstrap: sample at the zero initial duals, run the first
-    consensus update, and return the state holding the updated duals
-    with an empty ergodic sum."""
-    return _init(instance, W, (config,))
-
-
-def cobadd_step(instance: ProblemInstance, state: SolverState,
-                W: ConsensusMatrix, config: CobaddConfig) -> SolverState:
+def cobadd_step(instance: ProblemInstance, state: SolverState, W: ConsensusMatrix,
+                config: CobaddConfig, *more: CobaddConfig) -> SolverState:
     """One recorded iteration: sample at the state's duals, extend the
-    ergodic sum, and mix and project the duals."""
-    return _step(instance, W, (config,), state)
+    ergodic sum, and mix and project the duals; R configs step R runs."""
+    x_tilde, mus, Gs = _advance(instance, W, (config,) + more, state.mus, state.Gs)
+    return SolverState(mus, Gs, x_tilde, state.tilde_sum + x_tilde, state.k + 1)
 
 
 # Buffered elements per block of trace rows.  Larger blocks only grow the
@@ -212,15 +207,16 @@ def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
     c0 on every doubly stochastic W (see :func:`default_beta0`).  Row k
     samples the duals of the k-th consensus round, the bootstrap's being
     the first, and each round sends phi * 2|E| messages; a run whose K
-    rounds send more than an int64 holds is a ConfigurationError.  Every
-    round, here and in :func:`cobadd_step`, mixes with the one operator
-    :func:`consensus_round` picks from W's graph and phi.  Given ``more``
-    configs of the same K and sets (a ValueError otherwise), the runs step
-    together and a list of one RunTrace per config comes back, each
-    bit-identical to that config's trace alone.
+    rounds send more than an int64 holds is a ConfigurationError.  The
+    rows are recorded through :func:`cobadd_init` and :func:`cobadd_step`,
+    whose rounds mix with the one operator :func:`consensus_round` picks
+    from W's graph and phi.  Given ``more`` configs of the same K and sets
+    (a ValueError otherwise), the runs step together and a list of one
+    RunTrace per config comes back, each bit-identical to that config's
+    trace alone.
     """
     configs = (config,) + more
-    if any(c.K != config.K or c.sets != config.sets for c in more):
+    if any(c.K != config.K for c in more):
         raise ValueError("stacked runs must share K and the dual sets")
     for c in configs:
         if int(c.K) * int(c.phi) * 2 * W.edge_count > np.iinfo(np.int64).max:
@@ -231,8 +227,8 @@ def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
               for c in configs]
 
     # the bootstrap's consensus round produces the duals used at row 1
-    state = _init(instance, W, configs)
-    runs, state = record_run(instance, state, lambda s: _step(instance, W, configs, s), K)
+    state = cobadd_init(instance, W, *configs)
+    runs, state = record_run(instance, state, lambda s: cobadd_step(instance, s, W, *configs), K)
     # explicit sizes: reshape(-1, ...) cannot size the empty d = 0 stack
     shape = (len(configs), instance.n, instance.d, instance.d)
     final_mus, final_Gs = state.mus.reshape(shape[:2]), state.Gs.reshape(shape)

@@ -71,7 +71,8 @@ class RunTrace:
             col = getattr(self, name)
             if len(col) != K:
                 raise ValueError(f"column {name} has {len(col)} rows, expected {K}")
-        if np.any(np.diff(self.messages_cum) < 0):
+        col = np.asarray(self.messages_cum)
+        if np.any(col[1:] < col[:-1]):   # np.diff would wrap on int64
             raise ValueError("messages_cum must be nondecreasing")
 
     def write_csv(self, path) -> None:

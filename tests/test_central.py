@@ -194,3 +194,32 @@ def test_ergodic_iterates_stay_in_box(num_instance):
         state = cb.central_step(num_instance, state, alpha=0.5)
         assert np.all(state.ergodic_x >= 0.0 - 1e-12)
         assert np.all(state.ergodic_x <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1e300])
+def test_bound_cells_beyond_the_float_range_read_inf(num_instance, alpha):
+    # verify_dense's unbounded baseline at a huge stepsize: the realized
+    # dual norms square beyond the float range, which ended the solve in an
+    # OverflowError; now every bound cell reads inf, a broken bound
+    trace = cb.central_solve(num_instance, alpha, 300)
+    assert np.all(np.isinf(trace.bound_upper)) and np.all(np.isinf(trace.bound_lower))
+    assert np.all(np.isfinite(trace.f_ergodic))
+
+
+def test_bound_cell_over_an_overflowing_alpha_k_reads_inf():
+    # at alpha = 1e308 both radius2 and 2 alpha k leave the float range;
+    # their quotient reads inf, not NaN
+    f, g = cb.ScalarFunction.linear(-1.0), cb.ScalarFunction.affine(1.0, -0.25)
+    node = cb.NodeSpec(f, g, np.zeros((0, 0)), (0.0, 1.0))
+    trace = cb.central_solve(cb.ProblemInstance((node, node), np.zeros((0, 0)), 0), 1e308, 1)
+    assert trace.bound_upper.tolist() == trace.bound_lower.tolist() == [math.inf]
+
+
+def test_unbounded_lmi_master_node_at_a_huge_stepsize(lmi_instance):
+    # verify_lmi's unbounded baseline at alpha = 1e308: G - alpha A(x) holds
+    # entries near the float limit, whose projection overflowed in a + c;
+    # now the run completes, its duals stay at zero, and its upper bound
+    # alpha n^2 (L^2 + Q^2) / 2 reads inf
+    trace = cb.central_solve(lmi_instance, 1e308, 5)
+    assert np.array_equal(trace.final_Gs, np.zeros((1, 2, 2)))
+    assert np.all(np.isinf(trace.bound_upper))

@@ -331,20 +331,58 @@ def test_message_count_beyond_int64_is_an_error_line(tmp_path, capsys, command, 
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
+def test_alpha_whose_beta0_overflows_is_an_error_line(tmp_path, capsys, command):
+    # at alpha = 1e308, beta0 = 10 alpha M is inf and p NaN: under warnings
+    # as errors the bounds ended in a traceback, and without them run wrote
+    # a NaN beta_k column and verify passed the agreement bound against it
+    path = _lmi_config(tmp_path, [{"solver": "cobadd", "alpha": 1e308, "phi": 1, "K": 5}])
+    assert main([command, path]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: alpha=1e+308: beta0 = 10 alpha M is not finite\n"
+    assert "agreement bound" not in out
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+def _dense_config(tmp_path, runs):
+    """verify_dense's instance and graph with these runs."""
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    with open(os.path.join(root, "verify_dense.json")) as fh:
+        doc = json.load(fh)
+    doc["runs"], doc["output_dir"] = runs, str(tmp_path / "o")
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("config", ["dense", "lmi"])
+def test_master_node_at_a_huge_stepsize_fails_its_sandwich(tmp_path, capsys, config):
+    # the unbounded baseline's bound cells beyond the float range read inf
+    # and break the sandwich: at 1e200 and 1e300 the realized norms'
+    # squares ended in an OverflowError traceback, and at 1e308 on the LMI
+    # instance the projection's overflow in a + c did under warnings as errors
+    pairs = ((1e200, 300), (1e300, 300)) if config == "dense" else ((1e308, 5),)
+    runs = [{"solver": "centralized", "bounded": False, "alpha": a, "K": K} for a, K in pairs]
+    path = (_dense_config if config == "dense" else _lmi_config)(tmp_path, runs)
+    assert main(["run", path]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert all(run["bound_violations"]["primal_upper"] == run["K"] for run in summary["runs"])
+    assert main(["verify", path]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line.split()[1:3] for line in fails] == [["baseline", "sandwich"]] * len(runs)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
 def test_overflowing_master_dual_is_an_error_line(tmp_path, capsys, command):
     # at alpha = 1e308 the unbounded master node's mu overflows to inf in
     # its first update; under warnings as errors, as CI runs the configs,
     # the next oracle pass ended in a RuntimeWarning traceback from mu * c_g
-    root = os.path.join(os.path.dirname(__file__), "..", "configs")
-    with open(os.path.join(root, "verify_dense.json")) as fh:
-        doc = json.load(fh)
-    doc["runs"] = [{"solver": "centralized", "alpha": 1e308, "K": 5, "bounded": False}]
-    doc["output_dir"] = str(tmp_path / "o")
-    path = tmp_path / "dense.json"
-    path.write_text(json.dumps(doc))
+    path = _dense_config(tmp_path, [{"solver": "centralized", "alpha": 1e308, "K": 5,
+                                     "bounded": False}])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, str(path)]) == 1
+        assert main([command, path]) == 1
     assert capsys.readouterr().err == \
         "error: minimize_node_lagrangians needs every mu and G entry finite\n"
 
@@ -424,6 +462,14 @@ def test_csv_text_matches_per_cell_writer():
             else repr(float(getattr(tr, name)[row])) for name in TRACE_COLUMNS))
     assert tr.to_csv_text() == "\n".join(lines) + "\n"
     assert ",nan\n" in tr.to_csv_text() and ",-0.0," in tr.to_csv_text()
+
+
+def test_wrapped_messages_cum_is_refused():
+    # np.diff wraps on int64, so [2**62, -2**63] read as an increase of 2**62
+    cols = dict.fromkeys(TRACE_COLUMNS + ("mu_disagreement", "G_disagreement"), np.zeros(2))
+    cols.update(k=np.arange(1, 3), messages_cum=np.array([2**62, -2**63]))
+    with pytest.raises(ValueError, match="messages_cum must be nondecreasing"):
+        cb.RunTrace(**cols, final_mus=np.zeros(1), final_Gs=np.zeros((1, 0, 0)))
 
 
 def test_cmd_run_deterministic_outputs(tmp_path):

@@ -197,12 +197,23 @@ def test_message_count_beyond_int64_is_refused_before_the_solve(lmi_instance, lm
     W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))
     cfg = cb.CobaddConfig(alpha=0.5, phi=phi, K=2, sets=lmi_sets)
     with monkeypatch.context() as patch:
-        patch.setattr(solver_module, "_init", lambda *args: pytest.fail("the solve started"))
+        patch.setattr(solver_module, "cobadd_init", lambda *args: pytest.fail("the solve started"))
         with pytest.raises(cb.ConfigurationError, match=f"^phi={phi}: "):
             cb.cobadd_solve(lmi_instance, W, cfg)
     # the largest count that fits, 2**63 - 2, is written as it is
     last = dataclasses.replace(cfg, phi=2**62 - 1, K=1)
     assert cb.cobadd_solve(lmi_instance, W, last).messages_cum.tolist() == [2**63 - 2]
+
+
+def test_beta0_beyond_the_float_range_is_refused_before_the_solve(lmi_instance, lmi_sets,
+                                                                  monkeypatch):
+    # 10 alpha M = inf at alpha = 1e308 made p NaN: the bounds raised a
+    # RuntimeWarning under warnings as errors, and without them beta_k read NaN
+    W = cb.metropolis_weights(cb.Graph(2, ((0, 1),)))
+    cfg = cb.CobaddConfig(alpha=1e308, phi=1, K=5, sets=lmi_sets)
+    monkeypatch.setattr(solver_module, "cobadd_init", lambda *args: pytest.fail("the solve started"))
+    with pytest.raises(cb.ConfigurationError, match=r"^alpha=1e\+308: beta0 = 10 alpha M"):
+        cb.cobadd_solve(lmi_instance, W, cfg)
 
 
 def test_alpha_tradeoff_floor_and_decay():
@@ -363,6 +374,40 @@ def test_stacked_runs_equal_their_separate_runs(name, request):
     other = dataclasses.replace(configs[1], sets=cb.DualSetSpec(sets.threshold, sets.r + 1.0))
     with pytest.raises(ValueError):
         cb.cobadd_solve(instance, W, configs[0], other)
+
+
+@pytest.mark.parametrize("name", ["num", "lmi200"])
+def test_step_api_steps_stacked_runs_as_the_solve(name, request):
+    # cobadd_init and cobadd_step given two configs reach the stacked
+    # solve's final duals and last ergodic row bit for bit; runs of
+    # different sets are refused at both, and a stacked state has no
+    # node views
+    instance = request.getfixturevalue(f"{name}_instance")
+    if name == "num":
+        sets, graph = (request.getfixturevalue("num_sets"),
+                       request.getfixturevalue("fig_graph"))
+    else:
+        sets, graph = cb.DualSetSpec(1.5, 1.5), cb.random_connected_graph(200, 8.0, 1)
+    W, K = cb.metropolis_weights(graph), 30
+    c1 = cb.CobaddConfig(alpha=1.0, phi=1, K=K, sets=sets)
+    c2 = cb.CobaddConfig(alpha=0.5, phi=3, K=K, sets=sets)
+    traces = cb.cobadd_solve(instance, W, c1, c2)
+    state = cb.cobadd_init(instance, W, c1, c2)
+    for _ in range(K):
+        state = cb.cobadd_step(instance, state, W, c1, c2)
+    assert state.mus.shape == (2, instance.n) and state.k == K
+    for r, tr in enumerate(traces):
+        assert np.array_equal(state.mus[r], tr.final_mus)
+        assert np.array_equal(state.Gs[r], tr.final_Gs)
+        row = (tr.f_ergodic[-1], tr.viol_ineq[-1], tr.viol_lmi[-1])
+        assert cb.evaluate_primal(instance, state.ergodic_x[r]) == row
+    with pytest.raises(TypeError):
+        list(state)
+    other = dataclasses.replace(c2, sets=cb.DualSetSpec(sets.threshold, sets.r + 1.0))
+    with pytest.raises(ValueError, match="stacked runs must share K and the dual sets"):
+        cb.cobadd_init(instance, W, c1, other)
+    with pytest.raises(ValueError, match="stacked runs must share K and the dual sets"):
+        cb.cobadd_step(instance, state, W, c1, other)
 
 
 def test_subgradient_bounds_cover_realized_values(lmi_instance, lmi_sets):

@@ -162,3 +162,26 @@ def test_2x2_closed_form_stack_matches_eigh():
         tol = 1e-14 * np.linalg.norm(mats, axis=(1, 2))
         assert np.all(np.abs(out - ref).max(axis=(1, 2)) <= tol)
         assert np.array_equal(out, np.swapaxes(out, 1, 2))
+
+
+def test_2x2_closed_form_near_the_float_limit():
+    # a finite stack whose sums or norms overflow goes through at a quarter
+    # of its scale, with no warning: bit for bit the projection at a small
+    # scale, times the power of two, and inf only beyond the float range
+    names = sorted(CASES_2x2)
+    mats = np.stack([CASES_2x2[name] for name in names])
+    for radius in (1.0, math.inf):
+        assert np.array_equal(project(mats * 2.0**1021, radius * 2.0**1021),
+                              project(mats, radius) * 2.0**1021)
+    big = 1.5 * 2.0**1023                       # a + c overflowed at this diagonal
+    huge = np.array([big * np.eye(2), [[1e308, 0.0], [0.0, -1.7e308]],
+                     [[1e300, 1e-20], [1e-20, 1e300]], [[1.7e308, 1.7e308], [1.7e308, -1.7e308]]])
+    out = project(huge, math.inf)
+    assert np.array_equal(out[:3], [big * np.eye(2), [[1e308, 0.0], [0.0, 0.0]],
+                                    huge[2]])
+    assert np.isinf(out[3, 0, 0])           # 1.207 * 1.7e308 is beyond the float range
+    ref = eigh_project(huge[:3] / 1e300, 2e-300) * 1e300
+    assert np.all(np.abs(project(huge[:3], 2.0) - ref) <= 1e-14 * 2.0)
+    # radius / ||G|| beyond the float range: G is inside the ball as it is
+    tiny = 1e-300 * np.eye(2)[None]
+    assert np.array_equal(project(tiny, 1e300), tiny)
