@@ -12,7 +12,7 @@ from .central import central_init, central_solve, central_step
 from .errors import ConfigurationError
 from .network import (ConsensusMatrix, Graph, check_consensus_conditions,
                       consensus_round, exact_averaging_matrix, metropolis_weights,
-                      min_consensus_steps, random_connected_graph)
+                      random_connected_graph)
 from .oracles import OracleResult, dual_bisection, dykstra_project, grid_search_lmi
 from .problem import (DualPoint, DualSetSpec, NodeSpec, ProblemInstance,
                       ScalarFunction, SlaterCertificate, SubgradientBounds,

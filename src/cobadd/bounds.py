@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .network import min_consensus_steps
+from .network import ConsensusMatrix
 from .problem import DualSetSpec, ProblemInstance, subgradient_bounds
 
 
@@ -41,7 +41,6 @@ class TheoreticalBounds:
     K: int
     radius: float
     M: float
-    nu: float
     beta0: float
     phibar: float
     agreement_applicable: bool
@@ -87,11 +86,12 @@ def default_beta0(alpha: float, M: float) -> float:
     largest alpha g_j, and so does their mean; the two differ by at most
     2 alpha L.  Likewise sum_j |P_ij - 1/n| <= 2 bounds the matrix part
     by 2 alpha Q.  Hence c0 <= 2 alpha M < 10 alpha M, whatever the graph
-    and phi.  The factor 10 keeps beta0 well above the per-step
-    subgradient drift alpha M, so phibar stays within log(1.1)/|log nu|
-    of its large-beta0 limit log(1/(4n(1+d^2)))/log(nu).  An alpha whose
-    10 alpha M leaves the float range is a ConfigurationError: the
-    envelope would read NaN and pass every check.
+    and phi; the proof assumes a nonnegative, doubly stochastic P.  The
+    factor 10 keeps beta0 well above the per-step subgradient drift
+    alpha M, so phibar stays within log(1.1)/|log nu| of its large-beta0
+    limit log(1/(4n(1+d^2)))/log(nu).  An alpha whose 10 alpha M leaves
+    the float range is a ConfigurationError: the envelope would read NaN
+    and pass every check.
     """
     beta0 = 10.0 * alpha * M
     if not math.isfinite(beta0):
@@ -99,19 +99,21 @@ def default_beta0(alpha: float, M: float) -> float:
     return beta0
 
 
-def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, nu: float,
+def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, W: ConsensusMatrix,
                        config, beta0: float) -> TheoreticalBounds:
     """Evaluate every bound formula for a run configuration.
 
-    ``config`` needs attributes ``alpha``, ``phi`` and ``K``.  With
-    beta0 = 0 the quantities degenerate to the exact-averaging limit
-    (p = 0, beta_inf = 0, e_k = alpha n M^2 / 2).
+    ``config`` needs attributes ``alpha``, ``phi`` and ``K``, and W the
+    instance's n nodes.  With beta0 = 0 the quantities degenerate to the
+    exact-averaging limit (p = 0, beta_inf = 0, e_k = alpha n M^2 / 2).
     """
     n, d = instance.n, instance.d
+    if W.n != n:
+        raise ValueError(f"W has {W.n} nodes but the instance has {n}")
     alpha, phi, K = config.alpha, config.phi, config.K
     M = subgradient_bounds(instance).M
     R = sets.radius
-    phibar = min_consensus_steps(beta0, alpha, M, n, d, nu)
+    phibar = W.phibar(beta0, alpha, M, d)
     applicable = phi >= phibar
     ks = np.arange(1, K + 1, dtype=float)
 
@@ -122,16 +124,16 @@ def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, nu: float,
            + n * (beta0 * (6.0 * M + 3.0 * tau) + zeta))
 
     if applicable:
+        # the agreement theorem needs one quantity of the mixing: the
+        # factor W.contraction(delta) of the delta steps beyond ceil(phibar)
         delta = int(phi - math.ceil(phibar))
-        if beta0 == 0.0:
-            p = 0.0
-        else:
-            p = float(nu**delta) * beta0 / (beta0 + alpha * M)
+        contraction = W.contraction(delta)
+        p = 0.0 if beta0 == 0.0 else contraction * beta0 / (beta0 + alpha * M)
         if p >= 1.0:
             raise ConfigurationError(
                 "contraction ratio p >= 1 (alpha*M vanished with delta = 0)")
         pk = p ** (ks - 1.0)
-        beta_k = pk * (nu**delta) * beta0 + p * alpha * M * (1.0 - pk) / (1.0 - p)
+        beta_k = pk * contraction * beta0 + p * alpha * M * (1.0 - pk) / (1.0 - p)
         beta_inf = p * alpha * M / (1.0 - p)
         eps_prev = np.concatenate(([beta0], beta_k[:-1]))
         epsilon_k = n * (eps_prev * (6.0 * M + 3.0 * tau) + zeta)
@@ -146,7 +148,7 @@ def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, nu: float,
         dual_gap_floor = math.nan
 
     return TheoreticalBounds(
-        n=n, alpha=alpha, phi=phi, K=K, radius=R, M=M, nu=nu,
+        n=n, alpha=alpha, phi=phi, K=K, radius=R, M=M,
         beta0=beta0, phibar=phibar, agreement_applicable=applicable,
         delta=delta, p=p, beta_k=beta_k, beta_inf=beta_inf, tau=tau,
         zeta=zeta, epsilon_k=epsilon_k, e_k=e_k, dual_gap_floor=dual_gap_floor)

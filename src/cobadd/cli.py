@@ -393,13 +393,13 @@ def _verify(cfg: ExperimentConfig, setup: Setup) -> int:
             report(f"baseline sandwich ({name})", sandwich_ok)
             continue
         # the round operator this run mixes with, on the config's own W:
-        # it keeps each column mean and contracts deviations by nu^phi
+        # it keeps each column mean and contracts deviations by W.contraction(phi)
         x = rng.normal(size=(W.n, 1 + setup.instance.d ** 2))
         y = consensus_round(W, x, spec.phi)
         mean_ok = np.max(np.abs(y.mean(axis=0) - x.mean(axis=0))) < 1e-10
         dev0 = np.linalg.norm(x - x.mean(axis=0), axis=0)
         dev1 = np.linalg.norm(y - y.mean(axis=0), axis=0)
-        contract_ok = np.all(dev1 <= W.nu ** spec.phi * dev0 + 1e-12)
+        contract_ok = np.all(dev1 <= W.contraction(spec.phi) * dev0 + 1e-12)
         report(f"consensus round ({name})", bool(mean_ok and contract_ok),
                f"messages={trace.messages_cum[0]}")
         if v["applicable"]:

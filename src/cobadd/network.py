@@ -96,12 +96,12 @@ class ConsensusMatrix:
     mixes the payloads of ``cols[starts[i]:starts[i+1]]``, itself
     included, with ``weights`` from the same slice.
 
-    ``nu`` is the spectral radius of W - 11^T/n (equivalently the second
-    largest absolute eigenvalue of W); averaging contracts deviations
-    from the mean by nu per step.  It is an estimate, not a certified
-    bound (see :func:`metropolis_weights`).  ``edge_count``, counted from
-    W, is the number of node pairs {i, j} with a nonzero weight, and
-    drives message accounting: one step costs 2 * edge_count payloads.
+    ``nu`` is the spectral radius of W - 11^T/n (the second largest
+    absolute eigenvalue of W), an estimate, not a certified bound (see
+    :func:`metropolis_weights`); the package reads it through
+    :meth:`contraction` and :meth:`phibar`.  ``edge_count``, counted
+    from W, is the number of node pairs {i, j} with a nonzero weight;
+    one step costs 2 * edge_count payloads.
     """
 
     W: np.ndarray
@@ -125,6 +125,23 @@ class ConsensusMatrix:
     @property
     def n(self) -> int:
         return self.W.shape[0]
+
+    def contraction(self, steps: int) -> float:
+        """Upper bound on the factor by which ``steps`` steps contract each
+        deviation from the mean: nu**steps."""
+        return self.nu ** steps
+
+    def phibar(self, beta0: float, alpha: float, M: float, d: int) -> float:
+        """phibar = [log(beta0) - log(4 n (1+d^2) (beta0 + alpha M))] / log(nu),
+        the consensus steps per iteration from which the payload
+        disagreement stays within the agreement theorem's geometric
+        envelope; 0 at nu = 0 (exact averaging) or beta0 = 0."""
+        if any(v < 0 for v in (beta0, alpha, M)) or d < 0:
+            raise ValueError("arguments must be nonnegative")
+        if beta0 == 0.0 or self.nu == 0.0:
+            return 0.0
+        denom = 4.0 * self.n * (1 + d * d) * (beta0 + alpha * M)
+        return float((np.log(beta0) - np.log(denom)) / np.log(self.nu))
 
     def power(self, phi: int) -> np.ndarray:
         """W^phi, read-only: W itself at phi = 1, else built by repeated
@@ -242,26 +259,6 @@ def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int) -> np.ndar
     else:
         flat = W.power(phi) @ flat
     return flat.reshape(out.shape)
-
-
-def min_consensus_steps(beta0: float, alpha: float, M: float, n: int, d: int,
-                        nu: float) -> float:
-    """phibar = [log(beta0) - log(4 n (1+d^2) (beta0 + alpha M))] / log(nu).
-
-    Running phi >= phibar consensus steps per iteration keeps the
-    per-iteration payload disagreement within the geometric envelope the
-    agreement theorem assumes.  nu = 0 (exact averaging) gives 0;
-    beta0 = 0 likewise degenerates to 0 since deviations start and stay
-    at zero under exact averaging.
-    """
-    if any(v < 0 for v in (beta0, alpha, M)) or n < 1 or d < 0:
-        raise ValueError("arguments must be nonnegative (n >= 1)")
-    if not (0.0 <= nu < 1.0):
-        raise ValueError(f"nu={nu} must lie in [0, 1)")
-    if beta0 == 0.0 or nu == 0.0:
-        return 0.0
-    denom = 4.0 * n * (1 + d * d) * (beta0 + alpha * M)
-    return float((np.log(beta0) - np.log(denom)) / np.log(nu))
 
 
 def _weight_problems(W: np.ndarray, n: int) -> list[str]:

@@ -104,13 +104,17 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
              mus: np.ndarray, Gs: np.ndarray):
     """Oracle pass at the duals ``mus`` and ``Gs``, of shapes (n,) and
     (n, d, d) for one run or (R, n) and (R, n, d, d) for R stacked runs
-    of one set pair (a ValueError otherwise), then each run's projected
-    consensus update; returns the minimizers and the new duals.  Mixing
-    is one round per run: one product over all runs' payloads would round
-    differently from each run's own."""
+    of one set pair on an n-node W (a ValueError otherwise), then each
+    run's projected consensus update; returns the minimizers and the new
+    duals.  Mixing is one round per run: one product over all runs'
+    payloads would round differently from each run's own."""
     if any(c.sets != configs[0].sets for c in configs[1:]):
         raise ValueError("stacked runs must share K and the dual sets")
     R, n, d, radius = len(configs), instance.n, instance.d, configs[0].sets.radius
+    if W.n != n:
+        raise ValueError(f"W has {W.n} nodes but the instance has {n}")
+    if math.prod(mus.shape[:-1]) != R:
+        raise ValueError(f"the state holds {math.prod(mus.shape[:-1])} run(s), given {R} config(s)")
     alpha = np.array([c.alpha for c in configs]).reshape(mus.shape[:-1] + (1,))
     x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
     h, Qm = constraint_values(instance, x_tilde)
@@ -223,7 +227,7 @@ def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
             raise ConfigurationError(
                 f"phi={c.phi}: K * phi * 2|E| messages exceed the int64 range of messages_cum")
     K, M = config.K, subgradient_bounds(instance).M
-    bounds = [theoretical_bounds(instance, c.sets, W.nu, c, default_beta0(c.alpha, M))
+    bounds = [theoretical_bounds(instance, c.sets, W, c, default_beta0(c.alpha, M))
               for c in configs]
 
     # the bootstrap's consensus round produces the duals used at row 1

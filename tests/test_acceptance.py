@@ -59,7 +59,7 @@ def crit3_runs(num_instance, num_sets, dense_graph, num_f_star,
     W = cb.metropolis_weights(dense_graph)
     M = cb.subgradient_bounds(num_instance).M
     for alpha in (1.0, 0.1):
-        phibar = cb.min_consensus_steps(10 * alpha * M, alpha, M, 100, 0, W.nu)
+        phibar = W.phibar(10 * alpha * M, alpha, M, 0)
         phi = math.ceil(phibar) + 1
         cfg = cb.CobaddConfig(alpha=alpha, phi=phi, K=400, sets=num_sets)
         out.append(("num", alpha, cb.cobadd_solve(num_instance, W, cfg), num_f_star))
@@ -146,7 +146,7 @@ def test_criterion_4_dual_agreement():
     alpha = 1.0
     M = cb.subgradient_bounds(instance).M
     beta0 = cb.default_beta0(alpha, M)
-    phibar = cb.min_consensus_steps(beta0, alpha, M, 20, 0, W.nu)
+    phibar = W.phibar(beta0, alpha, M, 0)
     phi = math.ceil(phibar) + 2
     cfg = cb.CobaddConfig(alpha=alpha, phi=phi, K=500, sets=sets)
     tr = cb.cobadd_solve(instance, W, cfg)

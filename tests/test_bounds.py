@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import cobadd as cb
 from cobadd.problem import minimize_node_lagrangians
-from test_network import random_tree_plus_edges
+from test_network import carrying_nu, random_tree_plus_edges
 
 
 class _Cfg:
@@ -55,7 +55,7 @@ def test_bounds_exact_averaging_limit(num_instance, num_sets):
     # beta0 = 0 models infinitely many consensus steps: p = 0,
     # beta_inf = 0, e_k collapses to the constant-stepsize term
     M = cb.subgradient_bounds(num_instance).M
-    b = cb.theoretical_bounds(num_instance, num_sets, nu=0.5,
+    b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, 0.5),
                               config=_Cfg(1.0, 3, 50), beta0=0.0)
     assert b.agreement_applicable
     assert b.p == 0.0
@@ -70,7 +70,8 @@ def test_bounds_formulas_by_hand(num_instance, num_sets):
     M = cb.subgradient_bounds(num_instance).M
     beta0 = 10.0 * alpha * M
     nu = 0.9
-    b = cb.theoretical_bounds(num_instance, num_sets, nu, _Cfg(alpha, phi, K), beta0)
+    b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, nu),
+                              _Cfg(alpha, phi, K), beta0)
     n, d = num_instance.n, num_instance.d
     phibar = (math.log(beta0) - math.log(4 * n * (1 + d * d) * (beta0 + alpha * M))) / math.log(nu)
     assert b.phibar == pytest.approx(phibar)
@@ -100,7 +101,7 @@ def test_bounds_formulas_by_hand(num_instance, num_sets):
 
 def test_bounds_inapplicable_below_phibar(num_instance, num_sets):
     M = cb.subgradient_bounds(num_instance).M
-    b = cb.theoretical_bounds(num_instance, num_sets, nu=0.97,
+    b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, 0.97),
                               config=_Cfg(1.0, 1, 20), beta0=10.0 * M)
     assert not b.agreement_applicable
     assert math.isnan(b.p)
@@ -114,7 +115,7 @@ def test_bounds_inapplicable_below_phibar(num_instance, num_sets):
 
 
 def test_disagreement_envelope_index_convention(num_instance, num_sets):
-    b = cb.theoretical_bounds(num_instance, num_sets, nu=0.3,
+    b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, 0.3),
                               config=_Cfg(1.0, 8, 10), beta0=5.0)
     env = b.disagreement_envelope(np.arange(1, 11))
     assert env[0] == pytest.approx(2.0 * b.beta0)
@@ -123,7 +124,7 @@ def test_disagreement_envelope_index_convention(num_instance, num_sets):
 
 
 def test_primal_deviation_curves(num_instance, num_sets):
-    b = cb.theoretical_bounds(num_instance, num_sets, nu=0.3,
+    b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, 0.3),
                               config=_Cfg(2.0, 8, 10), beta0=5.0)
     ks = np.array([1, 10])
     n = num_instance.n
@@ -137,7 +138,7 @@ def test_primal_deviation_curves(num_instance, num_sets):
 def test_primal_deviation_beyond_the_float_range_is_inf(num_instance, num_sets):
     # n (R^2 + R^2) / (2 k alpha) overflows at alpha = 1e-320: both curves
     # read inf, without a warning
-    b = cb.theoretical_bounds(num_instance, num_sets, nu=0.3,
+    b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, 0.3),
                               config=_Cfg(1e-320, 8, 10), beta0=5.0)
     ks = np.array([1, 10])
     assert np.all(np.isposinf(b.primal_upper_deviation(ks)))

@@ -399,11 +399,17 @@ def test_consensus_round_rejects_zero_phi(fig_graph):
 
 
 # ---------------------------------------------------------------------------
-# minimum consensus steps
+# minimum consensus steps and the contraction factor
 # ---------------------------------------------------------------------------
 
+def carrying_nu(n, nu):
+    """A consensus matrix on n nodes that carries the given nu: the exact
+    averaging weights, whose true gap 0 lies below any nu in [0, 1)."""
+    return cb.ConsensusMatrix(np.full((n, n), 1.0 / n), nu)
+
+
 def test_min_consensus_steps_simplified_value():
-    out = cb.min_consensus_steps(beta0=1e6, alpha=1.0, M=1.0, n=100, d=0, nu=0.9)
+    out = carrying_nu(100, 0.9).phibar(beta0=1e6, alpha=1.0, M=1.0, d=0)
     expected = math.log(1.0 / 400.0) / math.log(0.9)
     assert out == pytest.approx(expected, rel=1e-3)
     assert out == pytest.approx(56.87, abs=0.02)
@@ -411,22 +417,35 @@ def test_min_consensus_steps_simplified_value():
 
 def test_min_consensus_steps_small_nu_limit():
     # phibar decreases to 0+ as nu -> 0+ and is 0 at exact averaging
-    vals = [cb.min_consensus_steps(1.0, 1.0, 1.0, 10, 0, nu)
+    vals = [carrying_nu(10, nu).phibar(1.0, 1.0, 1.0, 0)
             for nu in (1e-3, 1e-6, 1e-12, 1e-100)]
     assert all(v > 0.0 for v in vals)
     assert vals == sorted(vals, reverse=True)
     assert vals[-1] < 0.02
-    assert cb.min_consensus_steps(1.0, 1.0, 1.0, 10, 0, 0.0) == 0.0
+    assert carrying_nu(10, 0.0).phibar(1.0, 1.0, 1.0, 0) == 0.0
 
 
 def test_min_consensus_steps_doubling_n():
-    a = cb.min_consensus_steps(5.0, 1.0, 1.0, 50, 0, 0.9)
-    b = cb.min_consensus_steps(5.0, 1.0, 1.0, 100, 0, 0.9)
+    a = carrying_nu(50, 0.9).phibar(5.0, 1.0, 1.0, 0)
+    b = carrying_nu(100, 0.9).phibar(5.0, 1.0, 1.0, 0)
     assert b - a == pytest.approx(math.log(2.0) / abs(math.log(0.9)))
 
 
-def test_min_consensus_steps_rejects_nu_at_or_above_one():
-    with pytest.raises(ValueError):
-        cb.min_consensus_steps(1.0, 1.0, 1.0, 10, 0, 1.0)
-    with pytest.raises(ValueError):
-        cb.min_consensus_steps(1.0, 1.0, 1.0, 10, 0, 1.5)
+def test_contraction_is_nu_to_the_steps(fig_graph):
+    for W in (carrying_nu(10, 0.9), cb.metropolis_weights(fig_graph),
+              cb.exact_averaging_matrix(4)):
+        assert [W.contraction(k) for k in range(301)] == [W.nu ** k for k in range(301)]
+
+
+@pytest.mark.parametrize("n, avg_degree, phibar", [(100, 3.12, 205.4), (1000, 8.0, 80.3)],
+                         ids=["fig1", "scale_n1000"])
+def test_phibar_on_the_bundled_graphs(n, avg_degree, phibar):
+    # the configs' graphs (seed 7) at the default beta0: bit for bit the
+    # docstring's formula, written out in the same float order
+    W = cb.metropolis_weights(cb.random_connected_graph(n, avg_degree, 7))
+    alpha, d, M = 1.0, 0, cb.subgradient_bounds(cb.make_sample_num_instance(n, 42)).M
+    beta0 = cb.default_beta0(alpha, M)
+    formula = float((np.log(beta0) - np.log(4.0 * n * (1 + d * d) * (beta0 + alpha * M)))
+                    / np.log(W.nu))
+    assert W.phibar(beta0, alpha, M, d) == formula
+    assert formula == pytest.approx(phibar, abs=0.05)

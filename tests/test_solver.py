@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +410,40 @@ def test_step_api_steps_stacked_runs_as_the_solve(name, request):
     with pytest.raises(ValueError, match="stacked runs must share K and the dual sets"):
         cb.cobadd_step(instance, state, W, c1, other)
 
+
+
+def small_num_run():
+    """The num instance on 20 nodes, its graph's weights and one config."""
+    instance = cb.make_sample_num_instance(20, 4)
+    W = cb.metropolis_weights(cb.random_connected_graph(20, 6.0, 3))
+    return instance, W, cb.CobaddConfig(alpha=1.0, phi=1, K=5, sets=cb.DualSetSpec(1.5, 1.5))
+
+
+def test_state_of_another_run_count_is_refused():
+    # a state steps with one config per run it holds: the error names both counts
+    instance, W, c1 = small_num_run()
+    c2, c3 = dataclasses.replace(c1, alpha=0.5), dataclasses.replace(c1, phi=2)
+    one, two = cb.cobadd_init(instance, W, c1), cb.cobadd_init(instance, W, c1, c2)
+    for state, configs, held in ((two, (c1,), 2), (one, (c1, c2), 1), (two, (c1, c2, c3), 2)):
+        message = f"the state holds {held} run(s), given {len(configs)} config(s)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cb.cobadd_step(instance, state, W, *configs)
+
+
+@pytest.mark.parametrize("m", [10, 30])
+def test_weights_of_another_size_are_refused(m):
+    # the bounds, the solve and the step API name both node counts
+    instance, W, cfg = small_num_run()
+    other = cb.metropolis_weights(cb.random_connected_graph(m, 6.0, 3))
+    message = re.escape(f"W has {m} nodes but the instance has 20")
+    with pytest.raises(ValueError, match=message):
+        cb.cobadd_solve(instance, other, cfg)
+    with pytest.raises(ValueError, match=message):
+        cb.cobadd_init(instance, other, cfg)
+    with pytest.raises(ValueError, match=message):
+        cb.cobadd_step(instance, cb.cobadd_init(instance, W, cfg), other, cfg)
+    with pytest.raises(ValueError, match=message):
+        cb.theoretical_bounds(instance, cfg.sets, other, cfg, 1.0)
 
 def test_subgradient_bounds_cover_realized_values(lmi_instance, lmi_sets):
     # every subgradient realized along a run stays under the L/Q bounds
