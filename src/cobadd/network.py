@@ -108,6 +108,7 @@ class ConsensusMatrix:
     nu: float
     edge_count: int = field(init=False)
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
@@ -152,6 +153,14 @@ class ConsensusMatrix:
             self._powers[phi] = P = np.linalg.matrix_power(self.W, phi)
             P.flags.writeable = False
         return self._powers[phi]
+
+    def stack(self, phis: tuple[int, ...]) -> np.ndarray:
+        """The (R, n, n) stack of ``power(phi_r)``, read-only, built on first
+        use and kept per tuple: R n^2 floats."""
+        if phis not in self._stacks:
+            self._stacks[phis] = S = np.stack([self.power(phi) for phi in phis])
+            S.flags.writeable = False
+        return self._stacks[phis]
 
     @cached_property
     def neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,7 +248,7 @@ def _edge_steps(W: ConsensusMatrix, flat: np.ndarray, phi: int) -> np.ndarray:
     return flat
 
 
-def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int) -> np.ndarray:
+def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int | tuple) -> np.ndarray:
     """Apply ``v <- W v`` ``phi`` times to per-node payloads.
 
     ``values`` has one row per node (any trailing payload shape); the
@@ -248,16 +257,21 @@ def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int) -> np.ndar
     ``_EDGE_ENTRY_COST`` dense entries each, is cheaper than the n^2
     entries of W, the round takes phi steps over ``W.neighbours``;
     otherwise it is one product by ``W.power(phi)``.  Both equal phi
-    products by W to rounding, not bit for bit.
+    products by W to rounding, not bit for bit.  Given a tuple of R phis,
+    ``values`` stacks R runs on a leading axis, run r taking phi_r steps;
+    the dense branch is then one product by ``W.stack(phi)``, which numpy
+    makes one BLAS call per run, so each run rounds as in its own round.
     """
-    if phi < 1:
+    runs = isinstance(phi, tuple)
+    if min(phi if runs else (phi,)) < 1:
         raise ValueError("phi must be at least 1")
     out = np.asarray(values, dtype=float)
-    flat = out.reshape(out.shape[0], -1)
+    flat = out.reshape(out.shape[:1 + runs] + (-1,))
     if _EDGE_ENTRY_COST * (W.n + 2 * W.edge_count) < W.n * W.n:
-        flat = _edge_steps(W, flat, phi)
+        flat = (np.stack([_edge_steps(W, f, p) for f, p in zip(flat, phi, strict=True)])
+                if runs else _edge_steps(W, flat, phi))
     else:
-        flat = W.power(phi) @ flat
+        flat = (W.stack(phi) if runs else W.power(phi)) @ flat
     return flat.reshape(out.shape)
 
 

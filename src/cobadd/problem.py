@@ -527,7 +527,7 @@ def _dual_breakpoints(cf: tuple[np.ndarray, ...], lo, hi):
     pieces of similar size exactly, so a node's jumps cancel past its last
     breakpoint.  Returns ``(t, cum)``: the 2n sorted breakpoints (inf, with
     a zero jump, where a node has fewer) and q's coefficients on the 2n + 1
-    intervals, shape (2n + 1, 4).
+    intervals, shape (4, 2n + 1): a contiguous row per coefficient.
     """
     c_f, a_f, b_f, c_g, a_g, b_g = cf
     log_f = (c_f > 0) & (a_g > 0)
@@ -564,7 +564,7 @@ def _dual_breakpoints(cf: tuple[np.ndarray, ...], lo, hi):
     order = np.argsort(t, kind="stable")
     first, mid, last = (p.astype(np.longdouble) for p in (first, mid, last))
     jumps = np.concatenate([mid - first, last - mid])[order]
-    return t[order], np.cumsum(np.vstack([first.sum(axis=0), jumps]), axis=0)
+    return t[order], np.cumsum(np.vstack([first.sum(axis=0), jumps]), axis=0).T.copy()
 
 
 def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
@@ -576,10 +576,11 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     be >= 0, the dual domain, and a negative one raises ``ValueError``, a
     NaN or infinite one ``ConfigurationError``.
     With d = 0, q is read off the breakpoints of :func:`_dual_breakpoints`:
-    one ``searchsorted`` and a four-term sum per point instead of n node
-    evaluations.  With d > 0, where ``tr[A_i G_j]`` couples each node with
-    each dual, the m points go in blocks of about ``_BLOCK_ELEMENTS`` node
-    evaluations through :func:`_row_minima`, one matrix product each.
+    one ``searchsorted``, one ``take`` of the contiguous coefficient rows
+    and a four-term sum per point, not n node evaluations.  With d > 0,
+    where ``tr[A_i G_j]`` couples each node with each dual, the m points go
+    in blocks of about ``_BLOCK_ELEMENTS`` node evaluations through
+    :func:`_row_minima`, one matrix product each.
     Both sum in another order than :func:`dual_function_value`, so the two
     agree to ``1e-12 * sum_i |q_i|``, not bit for bit.  A point's value
     does not depend on the other points of its call.
@@ -589,10 +590,10 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     table = instance._breakpoints
     if table is not None:
         t, cum = table
-        k = cum[np.searchsorted(t, mus, side="right")]
+        k0, k1, k2, k3 = cum.take(np.searchsorted(t, mus, side="right"), axis=1)
         mu = mus.astype(np.longdouble)
         log_mu = np.log(mu, out=np.zeros_like(mu), where=mu > 0)   # 0 * log 0 read as 0
-        return (k[:, 0] + mu * (k[:, 1] + k[:, 3] * log_mu) + k[:, 2] * log_mu).astype(float)
+        return (k0 + mu * (k1 + k3 * log_mu) + k2 * log_mu).astype(float)
     out = np.empty(m)
     rows = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, m, rows):

@@ -106,13 +106,14 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
     (n, d, d) for one run or (R, n) and (R, n, d, d) for R stacked runs
     of one set pair on an n-node W (a ValueError otherwise), then each
     run's projected consensus update; returns the minimizers and the new
-    duals.  Mixing is one round per run: one product over all runs'
-    payloads would round differently from each run's own."""
+    duals.  R runs mix in one :func:`consensus_round` with one phi per
+    run, bit-identical to each run's own round."""
     if any(c.sets != configs[0].sets for c in configs[1:]):
         raise ValueError("stacked runs must share K and the dual sets")
     R, n, d, radius = len(configs), instance.n, instance.d, configs[0].sets.radius
-    if W.n != n:
-        raise ValueError(f"W has {W.n} nodes but the instance has {n}")
+    for name, size in (("W", W.n), ("the state", mus.shape[-1])):
+        if size != n:
+            raise ValueError(f"{name} has {size} nodes but the instance has {n}")
     if math.prod(mus.shape[:-1]) != R:
         raise ValueError(f"the state holds {math.prod(mus.shape[:-1])} run(s), given {R} config(s)")
     alpha = np.array([c.alpha for c in configs]).reshape(mus.shape[:-1] + (1,))
@@ -122,10 +123,9 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
     payload[..., 0] = mus + alpha * h
     if d:
         payload[..., 1:] = (Gs + alpha[..., None, None] * Qm).reshape(mus.shape + (-1,))
-    runs, mixed = payload.reshape(R, n, 1 + d * d), np.empty((R, n, 1 + d * d))
-    for r, c in enumerate(configs):
-        mixed[r] = consensus_round(W, runs[r], c.phi)
-    mixed = mixed.reshape(payload.shape)
+    runs = payload.reshape(R, n, 1 + d * d)
+    mixed = (consensus_round(W, runs[0], configs[0].phi) if R == 1 else
+             consensus_round(W, runs, tuple(c.phi for c in configs))).reshape(payload.shape)
     # minimum(maximum()) is np.clip on finite values, without its wrapper
     mus = np.minimum(np.maximum(mixed[..., 0], 0.0), radius)
     if d:
@@ -154,7 +154,7 @@ def cobadd_step(instance: ProblemInstance, state: SolverState, W: ConsensusMatri
 
 
 # Buffered elements per block of trace rows.  Larger blocks only grow the
-# d = 0 breakpoint gather, a (points, 4) long-double table.
+# d = 0 breakpoint gather, four (points,) long-double coefficient rows.
 _RECORD_ELEMENTS = 4096
 
 

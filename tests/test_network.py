@@ -384,6 +384,25 @@ def test_round_operator_rule_on_counts(fig_graph, monkeypatch):
     assert abs(out.mean() - x.mean()) <= 1e-12 * x.mean()
 
 
+def test_stacked_round_matches_each_runs_own_round(fig_graph):
+    # R runs in one round: on fig1's graph one product by the kept (R, n, n)
+    # stack of W^phi_r, on an n = 1000, degree 8 graph each run's edge-list
+    # steps; either way each run's payload mixes bit for bit as in its own
+    # round, and only the dense branch keeps a stack
+    rng = np.random.default_rng(0)
+    for W, phis in ((cb.metropolis_weights(fig_graph), (1, 2, 4, 26, 1)),
+                    (cb.metropolis_weights(cb.random_connected_graph(1000, 8.0, 7)), (4, 1, 4))):
+        for width in (1, 5):
+            x = rng.normal(size=(len(phis), W.n, width))
+            out = cb.consensus_round(W, x, phis)
+            assert out.shape == x.shape
+            for r, phi in enumerate(phis):
+                assert np.array_equal(out[r], cb.consensus_round(W, x[r], phi))
+        assert list(W._stacks) == ([phis] if W.n == 100 else [])
+    stack = cb.metropolis_weights(fig_graph).stack((1, 2, 4, 26, 1))
+    assert stack.shape == (5, 100, 100) and not stack.flags.writeable
+
+
 def test_exact_averaging_matrix_reaches_mean_in_one_step():
     W = cb.exact_averaging_matrix(5)
     x = np.arange(5.0)[:, None]

@@ -845,6 +845,23 @@ def test_breakpoint_dual_values_match_kernel(n, seed):
         assert abs(v - q_i.sum()) <= 1e-12 * np.abs(q_i).sum()
 
 
+def test_breakpoint_rows_match_the_row_gather(num_instance):
+    # the d = 0 values take each coefficient from its own contiguous row of
+    # the table; they equal the gather of whole rows of its (2n + 1, 4)
+    # transpose in the same long-double operations, bit for bit, at mu = 0,
+    # on and just below each breakpoint, and past the last one
+    t, cum = num_instance._breakpoints
+    assert cum.shape == (4, 2 * num_instance.n + 1) and cum.flags.c_contiguous
+    finite = t[np.isfinite(t)]
+    mus = np.concatenate([[0.0], finite, np.nextafter(finite, 0.0),
+                          finite.max() * np.array([1.5, 2.0, 1e6])])
+    k = cum.T[np.searchsorted(t, mus, side="right")]
+    mu = mus.astype(np.longdouble)
+    log_mu = np.log(mu, out=np.zeros_like(mu), where=mu > 0)
+    rows = (k[:, 0] + mu * (k[:, 1] + k[:, 3] * log_mu) + k[:, 2] * log_mu).astype(float)
+    assert np.array_equal(cb.dual_function_values(num_instance, mus), rows)
+
+
 # two draws the derandomized examples above miss: one node whose f and
 # mu g cancel, where the kernel's float64 q_i and the breakpoint sum
 # differ by more than the bound (ROADMAP item 5).  They fail until that

@@ -430,6 +430,19 @@ def test_state_of_another_run_count_is_refused():
             cb.cobadd_step(instance, state, W, *configs)
 
 
+def test_state_of_another_node_count_is_refused():
+    # a state steps on the instance it was built for: the error names both
+    # node counts, for one run and for stacked runs alike
+    instance, W, c1 = small_num_run()
+    c2 = dataclasses.replace(c1, phi=2)
+    big = cb.make_sample_num_instance(30, 4)
+    big_W = cb.metropolis_weights(cb.random_connected_graph(30, 6.0, 3))
+    for configs in ((c1,), (c1, c2)):
+        state = cb.cobadd_init(big, big_W, *configs)
+        with pytest.raises(ValueError, match="the state has 30 nodes but the instance has 20"):
+            cb.cobadd_step(instance, state, W, *configs)
+
+
 @pytest.mark.parametrize("m", [10, 30])
 def test_weights_of_another_size_are_refused(m):
     # the bounds, the solve and the step API name both node counts
