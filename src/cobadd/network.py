@@ -98,16 +98,15 @@ class ConsensusMatrix:
 
     ``nu`` is the spectral radius of W - 11^T/n (the second largest
     absolute eigenvalue of W), an estimate, not a certified bound (see
-    :func:`metropolis_weights`); the package reads it through
-    :meth:`contraction` and :meth:`phibar`.  ``edge_count``, counted
-    from W, is the number of node pairs {i, j} with a nonzero weight;
-    one step costs 2 * edge_count payloads.
+    :func:`metropolis_weights`), refused below |tr W - 1| / (n - 1); the
+    package reads it through :meth:`contraction` and :meth:`phibar`.
+    ``edge_count``, counted from W, is the number of node pairs {i, j}
+    with a nonzero weight; one step costs 2 * edge_count payloads.
     """
 
     W: np.ndarray
     nu: float
     edge_count: int = field(init=False)
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,6 +114,12 @@ class ConsensusMatrix:
         problems = _weight_problems(W, W.shape[0])
         if not (0.0 <= self.nu < 1.0):
             problems.append(f"nu={self.nu} must lie in [0, 1)")
+        if not problems:
+            # the n - 1 eigenvalues besides W's 1 sum to tr W - 1, so nu is
+            # at least the absolute value of their mean
+            floor = abs(np.trace(W) - 1.0) / max(len(W) - 1, 1)
+            if self.nu < floor - 1e-12:
+                problems.append(f"nu={self.nu} lies below |tr W - 1| / (n - 1) = {floor}")
         if problems:
             raise ValueError("not a consensus matrix: " + "; ".join(problems))
         pairs = (np.count_nonzero((W != 0) | (W.T != 0)) - np.count_nonzero(np.diagonal(W))) // 2
@@ -144,21 +149,13 @@ class ConsensusMatrix:
         denom = 4.0 * self.n * (1 + d * d) * (beta0 + alpha * M)
         return float((np.log(beta0) - np.log(denom)) / np.log(self.nu))
 
-    def power(self, phi: int) -> np.ndarray:
-        """W^phi, read-only: W itself at phi = 1, else built by repeated
-        squaring on first use and kept."""
-        if phi == 1:
-            return self.W
-        if phi not in self._powers:
-            self._powers[phi] = P = np.linalg.matrix_power(self.W, phi)
-            P.flags.writeable = False
-        return self._powers[phi]
-
     def stack(self, phis: tuple[int, ...]) -> np.ndarray:
-        """The (R, n, n) stack of ``power(phi_r)``, read-only, built on first
-        use and kept per tuple: R n^2 floats."""
+        """The (R, n, n) stack of W^phi_r, read-only, built on first use and
+        kept per tuple: R n^2 floats.  A lone phi is kept as a view of its
+        slice, so ``stack((1,))`` is W itself, with no copy."""
         if phis not in self._stacks:
-            self._stacks[phis] = S = np.stack([self.power(phi) for phi in phis])
+            slices = [np.linalg.matrix_power(self.W, phi) for phi in phis]
+            self._stacks[phis] = S = slices[0][None] if len(phis) == 1 else np.stack(slices)
             S.flags.writeable = False
         return self._stacks[phis]
 
@@ -252,26 +249,27 @@ def consensus_round(W: ConsensusMatrix, values: np.ndarray, phi: int | tuple) ->
     """Apply ``v <- W v`` ``phi`` times to per-node payloads.
 
     ``values`` has one row per node (any trailing payload shape); the
-    round sends phi * 2|E| messages.  The operator depends on the graph
-    alone: when a step over the n + 2|E| nonzeros, charged
-    ``_EDGE_ENTRY_COST`` dense entries each, is cheaper than the n^2
-    entries of W, the round takes phi steps over ``W.neighbours``;
-    otherwise it is one product by ``W.power(phi)``.  Both equal phi
-    products by W to rounding, not bit for bit.  Given a tuple of R phis,
-    ``values`` stacks R runs on a leading axis, run r taking phi_r steps;
-    the dense branch is then one product by ``W.stack(phi)``, which numpy
-    makes one BLAS call per run, so each run rounds as in its own round.
+    round sends phi * 2|E| messages.  Given a tuple of R phis, ``values``
+    stacks R runs on a leading axis, run r taking phi_r steps; an int phi
+    is a stack of one run.  The operator depends on the graph alone: when
+    a step over the n + 2|E| nonzeros, charged ``_EDGE_ENTRY_COST`` dense
+    entries each, is cheaper than the n^2 entries of W, each run takes
+    its steps over ``W.neighbours``; otherwise the round is one product
+    by ``W.stack(phis)``, which numpy makes one BLAS call per run, so
+    each run rounds as in its own round.  Both equal phi products by W
+    to rounding, not bit for bit.
     """
-    runs = isinstance(phi, tuple)
-    if min(phi if runs else (phi,)) < 1:
-        raise ValueError("phi must be at least 1")
     out = np.asarray(values, dtype=float)
-    flat = out.reshape(out.shape[:1 + runs] + (-1,))
+    phis, runs = (phi, out) if isinstance(phi, tuple) else ((phi,), out[None])
+    if min(phis) < 1:
+        raise ValueError("phi must be at least 1")
+    if len(runs) != len(phis):
+        raise ValueError(f"values hold {len(runs)} run(s), given {len(phis)} phi(s)")
+    flat = runs.reshape(runs.shape[:2] + (-1,))
     if _EDGE_ENTRY_COST * (W.n + 2 * W.edge_count) < W.n * W.n:
-        flat = (np.stack([_edge_steps(W, f, p) for f, p in zip(flat, phi, strict=True)])
-                if runs else _edge_steps(W, flat, phi))
+        flat = np.stack([_edge_steps(W, f, p) for f, p in zip(flat, phis, strict=True)])
     else:
-        flat = (W.stack(phi) if runs else W.power(phi)) @ flat
+        flat = W.stack(phis) @ flat
     return flat.reshape(out.shape)
 
 

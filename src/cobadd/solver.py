@@ -105,9 +105,8 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
     """Oracle pass at the duals ``mus`` and ``Gs``, of shapes (n,) and
     (n, d, d) for one run or (R, n) and (R, n, d, d) for R stacked runs
     of one set pair on an n-node W (a ValueError otherwise), then each
-    run's projected consensus update; returns the minimizers and the new
-    duals.  R runs mix in one :func:`consensus_round` with one phi per
-    run, bit-identical to each run's own round."""
+    run's projected update, all runs mixed in one :func:`consensus_round`;
+    returns the minimizers and the new duals."""
     if any(c.sets != configs[0].sets for c in configs[1:]):
         raise ValueError("stacked runs must share K and the dual sets")
     R, n, d, radius = len(configs), instance.n, instance.d, configs[0].sets.radius
@@ -124,6 +123,7 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
     if d:
         payload[..., 1:] = (Gs + alpha[..., None, None] * Qm).reshape(mus.shape + (-1,))
     runs = payload.reshape(R, n, 1 + d * d)
+    # one run passes its int phi: perfbench's _mix adds phi to an int, and CI pins its hooks
     mixed = (consensus_round(W, runs[0], configs[0].phi) if R == 1 else
              consensus_round(W, runs, tuple(c.phi for c in configs))).reshape(payload.shape)
     # minimum(maximum()) is np.clip on finite values, without its wrapper

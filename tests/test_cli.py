@@ -971,7 +971,7 @@ def test_cmd_verify_fails_on_a_perturbed_neighbour_weight(tmp_path, capsys, monk
 def test_cmd_verify_checks_the_operator_its_run_mixes_with(tmp_path, capsys, monkeypatch):
     # both the K = 500 run and the consensus-round check take edge-list
     # steps and build no W^phi
-    monkeypatch.setattr(cb.ConsensusMatrix, "power", lambda W, phi: pytest.fail("W^phi"))
+    monkeypatch.setattr(cb.ConsensusMatrix, "stack", lambda W, phis: pytest.fail("W^phi"))
     assert cmd_verify(sparse_config(tmp_path, 500)) == 0
     assert "PASS               consensus round (cobadd_phi3_alpha1)" in capsys.readouterr().out
 
@@ -1044,7 +1044,7 @@ def test_bundled_scale_config_takes_edge_list_steps(monkeypatch):
     graph = cb.random_connected_graph(1000, 8.0, 7)
     assert graph.edge_count == 3947
     W = cb.metropolis_weights(graph)
-    monkeypatch.setattr(cb.ConsensusMatrix, "power", lambda W, phi: pytest.fail("W^phi"))
+    monkeypatch.setattr(cb.ConsensusMatrix, "stack", lambda W, phis: pytest.fail("W^phi"))
     cb.consensus_round(W, np.ones((1000, 1)), run.phi)
     assert "neighbours" in vars(W)
 

@@ -207,6 +207,21 @@ def test_bad_consensus_matrix_is_rejected(W, nu, message, reported):
     assert any(reported in p for p in cb.check_consensus_conditions(np.array(W), _TRIANGLE))
 
 
+def test_nu_below_the_trace_bound_is_rejected(fig_graph):
+    # the n - 1 eigenvalues besides W's 1 sum to tr W - 1, so W's gap is
+    # at least |tr W - 1| / (n - 1): 0.407 on fig1's Metropolis weights
+    W = cb.metropolis_weights(fig_graph)
+    floor = abs(np.trace(W.W) - 1.0) / 99
+    assert 0.40 < floor < 0.41 < W.nu
+    with pytest.raises(ValueError, match=re.escape("nu=0.0 lies below |tr W - 1| / (n - 1)")):
+        cb.ConsensusMatrix(W.W, 0.0)
+    with pytest.raises(ValueError, match="lies below"):
+        cb.ConsensusMatrix(W.W, floor - 1e-9)
+    assert cb.ConsensusMatrix(W.W, floor).nu == floor
+    # the exact averaging weights' other eigenvalues are all 0: any nu passes
+    assert carrying_nu(100, 0.0).nu == 0.0
+
+
 def test_edge_count_must_match_the_weights():
     # messages are counted from edge_count, which W's nonzero node pairs give
     path = np.array([[2/3, 1/3, 0.0], [1/3, 1/3, 1/3], [0.0, 1/3, 2/3]])
@@ -344,9 +359,9 @@ class GraphShape:
     def __init__(self, n, edge_count):
         self.n, self.edge_count, self.used = n, edge_count, []
 
-    def power(self, phi):
-        self.used.append("power")
-        return np.eye(self.n)
+    def stack(self, phis):
+        self.used.append("stack")
+        return np.broadcast_to(np.eye(self.n), (len(phis), self.n, self.n))
 
     @property
     def neighbours(self):
@@ -359,8 +374,8 @@ def test_round_operator_rule_on_counts(fig_graph, monkeypatch):
     # fig1's graph (n^2 / (n + 2|E|) = 23.5) and lmi_d2's (n = 200,
     # average degree 40) mix with W^phi, while n1000's (112) and an
     # n = 3000, average degree 10 graph take edge-list steps, whatever phi
-    for n, edge_count, phis, used in ((100, 163, (1, 2, 4, 26), "power"),
-                                      (200, 3966, (16,), "power"),
+    for n, edge_count, phis, used in ((100, 163, (1, 2, 4, 26), "stack"),
+                                      (200, 3966, (16,), "stack"),
                                       (1000, 3947, (4,), "neighbours"),
                                       (3000, 15055, (4,), "neighbours")):
         for phi in phis:
@@ -374,10 +389,11 @@ def test_round_operator_rule_on_counts(fig_graph, monkeypatch):
     for phi in (1, 2, 4, 26):
         cb.consensus_round(W, np.ones(100), phi)
     assert "neighbours" not in vars(W)
-    assert W.power(1) is W.W and sorted(W._powers) == [2, 4, 26]
-    # a ring of 1000 nodes mixes over its neighbours and builds no power
+    assert sorted(W._stacks) == [(1,), (2,), (4,), (26,)]
+    assert W._stacks[(1,)].base is W.W
+    # a ring of 1000 nodes mixes over its neighbours and builds no W^phi
     ring = cb.metropolis_weights(cb.Graph(1000, [(i, (i + 1) % 1000) for i in range(1000)]))
-    monkeypatch.setattr(cb.ConsensusMatrix, "power", lambda W, phi: pytest.fail("power"))
+    monkeypatch.setattr(cb.ConsensusMatrix, "stack", lambda W, phis: pytest.fail("W^phi"))
     x = np.arange(1000.0)
     out = cb.consensus_round(ring, x, 4)
     assert "neighbours" in vars(ring)
@@ -398,9 +414,39 @@ def test_stacked_round_matches_each_runs_own_round(fig_graph):
             assert out.shape == x.shape
             for r, phi in enumerate(phis):
                 assert np.array_equal(out[r], cb.consensus_round(W, x[r], phi))
-        assert list(W._stacks) == ([phis] if W.n == 100 else [])
+        # the dense branch keeps the runs' stack and each own round's stack of one
+        assert set(W._stacks) == ({phis} | {(phi,) for phi in phis} if W.n == 100 else set())
     stack = cb.metropolis_weights(fig_graph).stack((1, 2, 4, 26, 1))
     assert stack.shape == (5, 100, 100) and not stack.flags.writeable
+
+
+def test_one_run_round_is_matrix_power_bit_for_bit(fig_graph):
+    # a one-run dense round is a stack of one: the bits of one product by
+    # matrix_power(W, phi), on the graphs of fig1, verify_dense and lmi_d2,
+    # and at phi = 1 the stack is a view of W itself
+    rng = np.random.default_rng(3)
+    for graph, phis in ((fig_graph, (1, 2, 4, 26)),
+                        (cb.random_connected_graph(100, 40.0, 11), (6, 8)),
+                        (cb.random_connected_graph(200, 40.0, 7), (1, 16))):
+        W = cb.metropolis_weights(graph)
+        for phi in phis:
+            for width in (1, 5):
+                x = rng.normal(size=(W.n, width))
+                ref = np.linalg.matrix_power(W.W, phi) @ x
+                assert np.array_equal(cb.consensus_round(W, x, phi), ref)
+        assert np.shares_memory(W.stack((1,)), W.W)
+
+
+@pytest.mark.parametrize("held", [1, 3])
+def test_round_names_a_run_count_mismatch(fig_graph, held):
+    # two phis with another number of runs' payloads fail by name on the
+    # dense and the edge-list branch, even where a reshape would succeed
+    for W in (cb.metropolis_weights(fig_graph),
+              cb.metropolis_weights(cb.random_connected_graph(1000, 8.0, 7))):
+        for width in (1, 2):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"values hold {held} run(s), given 2 phi(s)")):
+                cb.consensus_round(W, np.ones((held, W.n, width)), (4, 1))
 
 
 def test_exact_averaging_matrix_reaches_mean_in_one_step():

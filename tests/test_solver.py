@@ -255,18 +255,18 @@ def test_step_and_solve_agree(name, request, monkeypatch):
     sets = request.getfixturevalue(f"{name}_sets")
     graph = (request.getfixturevalue("fig_graph") if name == "num"
              else cb.Graph(2, ((0, 1),)))
-    powers = []
-    power = cb.ConsensusMatrix.power
-    monkeypatch.setattr(cb.ConsensusMatrix, "power",
-                        lambda W, phi: powers.append(phi) or power(W, phi))
+    stacks = []
+    stack = cb.ConsensusMatrix.stack
+    monkeypatch.setattr(cb.ConsensusMatrix, "stack",
+                        lambda W, phis: stacks.append(phis) or stack(W, phis))
     # both graphs are too dense for edge-list steps, so every round is one
-    # product by W^phi, and W^1 is W itself, with no copy kept
+    # product by a stack of one W^phi, and W^1 is W itself, with no copy kept
     for phi, K in ((1, 5), (8, 50)):
         W = cb.metropolis_weights(graph)
         cfg = cb.CobaddConfig(alpha=1.0, phi=phi, K=K, sets=sets)
-        powers.clear()
+        stacks.clear()
         tr = cb.cobadd_solve(instance, W, cfg)
-        assert powers == [phi] * (K + 1)
+        assert stacks == [(phi,)] * (K + 1)
         state = cb.cobadd_init(instance, W, cfg)
         for k in range(K):
             q = cb.dual_function_values(instance, state.mus, state.Gs)
@@ -278,8 +278,9 @@ def test_step_and_solve_agree(name, request, monkeypatch):
             row = (tr.f_ergodic[k], tr.viol_ineq[k], tr.viol_lmi[k])
             assert cb.evaluate_primal(instance, state.ergodic_x) == row
             assert np.array_equal(state.ergodic_x, [s.ergodic_x for s in state])
-        assert powers == [phi] * 2 * (K + 1)
-        assert list(W._powers) == ([] if phi == 1 else [phi])
+        assert stacks == [(phi,)] * 2 * (K + 1)
+        assert list(W._stacks) == [(phi,)]
+        assert np.shares_memory(W._stacks[(phi,)], W.W) == (phi == 1)
         assert state.k == K
         assert np.array_equal(state.mus, tr.final_mus)
         assert np.array_equal(state.Gs, tr.final_Gs)
