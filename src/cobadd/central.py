@@ -28,7 +28,7 @@ def _advance(instance: ProblemInstance, mus: np.ndarray, Gs: np.ndarray,
              alpha: float, sets: DualSetSpec | None):
     """Oracle pass at the master node's (1,) and (1, d, d) duals, then the projected
     subgradient step (unbounded: an infinite radius); returns minimizers and new duals."""
-    x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
+    x_tilde = minimize_node_lagrangians(instance, mus, Gs)
     radius = sets.radius if sets is not None else math.inf
     h, _ = constraint_values(instance, x_tilde)
     mus = np.minimum(np.maximum(mus + alpha * float(h.sum()), 0.0), radius)

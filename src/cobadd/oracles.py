@@ -1,9 +1,11 @@
 """Reference solvers used as ground truth.
 
 ``dual_bisection`` shares one kernel with the iterative solvers: its
-minimizers and q, and so its f*, come from ``minimize_node_lagrangians``
-at a (1,) stack of duals (one CoBa-DD run passes (n,), R stacked runs
-(R, n)), and its certificate uses their ``evaluate_primal``.
+minimizers and q, and so its f*, come from ``node_dual_values`` at a
+(1,) stack of duals, which adds the minima to the minimizers of
+``minimize_node_lagrangians``, the solvers' oracle (one CoBa-DD run
+passes (n,), R stacked runs (R, n)); its certificate uses their
+``evaluate_primal``.
 Independent of them are the bisection on s(mu), evaluated with
 ``ScalarFunction.__call__``, the water-filling of degenerate nodes,
 ``grid_search_lmi`` (exhaustive enumeration with a feasibility filter,
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .problem import ProblemInstance, evaluate_primal, minimize_node_lagrangians
+from .problem import ProblemInstance, evaluate_primal, node_dual_values
 
 # The largest grid grid_search_lmi enumerates: 50M points take 400 MB per
 # float64 array over the grid.
@@ -62,7 +64,7 @@ def dual_bisection(instance: ProblemInstance, tol: float = 1e-10) -> OracleResul
         raise ValueError("tol must be positive")
 
     def solve_at(mu: float):
-        x, q = minimize_node_lagrangians(instance, np.array([mu]))
+        x, q = node_dual_values(instance, np.array([mu]))
         s = float(sum(nd.g(v) for nd, v in zip(instance.nodes, x)))
         return float(q.sum()), x, s
 

@@ -21,15 +21,18 @@ upper endpoint (C > 0, S <= 0), or the clipped stationary point
 reproducible.
 
 ``minimize_node_lagrangians`` is the one kernel for minimizers, one
-broadcast expression over a stack of duals: the solvers' oracle and
-``dual_function_value`` go through it, so iterates and dual-set radii
-keep every bit.  ``dual_function_values``, the trace rows, needs only
-the minima, which do not depend on the tie-break.  With d = 0 it reads
-q off the instance's sorted breakpoints (each node's minimum is
-piecewise in mu); with an LMI, ``tr[A_i G_j]`` couples node and dual,
-and one matrix product per block of points gives every node's S and C
-at every point.  At every d a row agrees with
-``dual_function_value`` to ``1e-12 * sum_i |q_i|``, not bit for bit.
+broadcast expression over a stack of duals: the solvers' oracle passes
+need nothing else, and ``node_dual_values`` adds the local minima to
+them for ``dual_function_value`` and the bisection oracle, so iterates
+and dual-set radii keep every bit.  ``dual_function_values``, the trace
+rows, needs only the minima, which do not depend on the tie-break.
+With d = 0 it reads q off the instance's sorted breakpoints (each
+node's minimum is piecewise in mu), in float64 where a forward error
+bound certifies the row, else in long double; with an LMI,
+``tr[A_i G_j]`` couples node and dual, and one matrix product per block
+of points gives every node's S and C at every point.  At every d a row
+agrees with ``dual_function_value`` to ``1e-12 * sum_i |q_i|``, not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -229,11 +232,22 @@ class ProblemInstance:
                 np.array([s.c for s in g]), np.array([s.a for s in g]), np.array([s.b for s in g]))
 
     @cached_property
-    def _breakpoints(self) -> "tuple[np.ndarray, np.ndarray] | None":
-        """The sorted-breakpoint form of q for d = 0 (see :func:`_dual_breakpoints`)."""
+    def _breakpoints(self) -> "tuple[np.ndarray, ...] | None":
+        """For d = 0, the table :func:`dual_function_values` reads:
+        ``(t, cum, rows)``.  ``t`` holds the sorted breakpoints of
+        :func:`_dual_breakpoints` with each run of equal ones kept once,
+        and ``cum`` (long double) and ``rows`` (its float64 rounding) the
+        coefficients of the intervals ``searchsorted(t, mu, side="right")``
+        selects.  Within a run only the interval after its last breakpoint
+        is not empty, and it is the one kept, so every point reads the
+        bits it read before the runs were collapsed."""
         if self.d:
             return None
-        return _dual_breakpoints(self._closed, *self.boxes)
+        t, cum = _dual_breakpoints(self._closed, *self.boxes)
+        last = np.append(t[1:] != t[:-1], True)
+        cum = np.ascontiguousarray(cum[:, np.concatenate([[0], np.flatnonzero(last) + 1])])
+        with np.errstate(over="ignore"):    # beyond the float range: inf, see _breakpoint_rows
+            return t[last], cum, cum.astype(float)
 
     @cached_property
     def _value_rows(self) -> "tuple | None":
@@ -411,20 +425,6 @@ def _traces(A: np.ndarray, G: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lmi_terms(instance: ProblemInstance, Gs: np.ndarray):
-    """Per-node linear and constant Lagrangian contributions of the LMI.
-
-    -tr[(A0/n + A_i x) G_i] = (-tr[A_i G_i]) x + (-tr[A0 G_i]/n); both 0.0 at d = 0.
-    ``Gs`` is a (..., d, d) stack whose last batch axis broadcasts against the nodes.
-    """
-    n = instance.n
-    if instance.d == 0:
-        return 0.0, 0.0
-    lin = -_traces(instance.A_stack.reshape(n, -1), np.reshape(Gs, np.shape(Gs)[:-2] + (-1,)))
-    const = -np.sum(instance.A0 * Gs, axis=(-2, -1)) / n
-    return lin, const
-
-
 def _checked_duals(instance: ProblemInstance, mus, Gs, caller: str) -> np.ndarray:
     """``mus`` as floats, each finite and >= 0, and with an LMI one finite
     (d, d) matrix in ``Gs`` per mu (d = 0 ignores ``Gs``); a ValueError
@@ -444,19 +444,18 @@ def _checked_duals(instance: ProblemInstance, mus, Gs, caller: str) -> np.ndarra
 
 
 def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
-                              Gs: np.ndarray | None = None):
+                              Gs: np.ndarray | None = None) -> np.ndarray:
     """Solve every node's Lagrangian minimization at its own dual point.
 
-    At a dual (mu, G), node i minimizes ``-C log(1 + x) + S x + T`` over
-    its box, with
-
-        C = c_f + mu c_g,   S = a_f + mu a_g + lin,   T = b_f + mu b_g + const,
-
-    and the LMI terms ``lin, const`` of :func:`_lmi_terms`.  C == 0 gives
-    an affine objective minimized at an endpoint (the lower one on ties);
-    C > 0 a strictly convex one, minimized at the clipped stationary
-    point C/S - 1 when S > 0 and at the upper endpoint otherwise.  All
-    nodes and duals go through one broadcast expression.
+    At a dual (mu, G), node i minimizes ``-C log(1 + x) + S x`` (plus a
+    constant) over its box, with ``C = c_f + mu c_g`` and
+    ``S = a_f + mu a_g - tr[A_i G]``.  C == 0 gives an affine objective
+    minimized at an endpoint (the lower one on ties); C > 0 a strictly
+    convex one, minimized at the clipped stationary point C/S - 1 when
+    S > 0 and at the upper endpoint otherwise.  All nodes and duals go
+    through one broadcast expression.  The minima are left to
+    :func:`node_dual_values`: the solvers' oracle passes need only the
+    minimizers.
 
     Parameters
     ----------
@@ -470,22 +469,45 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
 
     Returns
     -------
-    x_tilde, q : ndarray, shape (n,), or (R, n) for R stacked runs
-        Box minimizers and attained local dual values
-        q_i = min_x L_i(x, mu_i, G_i).
+    x_tilde : ndarray, shape (n,), or (R, n) for R stacked runs
+        The box minimizers.
     """
+    return _minimize(instance, mus, Gs)[1]
+
+
+def _minimize(instance: ProblemInstance, mus, Gs):
+    """The checked ``mus``, the minimizers of
+    :func:`minimize_node_lagrangians` and the ``C``, ``S`` they solve for.
+    ``Gs`` is a (..., d, d) stack whose last batch axis broadcasts
+    against the nodes."""
     mus = _checked_duals(instance, mus, Gs, "minimize_node_lagrangians")
-    c_f, a_f, b_f, c_g, a_g, b_g = instance._closed
+    c_f, a_f, _, c_g, a_g, _ = instance._closed
     lo, hi = instance.boxes
-    lin, const = _lmi_terms(instance, Gs)
+    lin = 0.0 if instance.d == 0 else -_traces(
+        instance.A_stack.reshape(instance.n, -1), np.reshape(Gs, np.shape(Gs)[:-2] + (-1,)))
     C, S = c_f + mus * c_g, a_f + mus * a_g + lin
     # lanes with S <= 0 are discarded below; at tiny duals, inf - 1 clips to hi
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         stationary = np.minimum(np.maximum(C / S - 1.0, lo), hi)
     convex = C > 0.0
     x = np.where(convex & (S > 0.0), stationary, np.where(convex | (S < 0.0), hi, lo))
-    q = S * x - C * np.log1p(np.where(convex, x, 0.0)) + (b_f + mus * b_g + const)
-    # the boxes are finite, so a NaN minimizer would make its q NaN too
+    # the boxes are finite: only C / S = inf / inf, both overflowed, is NaN
+    if not np.isfinite(x).all():
+        raise ConfigurationError("non-finite Lagrangian evaluation inside a box")
+    return mus, x, C, S
+
+
+def node_dual_values(instance: ProblemInstance, mus: np.ndarray,
+                     Gs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The minimizers of :func:`minimize_node_lagrangians` and the local
+    dual values they attain, ``q_i = -C log1p(x_i) + S x_i + T`` with
+    ``T = b_f + mu b_g - tr[A0 G]/n``, taken at the same duals (and
+    checked the same way).  Returns ``(x_tilde, q)``, both of the duals'
+    shape; a non-finite q is a ``ConfigurationError``."""
+    mus, x, C, S = _minimize(instance, mus, Gs)
+    _, _, b_f, _, _, b_g = instance._closed
+    const = -np.sum(instance.A0 * Gs, axis=(-2, -1)) / instance.n if instance.d else 0.0
+    q = S * x - C * np.log1p(np.where(C > 0.0, x, 0.0)) + (b_f + mus * b_g + const)
     if not np.isfinite(q).all():
         raise ConfigurationError("non-finite Lagrangian evaluation inside a box")
     return x, q
@@ -493,12 +515,12 @@ def minimize_node_lagrangians(instance: ProblemInstance, mus: np.ndarray,
 
 def dual_function_value(instance: ProblemInstance, dual: DualPoint) -> float:
     """q(mu, G) = sum_i min_x L_i(x, mu, G); a sum beyond the float range is
-    infinite, which the dual sets built on it reject.  The dual goes to the
-    kernel as a (1,) and (1, d, d) stack; one of another d than the
-    instance's is a ``ValueError``."""
+    infinite, which the dual sets built on it reject.  The dual goes to
+    :func:`node_dual_values` as a (1,) and (1, d, d) stack; one of
+    another d than the instance's is a ``ValueError``."""
     if dual.d != instance.d:
         raise ValueError(f"a dual point with d = {dual.d} on a d = {instance.d} instance")
-    _, q = minimize_node_lagrangians(instance, np.array([dual.mu]), dual.G[None])
+    _, q = node_dual_values(instance, np.array([dual.mu]), dual.G[None])
     with np.errstate(over="ignore"):
         return float(q.sum())
 
@@ -528,6 +550,7 @@ def _dual_breakpoints(cf: tuple[np.ndarray, ...], lo, hi):
     breakpoint.  Returns ``(t, cum)``: the 2n sorted breakpoints (inf, with
     a zero jump, where a node has fewer) and q's coefficients on the 2n + 1
     intervals, shape (4, 2n + 1): a contiguous row per coefficient.
+    :attr:`ProblemInstance._breakpoints` collapses runs of equal breakpoints.
     """
     c_f, a_f, b_f, c_g, a_g, b_g = cf
     log_f = (c_f > 0) & (a_g > 0)
@@ -575,31 +598,78 @@ def dual_function_values(instance: ProblemInstance, mus: np.ndarray,
     else checked as in :func:`minimize_node_lagrangians`); every mu must
     be >= 0, the dual domain, and a negative one raises ``ValueError``, a
     NaN or infinite one ``ConfigurationError``.
-    With d = 0, q is read off the breakpoints of :func:`_dual_breakpoints`:
-    one ``searchsorted``, one ``take`` of the contiguous coefficient rows
-    and a four-term sum per point, not n node evaluations.  With d > 0,
-    where ``tr[A_i G_j]`` couples each node with each dual, the m points go
-    in blocks of about ``_BLOCK_ELEMENTS`` node evaluations through
-    :func:`_row_minima`, one matrix product each.
+    With d = 0, q is read off the breakpoint table of
+    :attr:`ProblemInstance._breakpoints` by :func:`_breakpoint_rows`: one
+    ``searchsorted``, one ``take`` of the float64 coefficient rows and a
+    four-term sum per point, not n node evaluations; a point whose
+    float64 value is not certified to 1e-13 of its own size is evaluated
+    in long double instead.  With d > 0, where ``tr[A_i G_j]`` couples
+    each node with each dual, the m points go in blocks of about
+    ``_BLOCK_ELEMENTS`` node evaluations through :func:`_row_minima`, one
+    matrix product each.
     Both sum in another order than :func:`dual_function_value`, so the two
     agree to ``1e-12 * sum_i |q_i|``, not bit for bit.  A point's value
     does not depend on the other points of its call.
     """
     mus = _checked_duals(instance, mus, Gs, "dual_function_values")
     m, n = mus.shape[0], instance.n
-    table = instance._breakpoints
-    if table is not None:
-        t, cum = table
-        k0, k1, k2, k3 = cum.take(np.searchsorted(t, mus, side="right"), axis=1)
-        mu = mus.astype(np.longdouble)
-        log_mu = np.log(mu, out=np.zeros_like(mu), where=mu > 0)   # 0 * log 0 read as 0
-        return (k0 + mu * (k1 + k3 * log_mu) + k2 * log_mu).astype(float)
+    if instance._breakpoints is not None:
+        return _breakpoint_rows(instance._breakpoints, mus)
     out = np.empty(m)
     rows = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, m, rows):
         block = slice(start, start + rows)
         out[block] = _row_minima(instance, mus[block], Gs[block])
     return out
+
+
+# The certified error of a float64 row of _breakpoint_rows (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2nd ed., ch. 3, with u = eps/2).
+# The row v = (k0 + mu (k1 + k3 L)) + k2 L is formed from coefficients
+# rounded from long double (one rounding each, relative u), L = log mu
+# from np.log (within 1 ulp, relative 2u, which the tests check against
+# the long-double log) and five float operations.  The longest
+# path, mu k3 L, carries 1 + 2 + 5 = 8 rounding factors, so v is within
+# gamma_8 T of the exact value of the long-double table's expression,
+# with T = |k0| + mu (|k1| + |k3 L|) + |k2 L|.  The long-double row that
+# the fallback returns is within 2^-61 T of that exact value before its
+# rounding to float64, within u |q| <= u T after it.  T computed in float64
+# understates the exact T by a factor of at most 1 - gamma_8, so
+# |v - long-double row| <= (9u + O(u^2)) T <= 10u T = 5 eps T.  Each of
+# the three products may also underflow, by at most 2^-1075 each, which
+# 2^-1072 covers.  A coefficient below the normal range rounds exactly:
+# every piece is a float64, a multiple of 2^-1074, and so is every long
+# double sum of them.
+_ROW_BOUND, _ROW_FLOOR = 5.0 * np.finfo(float).eps, 2.0**-1072
+# A float64 row stands where its bound is below this share of its value,
+# ten times inside the 1e-12 the rows promise against the node-by-node sum.
+_ROW_TOLERANCE = 1e-13
+
+
+def _breakpoint_rows(table: tuple, mus: np.ndarray) -> np.ndarray:
+    """q at each mu >= 0 from the d = 0 table ``(t, cum, rows)`` of
+    :attr:`ProblemInstance._breakpoints`: the interval's four float64
+    coefficients ``k0 + mu (k1 + k3 log mu) + k2 log mu`` (0 log 0 read
+    as 0), within ``_ROW_BOUND * T + _ROW_FLOOR`` of the same expression
+    in long double.  Where that bound is not below ``_ROW_TOLERANCE |q|``
+    (q = 0, cancelling terms, an overflow or a NaN), the point is
+    evaluated in long double, bit for bit as when every row was."""
+    t, cum, rows = table
+    j = np.searchsorted(t, mus, side="right")
+    k0, k1, k2, k3 = rows.take(j, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and NaN fall back
+        log_mu = np.log(mus, out=np.zeros(mus.shape), where=mus > 0.0)
+        k3 *= log_mu
+        k2 *= log_mu
+        q = k0 + mus * (k1 + k3) + k2
+        size = np.abs(k0) + mus * (np.abs(k1) + np.abs(k3)) + np.abs(k2)
+        redo = ~(size * _ROW_BOUND + _ROW_FLOOR < _ROW_TOLERANCE * np.abs(q))
+    if redo.any():
+        k0, k1, k2, k3 = cum.take(j[redo], axis=1)
+        mu = mus[redo].astype(np.longdouble)
+        log_mu = np.log(mu, out=np.zeros_like(mu), where=mu > 0)
+        q[redo] = (k0 + mu * (k1 + k3 * log_mu) + k2 * log_mu).astype(float)
+    return q
 
 
 def _row_minima(instance: ProblemInstance, mu: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -639,7 +709,12 @@ def _row_minima(instance: ProblemInstance, mu: np.ndarray, G: np.ndarray) -> np.
 
 
 def _values(c, a, b, x) -> np.ndarray:
-    """-c log(1 + x) + a x + b per node, the log taken only where c != 0 (x > -1 there)."""
+    """-c log(1 + x) + a x + b per node, the log taken only where c != 0 (x > -1 there).
+    Where every c is +0.0 the log term is -0.0, which adds nothing, and
+    its pass is skipped; a -0.0 coefficient would make it +0.0, which turns
+    a -0.0 sum into +0.0, so such a c keeps the pass."""
+    if not (c.any() or np.signbit(c).any()):
+        return a * x + b
     log1p = np.log1p(x, out=np.zeros(np.shape(x)), where=c != 0.0)
     return -c * log1p + a * x + b
 

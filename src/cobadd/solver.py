@@ -116,7 +116,7 @@ def _advance(instance: ProblemInstance, W: ConsensusMatrix, configs,
     if math.prod(mus.shape[:-1]) != R:
         raise ValueError(f"the state holds {math.prod(mus.shape[:-1])} run(s), given {R} config(s)")
     alpha = np.array([c.alpha for c in configs]).reshape(mus.shape[:-1] + (1,))
-    x_tilde, _ = minimize_node_lagrangians(instance, mus, Gs)
+    x_tilde = minimize_node_lagrangians(instance, mus, Gs)
     h, Qm = constraint_values(instance, x_tilde)
     payload = np.empty(mus.shape + (1 + d * d,))
     payload[..., 0] = mus + alpha * h
@@ -154,7 +154,7 @@ def cobadd_step(instance: ProblemInstance, state: SolverState, W: ConsensusMatri
 
 
 # Buffered elements per block of trace rows.  Larger blocks only grow the
-# d = 0 breakpoint gather, four (points,) long-double coefficient rows.
+# d = 0 breakpoint rows' scratch, a few float64 values per point.
 _RECORD_ELEMENTS = 4096
 
 
@@ -190,12 +190,14 @@ def record_run(instance: ProblemInstance, state, step, K: int):
         r, rows = j + 1, slice(k - j, k + 1)
         q = dual_function_values(instance, mus[:r].reshape(-1),
                                  Gs[:r].reshape(r * R * m, d, d)).reshape(r, R, m)
-        dev_mu = np.abs(mus[:r] - mus[:r].mean(axis=2, keepdims=True))
-        dev_G = np.linalg.norm(Gs[:r] - Gs[:r].mean(axis=2, keepdims=True), axis=(3, 4))
+        dev = np.abs(mus[:r] - mus[:r].mean(axis=2, keepdims=True))
         cols["q_best_node"][rows], cols["q_mean"][rows] = q.max(axis=2), q.mean(axis=2)
-        cols["mu_disagreement"][rows], cols["G_disagreement"][rows] = \
-            dev_mu.max(axis=2), dev_G.max(axis=2)
-        cols["disagreement"][rows] = (dev_mu + dev_G).max(axis=2)
+        cols["mu_disagreement"][rows] = dev.max(axis=2)
+        if d:   # at d = 0, G_disagreement stays 0.0 and dev + 0.0 is dev
+            dev_G = np.linalg.norm(Gs[:r] - Gs[:r].mean(axis=2, keepdims=True), axis=(3, 4))
+            cols["G_disagreement"][rows] = dev_G.max(axis=2)
+            dev = dev + dev_G
+        cols["disagreement"][rows] = dev.max(axis=2)
         cols["f_ergodic"][rows], cols["viol_ineq"][rows], cols["viol_lmi"][rows] = \
             evaluate_primal(instance, xs[:r])
     return [{name: col[:, i] for name, col in cols.items()} for i in range(R)], state

@@ -25,7 +25,7 @@ def initial_disagreement(instance, W, phi, alpha):
     alpha (g_i, -A0/n - A_i x_i) at the zero-dual minimizers, scalar part
     plus Frobenius norm of the matrix part."""
     n, d = instance.n, instance.d
-    x0, _ = minimize_node_lagrangians(instance, np.zeros(1), np.zeros((1, d, d)))
+    x0 = minimize_node_lagrangians(instance, np.zeros(1), np.zeros((1, d, d)))
     h, Qm = cb.constraint_values(instance, x0)
     payload = alpha * np.concatenate([h[:, None], Qm.reshape(n, d * d)], axis=1)
     mixed = cb.consensus_round(W, payload, phi)

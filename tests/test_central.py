@@ -87,7 +87,7 @@ def test_solve_single_iteration_is_first_sample(num_instance):
     trace = cb.central_solve(num_instance, alpha=1.0, K=K)
     assert len(trace.k) == K
     state = cb.central_init(num_instance, alpha=1.0)
-    x1, _ = minimize_node_lagrangians(num_instance, state.mus, state.Gs)
+    x1 = minimize_node_lagrangians(num_instance, state.mus, state.Gs)
     f1, _, _ = cb.evaluate_primal(num_instance, x1)
     assert trace.f_ergodic[0] == pytest.approx(f1, abs=1e-12)
     # every row is one central_step from the previous state
@@ -157,8 +157,8 @@ def test_unbounded_lmi_update_projects_onto_psd_cone():
     state = cb.central_init(inst, alpha)
     clipped = 0
     for _ in range(40):
-        x, _ = minimize_node_lagrangians(inst, np.repeat(state.mus, 2),
-                                         np.repeat(state.Gs, 2, axis=0))
+        x = minimize_node_lagrangians(inst, np.repeat(state.mus, 2),
+                                      np.repeat(state.Gs, 2, axis=0))
         w, U = np.linalg.eigh(state.Gs[0] - alpha * inst.lmi_matrix(x))
         clipped += bool(w[0] < 0.0 < w[1])
         expected_G = (U * np.maximum(w, 0.0)) @ U.T

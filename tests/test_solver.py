@@ -341,6 +341,9 @@ def test_blocked_recorder_matches_per_row_loop(name, solver, offset, request):
         assert np.array_equal(getattr(tr, col), ref[col]), col
     assert np.array_equal(tr.final_mus, state.mus)
     assert np.array_equal(tr.final_Gs, state.Gs)
+    if not instance.d:  # no G to disagree on
+        assert not tr.G_disagreement.any()
+        assert np.array_equal(tr.disagreement, tr.mu_disagreement)
 
 
 TRACE_FIELDS = COLUMNS + ("k", "messages_cum", "bound_upper", "bound_lower", "beta_k",
@@ -465,7 +468,7 @@ def test_subgradient_bounds_cover_realized_values(lmi_instance, lmi_sets):
     cfg = cb.CobaddConfig(alpha=0.7, phi=1, K=100, sets=lmi_sets)
     states = list(cobadd_states(lmi_instance, cb.Graph(2, ((0, 1),)), cfg))
     for state in states[:-1]:
-        x_tilde, _ = minimize_node_lagrangians(lmi_instance, state.mus, state.Gs)
+        x_tilde = minimize_node_lagrangians(lmi_instance, state.mus, state.Gs)
         h, Qm = cb.constraint_values(lmi_instance, x_tilde)
         assert np.all(np.abs(h) <= sb.L + 1e-12)
         assert np.all(np.linalg.norm(Qm, axis=(1, 2)) <= sb.Q + 1e-12)
