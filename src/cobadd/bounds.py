@@ -1,12 +1,13 @@
 """Theoretical convergence-bound calculators for the consensus solver.
 
-Everything here is a closed-form function of the run configuration: the
-agreement envelope beta_k, its limit beta_inf, the epsilon-subgradient
-slack epsilon_k, the primal error floor e_k, and the dual objective
-floor.  The quantities come from three results: a geometric bound on the
-per-iteration payload disagreement (ratio p), the observation that the
-averaged iterate follows an approximate subgradient method with slack
-epsilon_k, and the ergodic primal recovery analysis.  None of this code
+Everything here is a closed-form function of the run's scalars and,
+per row, of the iteration k: the agreement envelope beta_k, its limit
+beta_inf, the epsilon-subgradient slack epsilon_k, the primal error
+floor e_k, and the dual objective floor.  The quantities come from
+three results: a geometric bound on the per-iteration payload
+disagreement (ratio p), the observation that the averaged iterate
+follows an approximate subgradient method with slack epsilon_k, and
+the ergodic primal recovery analysis.  None of this code
 runs inside the solver loop; the solver only evaluates the formulas for
 trace overlays and the test harness checks them as inequalities.
 """
@@ -25,41 +26,56 @@ from .problem import DualSetSpec, ProblemInstance, subgradient_bounds
 
 @dataclass(frozen=True)
 class TheoreticalBounds:
-    """All bound quantities for one (alpha, phi, K) run.
+    """All bound quantities of one run, per-row ones as functions of k >= 1.
 
     ``agreement_applicable`` is False when phi < phibar; the agreement
-    and dual-floor quantities (p, beta_k, beta_inf, dual_gap_floor) are
-    then NaN because the theorems are conditional on phi >= phibar,
-    while tau, zeta and e_k remain valid formulas of beta0 alone.
-    ``radius`` bounds both dual sets, so the analysis's Lambda^2 + Gamma^2
-    and Lambda + Gamma read R^2 + R^2 and R + R.
+    and dual-floor quantities (contraction, p, beta, beta_inf,
+    dual_gap_floor) are then NaN because the theorems are conditional on
+    phi >= phibar, while tau, zeta, epsilon and e_k remain valid formulas
+    of beta0 alone.  ``radius`` bounds both dual sets, so the analysis's
+    Lambda^2 + Gamma^2 and Lambda + Gamma read R^2 + R^2 and R + R.
     """
 
     n: int
     alpha: float
     phi: int
-    K: int
     radius: float
     M: float
     beta0: float
     phibar: float
     agreement_applicable: bool
     delta: int | None
+    contraction: float
     p: float
-    beta_k: np.ndarray
     beta_inf: float
     tau: float
     zeta: float
-    epsilon_k: np.ndarray
     e_k: float
     dual_gap_floor: float
+
+    def beta(self, ks: np.ndarray) -> np.ndarray:
+        """The agreement envelope beta_k at rows k >= 1: beta_1 =
+        contraction beta0 and beta_{k+1} = p beta_k + p alpha M."""
+        pk = self.p ** (np.asarray(ks, dtype=float) - 1.0)
+        return (pk * self.contraction * self.beta0
+                + self.p * self.alpha * self.M * (1.0 - pk) / (1.0 - self.p))
+
+    def _beta_prev(self, ks: np.ndarray) -> np.ndarray:
+        """beta_{k-1} at rows k >= 1, with beta_0 = beta0 (beta is never read at 0)."""
+        ks = np.asarray(ks, dtype=float)
+        return np.where(ks == 1.0, self.beta0, self.beta(np.maximum(ks - 1.0, 1.0)))
+
+    def epsilon(self, ks: np.ndarray) -> np.ndarray:
+        """The epsilon-subgradient slack epsilon_k at rows k >= 1, which
+        reads beta0 for beta_{k-1} when the agreement theorem does not apply."""
+        prev = (self._beta_prev(ks) if self.agreement_applicable
+                else np.full(np.shape(ks), self.beta0))
+        return self.n * (prev * (6.0 * self.M + 3.0 * self.tau) + self.zeta)
 
     def disagreement_envelope(self, ks: np.ndarray) -> np.ndarray:
         """Bound on each dual component's deviation from the mean at the
         duals used in iteration k (= 2 beta_{k-1}, k >= 1)."""
-        ks = np.asarray(ks, dtype=int)
-        prev = np.where(ks - 1 == 0, self.beta0, self.beta_k[np.maximum(ks - 2, 0)])
-        return 2.0 * prev
+        return 2.0 * self._beta_prev(ks)
 
     def primal_upper_deviation(self, ks: np.ndarray) -> np.ndarray:
         """f(x^k) - f* is at most this at every k >= 1; a bound beyond the
@@ -100,22 +116,17 @@ def default_beta0(alpha: float, M: float) -> float:
 
 
 def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, W: ConsensusMatrix,
-                       config, beta0: float) -> TheoreticalBounds:
-    """Evaluate every bound formula for a run configuration.
-
-    ``config`` needs attributes ``alpha``, ``phi`` and ``K``, and W the
-    instance's n nodes.  With beta0 = 0 the quantities degenerate to the
-    exact-averaging limit (p = 0, beta_inf = 0, e_k = alpha n M^2 / 2).
-    """
+                       alpha: float, phi: int, beta0: float) -> TheoreticalBounds:
+    """Every scalar of the bound formulas for a run at stepsize alpha with
+    phi consensus steps on W, of the instance's n nodes.  With beta0 = 0
+    they degenerate to the exact-averaging limit (p = 0, beta_inf = 0,
+    e_k = alpha n M^2 / 2)."""
     n, d = instance.n, instance.d
     if W.n != n:
         raise ValueError(f"W has {W.n} nodes but the instance has {n}")
-    alpha, phi, K = config.alpha, config.phi, config.K
-    M = subgradient_bounds(instance).M
-    R = sets.radius
+    M, R = subgradient_bounds(instance).M, sets.radius
     phibar = W.phibar(beta0, alpha, M, d)
     applicable = phi >= phibar
-    ks = np.arange(1, K + 1, dtype=float)
 
     tau = beta0 / alpha
     zeta = 2.0 * tau * math.sqrt(R**2 + R**2)
@@ -123,32 +134,21 @@ def theoretical_bounds(instance: ProblemInstance, sets: DualSetSpec, W: Consensu
            + n * tau * (R + R)
            + n * (beta0 * (6.0 * M + 3.0 * tau) + zeta))
 
+    delta, contraction = None, math.nan
+    p = beta_inf = dual_gap_floor = math.nan
     if applicable:
-        # the agreement theorem needs one quantity of the mixing: the
-        # factor W.contraction(delta) of the delta steps beyond ceil(phibar)
+        # the theorem reads the mixing only through the delta steps' contraction
         delta = int(phi - math.ceil(phibar))
         contraction = W.contraction(delta)
         p = 0.0 if beta0 == 0.0 else contraction * beta0 / (beta0 + alpha * M)
         if p >= 1.0:
             raise ConfigurationError(
                 "contraction ratio p >= 1 (alpha*M vanished with delta = 0)")
-        pk = p ** (ks - 1.0)
-        beta_k = pk * contraction * beta0 + p * alpha * M * (1.0 - pk) / (1.0 - p)
         beta_inf = p * alpha * M / (1.0 - p)
-        eps_prev = np.concatenate(([beta0], beta_k[:-1]))
-        epsilon_k = n * (eps_prev * (6.0 * M + 3.0 * tau) + zeta)
         dual_gap_floor = (alpha * n * (M + tau) ** 2 / 2.0
                           + n * (beta_inf * (9.0 * M + 3.0 * tau) + zeta))
-    else:
-        delta = None
-        p = math.nan
-        beta_k = np.full(K, math.nan)
-        beta_inf = math.nan
-        epsilon_k = n * (beta0 * (6.0 * M + 3.0 * tau) + zeta) * np.ones(K)
-        dual_gap_floor = math.nan
 
     return TheoreticalBounds(
-        n=n, alpha=alpha, phi=phi, K=K, radius=R, M=M,
-        beta0=beta0, phibar=phibar, agreement_applicable=applicable,
-        delta=delta, p=p, beta_k=beta_k, beta_inf=beta_inf, tau=tau,
-        zeta=zeta, epsilon_k=epsilon_k, e_k=e_k, dual_gap_floor=dual_gap_floor)
+        n=n, alpha=alpha, phi=phi, radius=R, M=M, beta0=beta0, phibar=phibar,
+        agreement_applicable=applicable, delta=delta, contraction=contraction, p=p,
+        beta_inf=beta_inf, tau=tau, zeta=zeta, e_k=e_k, dual_gap_floor=dual_gap_floor)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .problem import (DualSetSpec, ProblemInstance, constraint_values,
                       minimize_node_lagrangians, project_psd_ball_stack, subgradient_bounds)
-from .solver import SolverState, record_run
+from .solver import SolverState, _check_count, record_run
 from .trace import RunTrace
 
 
@@ -63,8 +63,7 @@ def central_solve(instance: ProblemInstance, alpha: float, K: int,
     is L0^2 + G0^2.  A cell beyond the float range reads inf, which every
     check counts as broken.
     """
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    _check_count("K", K)
     lam_max = gam_max = 0.0  # realized maxima; the zero initial pair adds nothing
 
     def observe(s: SolverState) -> SolverState:

@@ -115,9 +115,13 @@ def _as_symmetric(A: np.ndarray, what: str) -> np.ndarray:
         raise ConfigurationError(f"{what} must be a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ConfigurationError(f"{what} has non-finite entries")
-    if A.size and np.max(np.abs(A - A.T)) > 1e-12:
+    # half the gap of each pair {A_ij, A_ji}, which hi - lo would overflow;
+    # hi - half is exactly symmetric and keeps a symmetric A bit for bit
+    hi, lo = np.maximum(A, A.T), np.minimum(A, A.T)
+    half = hi / 2.0 - lo / 2.0
+    if A.size and np.max(half) > 0.5e-12:
         raise ConfigurationError(f"{what} is not symmetric")
-    A = (A + A.T) / 2.0
+    A = hi - half
     A.flags.writeable = False
     return A
 
@@ -181,9 +185,10 @@ class DualPoint:
         return self.G.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
-    """A decomposable instance: nodes, shared LMI constant A0, dimension d."""
+    """A decomposable instance: nodes, shared LMI constant A0, dimension d.
+    Frozen, as the arrays cached from its fields must stay theirs."""
 
     nodes: tuple[NodeSpec, ...]
     A0: np.ndarray = None  # type: ignore[assignment]
@@ -191,7 +196,7 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.nodes = tuple(self.nodes)
+        object.__setattr__(self, "nodes", tuple(self.nodes))
         if len(self.nodes) < 1:
             raise ConfigurationError("an instance needs at least one node")
         d = int(self.d)
@@ -203,8 +208,8 @@ class ProblemInstance:
             if node.A.shape != (d, d):
                 raise ConfigurationError(
                     f"node {i} matrix has shape {node.A.shape}, expected ({d}, {d})")
-        self.A0 = A0
-        self.d = d
+        object.__setattr__(self, "A0", A0)
+        object.__setattr__(self, "d", d)
 
     @property
     def n(self) -> int:

@@ -46,10 +46,17 @@ class CobaddConfig:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and positive")
-        if self.phi < 1:
-            raise ValueError("phi must be at least 1")
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
+        _check_count("phi", self.phi)
+        _check_count("K", self.K)
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a count of steps or rows that is not an integer >= 1; a
+    bool or an integral float is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -229,7 +236,7 @@ def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
             raise ConfigurationError(
                 f"phi={c.phi}: K * phi * 2|E| messages exceed the int64 range of messages_cum")
     K, M = config.K, subgradient_bounds(instance).M
-    bounds = [theoretical_bounds(instance, c.sets, W, c, default_beta0(c.alpha, M))
+    bounds = [theoretical_bounds(instance, c.sets, W, c.alpha, c.phi, default_beta0(c.alpha, M))
               for c in configs]
 
     # the bootstrap's consensus round produces the duals used at row 1
@@ -241,7 +248,7 @@ def cobadd_solve(instance: ProblemInstance, W: ConsensusMatrix,
     ks = np.arange(1, K + 1)
     traces = [RunTrace(k=ks, **cols, messages_cum=ks * (c.phi * 2 * W.edge_count),
                        bound_upper=b.primal_upper_deviation(ks),
-                       bound_lower=b.primal_lower_deviation(ks), beta_k=b.beta_k.copy(),
+                       bound_lower=b.primal_lower_deviation(ks), beta_k=b.beta(ks),
                        bounds=b, final_mus=final_mus[i], final_Gs=final_Gs[i])
               for i, (c, b, cols) in enumerate(zip(configs, bounds, runs))]
     return traces if more else traces[0]

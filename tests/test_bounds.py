@@ -11,11 +11,6 @@ from cobadd.problem import minimize_node_lagrangians
 from test_network import carrying_nu, random_tree_plus_edges
 
 
-class _Cfg:
-    def __init__(self, alpha, phi, K):
-        self.alpha, self.phi, self.K = alpha, phi, K
-
-
 def test_default_beta0():
     assert cb.default_beta0(1.0, 2.0) == 20.0
 
@@ -56,11 +51,11 @@ def test_bounds_exact_averaging_limit(num_instance, num_sets):
     # beta_inf = 0, e_k collapses to the constant-stepsize term
     M = cb.subgradient_bounds(num_instance).M
     b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, 0.5),
-                              config=_Cfg(1.0, 3, 50), beta0=0.0)
+                              alpha=1.0, phi=3, beta0=0.0)
     assert b.agreement_applicable
     assert b.p == 0.0
     assert b.beta_inf == 0.0
-    assert np.all(b.beta_k == 0.0)
+    assert np.all(b.beta(np.arange(1, 51)) == 0.0)
     assert b.e_k == pytest.approx(1.0 * num_instance.n * M**2 / 2.0)
     assert b.dual_gap_floor == pytest.approx(1.0 * num_instance.n * M**2 / 2.0)
 
@@ -71,7 +66,7 @@ def test_bounds_formulas_by_hand(num_instance, num_sets):
     beta0 = 10.0 * alpha * M
     nu = 0.9
     b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, nu),
-                              _Cfg(alpha, phi, K), beta0)
+                              alpha, phi, beta0)
     n, d = num_instance.n, num_instance.d
     phibar = (math.log(beta0) - math.log(4 * n * (1 + d * d) * (beta0 + alpha * M))) / math.log(nu)
     assert b.phibar == pytest.approx(phibar)
@@ -83,7 +78,7 @@ def test_bounds_formulas_by_hand(num_instance, num_sets):
     # recursion beta_{k+1} = p beta_k + p alpha M with beta_1 = nu^delta beta0
     beta = nu**delta * beta0
     for k in range(1, K + 1):
-        assert b.beta_k[k - 1] == pytest.approx(beta, rel=1e-12)
+        assert b.beta(k) == pytest.approx(beta, rel=1e-12)
         beta = p * beta + p * alpha * M
     assert b.beta_inf == pytest.approx(p * alpha * M / (1 - p))
     tau = beta0 / alpha
@@ -96,18 +91,37 @@ def test_bounds_formulas_by_hand(num_instance, num_sets):
     floor = (alpha * n * (M + tau)**2 / 2.0
              + n * (b.beta_inf * (9 * M + 3 * tau) + zeta))
     assert b.dual_gap_floor == pytest.approx(floor)
-    assert b.epsilon_k[0] == pytest.approx(n * (beta0 * (6 * M + 3 * tau) + zeta))
+    assert b.epsilon(1) == pytest.approx(n * (beta0 * (6 * M + 3 * tau) + zeta))
+
+
+def test_bounds_read_at_rows_past_K(num_instance, num_sets):
+    # the bounds hold no K: beta, epsilon and the envelope read at any
+    # row k >= 1, here up to 2K with K = 30, two steps beyond phibar
+    alpha, K, n = 1.0, 30, num_instance.n
+    M = cb.subgradient_bounds(num_instance).M
+    W, beta0 = carrying_nu(n, 0.9), 10.0 * alpha * M
+    phi = math.ceil(W.phibar(beta0, alpha, M, num_instance.d)) + 2
+    b = cb.theoretical_bounds(num_instance, num_sets, W, alpha, phi, beta0)
+    assert b.agreement_applicable and b.delta == 2 and 0.5 < b.p < 1.0
+    ks = np.arange(1, 2 * K + 1)
+    beta = b.beta(ks)
+    assert beta[0] == pytest.approx(b.contraction * beta0, rel=1e-12)
+    np.testing.assert_allclose(beta[1:], b.p * beta[:-1] + b.p * alpha * M, rtol=1e-12)
+    prev = np.concatenate([[beta0], beta[:-1]])
+    np.testing.assert_allclose(b.disagreement_envelope(ks), 2.0 * prev, rtol=1e-12)
+    np.testing.assert_allclose(b.epsilon(ks), n * (prev * (6 * M + 3 * b.tau) + b.zeta),
+                               rtol=1e-12)
 
 
 def test_bounds_inapplicable_below_phibar(num_instance, num_sets):
     M = cb.subgradient_bounds(num_instance).M
     b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, 0.97),
-                              config=_Cfg(1.0, 1, 20), beta0=10.0 * M)
+                              alpha=1.0, phi=1, beta0=10.0 * M)
     assert not b.agreement_applicable
     assert math.isnan(b.p)
     assert math.isnan(b.beta_inf)
     assert math.isnan(b.dual_gap_floor)
-    assert np.all(np.isnan(b.beta_k))
+    assert np.all(np.isnan(b.beta(np.arange(1, 21))))
     # delta-independent quantities remain available
     assert math.isfinite(b.e_k)
     assert math.isfinite(b.tau)
@@ -116,16 +130,16 @@ def test_bounds_inapplicable_below_phibar(num_instance, num_sets):
 
 def test_disagreement_envelope_index_convention(num_instance, num_sets):
     b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, 0.3),
-                              config=_Cfg(1.0, 8, 10), beta0=5.0)
+                              alpha=1.0, phi=8, beta0=5.0)
     env = b.disagreement_envelope(np.arange(1, 11))
     assert env[0] == pytest.approx(2.0 * b.beta0)
-    assert env[1] == pytest.approx(2.0 * b.beta_k[0])
-    assert env[9] == pytest.approx(2.0 * b.beta_k[8])
+    assert env[1] == pytest.approx(2.0 * b.beta(1))
+    assert env[9] == pytest.approx(2.0 * b.beta(9))
 
 
 def test_primal_deviation_curves(num_instance, num_sets):
     b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, 0.3),
-                              config=_Cfg(2.0, 8, 10), beta0=5.0)
+                              alpha=2.0, phi=8, beta0=5.0)
     ks = np.array([1, 10])
     n = num_instance.n
     R2 = num_sets.radius**2 + num_sets.radius**2
@@ -139,7 +153,7 @@ def test_primal_deviation_beyond_the_float_range_is_inf(num_instance, num_sets):
     # n (R^2 + R^2) / (2 k alpha) overflows at alpha = 1e-320: both curves
     # read inf, without a warning
     b = cb.theoretical_bounds(num_instance, num_sets, carrying_nu(num_instance.n, 0.3),
-                              config=_Cfg(1e-320, 8, 10), beta0=5.0)
+                              alpha=1e-320, phi=8, beta0=5.0)
     ks = np.array([1, 10])
     assert np.all(np.isposinf(b.primal_upper_deviation(ks)))
     assert np.all(np.isposinf(b.primal_lower_deviation(ks)))

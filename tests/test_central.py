@@ -42,6 +42,18 @@ def test_non_finite_stepsize_is_rejected(alpha):
         cb.central_solve(cb.make_sample_num_instance(20, 1), alpha, 5)
 
 
+@pytest.mark.parametrize("K", [2.5, 3.0, True])
+def test_non_integer_K_is_refused_by_name(K):
+    # K = 2.5 used to end in a TypeError from range(), and K = True ran one row
+    with pytest.raises(ValueError, match="^K must be an integer, got "):
+        cb.central_solve(cb.make_sample_num_instance(20, 1), 0.1, K)
+
+
+def test_numpy_integer_K_is_accepted():
+    trace = cb.central_solve(cb.make_sample_num_instance(20, 1), 0.1, np.int64(3))
+    assert trace.k.tolist() == [1, 2, 3]
+
+
 def test_centralized_state_yields_one_view_per_node(num_instance):
     # every node sees the master dual; the views used to be indexed by
     # dual pair, one view pairing it with node 0 only

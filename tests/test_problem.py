@@ -1,5 +1,6 @@
 """Problem model: oracles, bounds, dual sets, sample instances."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -62,6 +63,52 @@ def test_node_spec_rejects_asymmetric_matrix():
     with pytest.raises(ConfigurationError):
         cb.NodeSpec(cb.ScalarFunction.linear(1.0), cb.ScalarFunction.linear(1.0),
                     np.array([[0.0, 1.0], [0.0, 0.0]]), (0.0, 1.0))
+
+
+def _linear_node(A):
+    return cb.NodeSpec(cb.ScalarFunction.linear(1.0), cb.ScalarFunction.linear(1.0), A, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("A", [np.diag([-1e308, 0.0]), np.diag([5e-324, -0.0]),
+                               np.array([[1e308, -1e308], [-1e308, -0.0]])],
+                         ids=["huge", "subnormal", "huge_off_diagonal"])
+def test_node_matrix_is_kept_bit_for_bit(A):
+    # (A + A^T) / 2 overflowed on finite entries beyond about 9e307 and
+    # stored -inf; A / 2 + A^T / 2 would turn 5e-324 into 0.0
+    assert _linear_node(A).A.tobytes() == A.tobytes()
+
+
+def test_huge_A0_is_kept_bit_for_bit():
+    A0 = np.diag([1e308, 1e308])
+    instance = cb.ProblemInstance((_node(cb.ScalarFunction.linear(1.0),
+                                         cb.ScalarFunction.linear(1.0), np.zeros((2, 2))),), A0, 2)
+    assert instance.A0.tobytes() == A0.tobytes()
+
+
+def test_asymmetry_beyond_the_float_range_is_rejected():
+    # the gap 2e308 is inf: rejected, without an overflow warning
+    with pytest.raises(ConfigurationError, match="^node matrix A is not symmetric$"):
+        _linear_node(np.array([[1e308, -1e308], [1e308, 0.0]]))
+
+
+def test_nearly_symmetric_matrix_comes_back_exactly_symmetric():
+    # A + (A^T - A) / 2 rounds the two halves of a pair differently on
+    # about one draw in ten of these
+    rng = np.random.default_rng(0)
+    for scale in 10.0 ** np.arange(-14, 2):
+        A = rng.normal(size=(3, 3)) * scale
+        A = (A + A.T) / 2 + rng.normal(size=(3, 3)) * 1e-13
+        S = _linear_node(A).A
+        assert np.array_equal(S, S.T)
+        assert np.max(np.abs(S - (A + A.T) / 2)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["nodes", "A0", "d", "meta"])
+def test_problem_instance_fields_cannot_be_reassigned(num_instance, name):
+    # the boxes, coefficient columns and d = 0 breakpoint table are
+    # cached from the fields, and used to keep the old ones after a swap
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(num_instance, name, getattr(num_instance, name))
 
 
 def test_node_spec_rejects_unbounded_or_empty_box():
@@ -977,6 +1024,15 @@ def test_breakpoint_rows_that_cancel_fall_back(seed):
     assert np.array_equal(vals[far], ref[far])
     # not certifiable in float64: the bound is not below 1e-13 of the row
     assert np.all(5.0 * EPS * size[far] >= 1e-13 * np.abs(ref[far]))
+
+
+def test_long_double_holds_a_64_bit_mantissa():
+    # _ROW_BOUND's derivation and the exact cancellation of a node's jumps
+    # in _dual_breakpoints both assume it; this goes with the long double
+    assert np.finfo(np.longdouble).nmant >= 63, (
+        "np.longdouble has fewer than 64 mantissa bits on this host, so the d = 0 "
+        "breakpoint rows are not certified and a node's jumps need not cancel "
+        "(ROADMAP item 18 replaces the long double)")
 
 
 def test_float64_log_is_within_one_ulp():

@@ -423,6 +423,20 @@ def small_num_run():
     return instance, W, cb.CobaddConfig(alpha=1.0, phi=1, K=5, sets=cb.DualSetSpec(1.5, 1.5))
 
 
+def test_envelope_bounds_a_run_continued_past_K():
+    # the bounds of a K-row solve read at every row of the same run
+    # continued through cobadd_step to 2K rows
+    instance, W, cfg = small_num_run()
+    M = cb.subgradient_bounds(instance).M
+    phi = math.ceil(W.phibar(cb.default_beta0(1.0, M), 1.0, M, 0)) + 2
+    cfg = dataclasses.replace(cfg, phi=phi, K=20)
+    b = cb.cobadd_solve(instance, W, cfg).bounds
+    assert b.agreement_applicable
+    states = list(cobadd_states(instance, W, dataclasses.replace(cfg, K=40)))[:-1]
+    dev = np.array([np.max(np.abs(s.mus - s.mus.mean())) for s in states])
+    assert np.all(dev <= b.disagreement_envelope(np.arange(1, 41)) + 1e-9)
+
+
 def test_state_of_another_run_count_is_refused():
     # a state steps with one config per run it holds: the error names both counts
     instance, W, c1 = small_num_run()
@@ -460,7 +474,7 @@ def test_weights_of_another_size_are_refused(m):
     with pytest.raises(ValueError, match=message):
         cb.cobadd_step(instance, cb.cobadd_init(instance, W, cfg), other, cfg)
     with pytest.raises(ValueError, match=message):
-        cb.theoretical_bounds(instance, cfg.sets, other, cfg, 1.0)
+        cb.theoretical_bounds(instance, cfg.sets, other, cfg.alpha, cfg.phi, 1.0)
 
 def test_subgradient_bounds_cover_realized_values(lmi_instance, lmi_sets):
     # every subgradient realized along a run stays under the L/Q bounds
@@ -504,6 +518,23 @@ def test_config_validation():
         cb.CobaddConfig(alpha=1.0, phi=0, K=10, sets=sets)
     with pytest.raises(ValueError):
         cb.CobaddConfig(alpha=1.0, phi=1, K=0, sets=sets)
+
+
+@pytest.mark.parametrize("field, value", [("phi", 1.5), ("phi", 2.0), ("phi", True),
+                                          ("K", 2.5), ("K", np.float64(3.0)), ("K", False)])
+def test_non_integer_phi_or_K_is_refused_by_name(field, value):
+    # phi = 1.5 used to construct and then fail inside numpy's matrix
+    # power, K = 2.5 inside np.zeros, and phi = True ran as phi = 1
+    kwargs = {"alpha": 1.0, "phi": 1, "K": 10, "sets": cb.DualSetSpec(0.0, 1.0), field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        cb.CobaddConfig(**kwargs)
+
+
+def test_numpy_integer_phi_and_K_are_accepted():
+    cfg = cb.CobaddConfig(alpha=1.0, phi=np.int64(2), K=np.int64(3), sets=cb.DualSetSpec(0.0, 1.0))
+    instance = cb.make_sample_num_instance(5, 0)
+    W = cb.metropolis_weights(cb.random_connected_graph(5, 2.0, 0))
+    assert cb.cobadd_solve(instance, W, cfg).k.tolist() == [1, 2, 3]
 
 
 # a d = 2 run on 200 nodes: its trace rows, like its mixing, go through
